@@ -47,7 +47,7 @@ print(f"\nnoisy targets                  ->  lambda* = {scale.value:.4f}, "
 #    The path is the base-metric path with step eta / lambda*.
 objective = frechet_objective(points)
 config = OptimizerConfig(step_size=0.2, max_iters=150)
-trace, fitted = joint_descent(points, 2.0 * base, objective, points[0], config)
+trace, fitted, _ = joint_descent(points, 2.0 * base, objective, points[0], config)
 deviation = equivalence_check(
     sphere, objective, points[0], eta=0.2, lam=fitted.value, iters=150
 )

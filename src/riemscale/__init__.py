@@ -13,7 +13,9 @@ Layout:
 * :mod:`riemscale.manifolds` -- closed-form geometry on Euclidean
   space, the sphere, and SPD matrices.
 * :mod:`riemscale.scaling` -- the constant-scale wrapper with exact
-  scaling laws and verbatim delegation of the invariant structure.
+  scaling laws and verbatim delegation of the invariant structure; the
+  typed operations of :mod:`riemscale.manifolds` measure in the scaled
+  metric on points built over it.
 * :mod:`riemscale.charts` -- coordinate-chart numerics (Christoffel
   symbols, geodesic integration, volume densities) that rederive the
   same facts from raw metric matrices.
@@ -32,6 +34,7 @@ from .errors import (
     GeometryError,
     InternalConsistencyError,
     InvalidChartError,
+    PartialEquivalenceError,
     PartialPathError,
 )
 from .manifolds import (
@@ -55,20 +58,7 @@ from .manifolds import (
     riemannian_gradient,
     tangent_projection,
 )
-from .scaling import (
-    ScaleFactor,
-    ScaledManifold,
-    scaled_curve_length,
-    scaled_distance,
-    scaled_exp,
-    scaled_gradient,
-    scaled_inner,
-    scaled_log,
-    scaled_norm,
-    scaled_projection,
-    scaled_transport,
-    volume_scale_factor,
-)
+from .scaling import ScaleFactor, ScaledManifold, volume_scale_factor
 from .charts import (
     Chart,
     ChristoffelField,

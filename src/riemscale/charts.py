@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._render import render_csv
 from .errors import (
     ContractViolationError,
     DomainError,
@@ -133,14 +134,11 @@ class GeodesicPath:
     def to_csv(self) -> str:
         """Render as CSV with columns ``t, x0.., xdot0..``."""
         n = self.dimension
-        header = ",".join(
-            ["t"] + [f"x{i}" for i in range(n)] + [f"xdot{i}" for i in range(n)]
+        columns = ["t"] + [f"x{i}" for i in range(n)] + [f"xdot{i}" for i in range(n)]
+        rows = (
+            [t, *x, *v] for t, x, v in zip(self.times, self.positions, self.velocities)
         )
-        lines = [header]
-        for t, x, v in zip(self.times, self.positions, self.velocities):
-            row = [t, *x, *v]
-            lines.append(",".join(format(val, ".17g") for val in row))
-        return "\n".join(lines) + "\n"
+        return render_csv(columns, rows)
 
 
 def _as_coords(chart: Chart, x) -> np.ndarray:

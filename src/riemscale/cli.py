@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .charts import GeodesicPath, chart_from_string, geodesic_integrate, scale_chart_constant
+from ._render import render_csv, render_json
+from .charts import chart_from_string, geodesic_integrate, scale_chart_constant
 from .errors import DegenerateInputError, GeometryError, PartialPathError
 from .manifolds import manifold_from_string
 from .optimize import (
@@ -37,7 +38,7 @@ from .optimize import (
     riemannian_gd,
 )
 from .scaling import ScaledManifold, volume_scale_factor
-from .verify import render_csv, render_json, run_suite
+from .verify import REPORT_COLUMNS, report_rows, run_suite
 
 OUTPUT_DIR_ENV = "RIEMSCALE_OUTPUT_DIR"
 
@@ -90,18 +91,17 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> RunConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not math.isfinite(args.lam) or args.lam <= 0.0:
-        parser.error(f"--lambda must be a finite positive real, got {args.lam}")
-    if not math.isfinite(args.eta) or args.eta <= 0.0:
-        parser.error(f"--eta must be a finite positive real, got {args.eta}")
+    for flag, value in (
+        ("--lambda", args.lam), ("--eta", args.eta), ("--scale-target", args.scale_target)
+    ):
+        if not math.isfinite(value) or value <= 0.0:
+            parser.error(f"{flag} must be a finite positive real, got {value}")
     if args.iters < 1:
         parser.error("--iters must be >= 1")
     if args.n_points < 1:
         parser.error("--points must be >= 1")
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must fit in an unsigned 64-bit integer")
-    if args.scale_target <= 0.0:
-        parser.error("--scale-target must be positive")
     # reject unknown manifold/chart specs before any computation
     try:
         manifold_from_string(args.manifold)
@@ -143,38 +143,39 @@ def _emit(text: str, out: str | None) -> None:
         path.write_text(text)
 
 
+def _output(config: RunConfig, payload, columns, rows, preamble=None) -> None:
+    """Write a command's result: ``payload`` as JSON, or the table as CSV."""
+    if config.fmt == "json":
+        text = render_json(payload)
+    else:
+        text = render_csv(columns, rows, preamble)
+    _emit(text, config.out)
+
+
 def cmd_verify(config: RunConfig) -> int:
     report = run_suite(config.seed)
-    text = render_json(report) if config.fmt == "json" else render_csv(report)
-    _emit(text, config.out)
+    _output(config, report, REPORT_COLUMNS, report_rows(report))
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
 def cmd_scale_table(config: RunConfig) -> int:
     lam = config.lam
     n = manifold_from_string(config.manifold).intrinsic_dim
-    rows = [
-        {"quantity": "norm", "factor": "sqrt(lambda)", "value": math.sqrt(lam)},
-        {"quantity": "curve_length", "factor": "sqrt(lambda)", "value": math.sqrt(lam)},
-        {"quantity": "distance", "factor": "sqrt(lambda)", "value": math.sqrt(lam)},
-        {"quantity": "volume_density", "factor": "lambda^(n/2)",
-         "value": volume_scale_factor(lam, n)},
-        {"quantity": "gradient", "factor": "1/lambda", "value": 1.0 / lam},
-        {"quantity": "connection", "factor": "1", "value": 1.0},
-        {"quantity": "geodesic", "factor": "1", "value": 1.0},
-        {"quantity": "exp_map", "factor": "1", "value": 1.0},
-        {"quantity": "log_map", "factor": "1", "value": 1.0},
-        {"quantity": "parallel_transport", "factor": "1", "value": 1.0},
+    table = [
+        ("norm", "sqrt(lambda)", math.sqrt(lam)),
+        ("curve_length", "sqrt(lambda)", math.sqrt(lam)),
+        ("distance", "sqrt(lambda)", math.sqrt(lam)),
+        ("volume_density", "lambda^(n/2)", volume_scale_factor(lam, n)),
+        ("gradient", "1/lambda", 1.0 / lam),
+        ("connection", "1", 1.0),
+        ("geodesic", "1", 1.0),
+        ("exp_map", "1", 1.0),
+        ("log_map", "1", 1.0),
+        ("parallel_transport", "1", 1.0),
     ]
-    if config.fmt == "json":
-        text = render_json({"lambda": lam, "n": n, "rows": rows})
-    else:
-        lines = ["quantity,factor,value"]
-        lines += [
-            f"{r['quantity']},{r['factor']},{format(r['value'], '.17g')}" for r in rows
-        ]
-        text = "\n".join(lines) + "\n"
-    _emit(text, config.out)
+    columns = ("quantity", "factor", "value")
+    rows = [dict(zip(columns, row)) for row in table]
+    _output(config, {"lambda": lam, "n": n, "rows": rows}, columns, table)
     return 0
 
 
@@ -201,12 +202,9 @@ def cmd_frechet(config: RunConfig) -> int:
         summary["max_deviation"] = equivalence_check(
             manifold, objective, x0, config.eta, config.lam, config.iters
         )
-    if config.fmt == "csv":
-        _emit(trace.to_csv(), config.out)
-        if config.out is not None:
-            sys.stdout.write(render_json(summary))
-    else:
-        _emit(render_json(summary), config.out)
+    _output(config, summary, *trace.table())
+    if config.fmt == "csv" and config.out is not None:
+        sys.stdout.write(render_json(summary))
     return 2 if trace.stop_reason == STOP_ERROR else 0
 
 
@@ -218,13 +216,10 @@ def cmd_calibrate(config: RunConfig) -> int:
     rng = np.random.default_rng(config.seed)
     points, objective, x0 = random_frechet_problem(manifold, config.n_points, rng)
     targets = config.scale_target * pairwise_distances(points)
-    trace, scale = joint_descent(
+    trace, scale, residual = joint_descent(
         points, targets, objective, x0,
         OptimizerConfig(step_size=config.eta, max_iters=config.iters),
     )
-    iu = np.triu_indices(len(points), k=1)
-    d = pairwise_distances(points)[iu]
-    residual = float(np.sum((math.sqrt(scale.value) * d - targets[iu]) ** 2))
     deviation = equivalence_check(
         manifold, objective, x0, config.eta, scale.value, config.iters
     )
@@ -239,16 +234,8 @@ def cmd_calibrate(config: RunConfig) -> int:
         "iterations": len(trace) - 1,
         "stop_reason": trace.stop_reason,
     }
-    if config.fmt == "json":
-        text = render_json(payload)
-    else:
-        keys = sorted(payload)
-        values = [
-            format(payload[k], ".17g") if isinstance(payload[k], float) else str(payload[k])
-            for k in keys
-        ]
-        text = ",".join(keys) + "\n" + ",".join(values) + "\n"
-    _emit(text, config.out)
+    keys = sorted(payload)
+    _output(config, payload, keys, [[payload[k] for k in keys]])
     return 0
 
 
@@ -268,16 +255,6 @@ def _default_start(chart_name: str, dimension: int):
     return x0, v0
 
 
-def _geodesic_rows(base: GeodesicPath, scaled: GeodesicPath | None):
-    rows = []
-    for k in range(len(base.times)):
-        row = [base.times[k], *base.positions[k], *base.velocities[k]]
-        if scaled is not None:
-            row += [*scaled.positions[k], *scaled.velocities[k]]
-        rows.append([float(v) for v in row])
-    return rows
-
-
 def cmd_geodesic(config: RunConfig) -> int:
     chart = chart_from_string(config.chart)
     x0, v0 = _default_start(chart.name, chart.dimension)
@@ -291,30 +268,23 @@ def cmd_geodesic(config: RunConfig) -> int:
         sys.stderr.write(f"{exc}\n")
         _emit(exc.partial_path.to_csv(), config.out)
         return 3
+    n = chart.dimension
+    columns = ["t"] + [f"x{i}" for i in range(n)] + [f"xdot{i}" for i in range(n)]
+    parts = [base.times[:, None], base.positions, base.velocities]
     deviation = 0.0
     if scaled is not None:
         deviation = float(np.max(np.abs(scaled.positions - base.positions)))
-    if config.fmt == "json":
-        text = render_json(
-            {
-                "chart": config.chart,
-                "lambda": config.lam,
-                "steps": config.iters,
-                "max_deviation": deviation,
-                "rows": _geodesic_rows(base, scaled),
-            }
-        )
-    else:
-        n = chart.dimension
-        header = ["t"] + [f"x{i}" for i in range(n)] + [f"xdot{i}" for i in range(n)]
-        if scaled is not None:
-            header += [f"scaled_x{i}" for i in range(n)]
-            header += [f"scaled_xdot{i}" for i in range(n)]
-        lines = [f"# max_deviation={format(deviation, '.17g')}", ",".join(header)]
-        for row in _geodesic_rows(base, scaled):
-            lines.append(",".join(format(v, ".17g") for v in row))
-        text = "\n".join(lines) + "\n"
-    _emit(text, config.out)
+        columns += [f"scaled_{c}" for c in columns[1:]]
+        parts += [scaled.positions, scaled.velocities]
+    rows = np.hstack(parts).tolist()
+    payload = {
+        "chart": config.chart,
+        "lambda": config.lam,
+        "steps": config.iters,
+        "max_deviation": deviation,
+        "rows": rows,
+    }
+    _output(config, payload, columns, rows, {"max_deviation": deviation})
     return 0
 
 

@@ -39,3 +39,15 @@ class PartialPathError(DomainError):
     def __init__(self, message, partial_path):
         super().__init__(message)
         self.partial_path = partial_path
+
+
+class PartialEquivalenceError(DomainError):
+    """An arm of a step-size equivalence run stopped on a domain error.
+
+    Carries the deviation measured over the common prefix of both arms
+    in ``partial_deviation``.
+    """
+
+    def __init__(self, message, partial_deviation):
+        super().__init__(message)
+        self.partial_deviation = partial_deviation

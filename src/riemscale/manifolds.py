@@ -310,7 +310,7 @@ class Sphere(Manifold):
 
     def _renormalize(self, out: np.ndarray) -> np.ndarray:
         n = float(np.linalg.norm(out))
-        if abs(n - 1.0) > RENORM_TOL:
+        if not abs(n - 1.0) <= RENORM_TOL:
             raise InternalConsistencyError(
                 f"sphere result drifted {abs(n - 1.0):.3e} from unit norm"
             )
@@ -417,7 +417,7 @@ class SymmetricPositiveDefinite(Manifold):
     @staticmethod
     def _resymmetrize(out: np.ndarray) -> np.ndarray:
         drift = float(np.max(np.abs(out - out.T)))
-        if drift > RENORM_TOL:
+        if not drift <= RENORM_TOL:
             raise InternalConsistencyError(
                 f"matrix result drifted {drift:.3e} from symmetry"
             )

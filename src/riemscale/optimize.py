@@ -16,11 +16,17 @@ form because rescaling multiplies every distance by the same root.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, DegenerateInputError, DomainError
+from ._render import render_csv
+from .errors import (
+    ContractViolationError,
+    DegenerateInputError,
+    DomainError,
+    PartialEquivalenceError,
+)
 from .manifolds import Manifold, ManifoldPoint, TangentVector
 from .scaling import ScaledManifold, ScaleFactor
 
@@ -79,21 +85,21 @@ class OptimizerTrace:
     def __len__(self) -> int:
         return len(self.iterates)
 
-    def to_csv(self) -> str:
-        """Render as CSV: iter, f_value, grad_norm, then flattened coordinates."""
+    def table(self) -> tuple[list[str], Iterator[list]]:
+        """Columns ``iter, f_value, grad_norm, coord_0..`` and a lazy row per iterate."""
         d = int(np.prod(self.iterates[0].manifold.ambient_shape))
-        header = ",".join(
-            ["iter", "f_value", "grad_norm"] + [f"coord_{i}" for i in range(d)]
+        columns = ["iter", "f_value", "grad_norm"] + [f"coord_{i}" for i in range(d)]
+        rows = (
+            [k, val, gn, *pt.coordinates.ravel()]
+            for k, (pt, val, gn) in enumerate(
+                zip(self.iterates, self.values, self.grad_norms)
+            )
         )
-        lines = [header]
-        for k, (pt, val, gn) in enumerate(
-            zip(self.iterates, self.values, self.grad_norms)
-        ):
-            row = [str(k)] + [
-                format(v, ".17g") for v in (val, gn, *pt.coordinates.ravel())
-            ]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        return columns, rows
+
+    def to_csv(self) -> str:
+        """Render :meth:`table` as CSV."""
+        return render_csv(*self.table())
 
 
 def riemannian_gd(
@@ -188,7 +194,9 @@ def equivalence_check(
     ``eta / lam``, from the same start, and returns the maximum
     base-metric distance between matching iterates.  Both arms run for
     the full iteration count (no early convergence stop) so the
-    comparison is step-by-step.
+    comparison is step-by-step.  If either arm stops on a domain error,
+    :class:`PartialEquivalenceError` carries the deviation over the
+    common prefix.
     """
     scaled = ScaledManifold(manifold, ScaleFactor(lam))
     cfg_scaled = OptimizerConfig(step_size=eta, max_iters=iters, grad_tol=0.0)
@@ -199,13 +207,12 @@ def equivalence_check(
     for a, b in zip(run_scaled.iterates, run_base.iterates):
         deviation = max(deviation, manifold.dist(a.coordinates, b.coordinates))
     if STOP_ERROR in (run_scaled.stop_reason, run_base.stop_reason):
-        err = DomainError(
+        raise PartialEquivalenceError(
             "an arm of the equivalence run failed; deviation over the "
             f"common prefix of {min(len(run_scaled), len(run_base))} iterates "
-            f"was {deviation:.3e}"
+            f"was {deviation:.3e}",
+            deviation,
         )
-        err.partial_deviation = deviation
-        raise err
     return deviation
 
 
@@ -269,18 +276,19 @@ def joint_descent(
     x_objective: Objective,
     x0: ManifoldPoint,
     config: OptimizerConfig,
-) -> tuple[OptimizerTrace, ScaleFactor]:
+) -> tuple[OptimizerTrace, ScaleFactor, float]:
     """Calibrate the scale from distances, then descend under it.
 
     The two halves decouple: the fitted scale only changes the
     effective step size of the descent, never the path geometry, so
     the returned trace matches a base-metric run with step
-    ``step_size / lam*`` (see :func:`equivalence_check`).
+    ``step_size / lam*`` (see :func:`equivalence_check`).  Returns the
+    trace, the fitted scale and the calibration residual.
     """
-    scale, _ = calibrate_scale(base_points, target_distances)
+    scale, residual = calibrate_scale(base_points, target_distances)
     manifold = tuple(base_points)[0].manifold
     trace = riemannian_gd(ScaledManifold(manifold, scale), x_objective, x0, config)
-    return trace, scale
+    return trace, scale, residual
 
 
 def random_frechet_problem(

@@ -12,6 +12,13 @@ A :class:`ScaledManifold` wraps any base manifold with a fixed factor
   forwarded to the base manifold untouched, so their outputs are
   representation-identical to the unscaled ones by construction.
 
+A scaled manifold is an ordinary :class:`~riemscale.manifolds.Manifold`,
+so the typed operations of :mod:`riemscale.manifolds` measure in the
+scaled metric once the points are built over the wrapper::
+
+    sm = ScaledManifold(Sphere(2), 4.0)
+    distance(ManifoldPoint(sm, p), ManifoldPoint(sm, q))  # 2 * base distance
+
 The numerical evidence that this delegation is legitimate (rather than
 an implementation shortcut) lives in :mod:`riemscale.charts`, which
 rederives connections and geodesics from scaled metric matrices.
@@ -25,15 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError
-from .manifolds import (
-    Manifold,
-    ManifoldPoint,
-    SampledCurve,
-    TangentVector,
-    _require_same_base,
-    _require_same_manifold,
-)
+from .errors import ContractViolationError, DomainError
+from .manifolds import Manifold
 
 
 @dataclass(frozen=True)
@@ -155,79 +155,20 @@ class ScaledManifold(Manifold):
 
 def volume_scale_factor(scale: ScaleFactor | float, n: int) -> float:
     """Factor by which an n-dimensional volume density is multiplied when
-    the metric is multiplied by ``scale``."""
+    the metric is multiplied by ``scale``.
+
+    Raises :class:`DomainError` when the factor overflows or underflows
+    double precision.
+    """
     if int(n) != n or n < 1:
         raise ContractViolationError(f"dimension must be a positive integer, got {n!r}")
     lam = scale.value if isinstance(scale, ScaleFactor) else float(ScaleFactor(scale))
-    return lam ** (n / 2)
-
-
-def _require_on_base(sm: ScaledManifold, p: ManifoldPoint) -> None:
-    if sm.root != p.manifold:
-        raise ContractViolationError(
-            f"point lives on {p.manifold}, not on the wrapped {sm.root}"
+    try:
+        factor = lam ** (n / 2)
+    except OverflowError:
+        factor = math.inf
+    if not 0.0 < factor < math.inf:
+        raise DomainError(
+            f"volume factor {lam!r}**({n}/2) is not a finite positive double"
         )
-
-
-def scaled_inner(sm: ScaledManifold, u: TangentVector, v: TangentVector) -> float:
-    """Inner product in the scaled metric: ``lam`` times the base value."""
-    p = _require_same_base(u, v)
-    _require_on_base(sm, p)
-    return sm.inner(p.coordinates, u.components, v.components)
-
-
-def scaled_norm(sm: ScaledManifold, v: TangentVector) -> float:
-    """Norm in the scaled metric, computed as the root of the scaled inner."""
-    _require_on_base(sm, v.base)
-    return sm.norm(v.base.coordinates, v.components)
-
-
-def scaled_distance(sm: ScaledManifold, p: ManifoldPoint, q: ManifoldPoint) -> float:
-    """Distance in the scaled metric: ``sqrt(lam)`` times the base distance."""
-    _require_same_manifold(p, q)
-    _require_on_base(sm, p)
-    return sm.dist(p.coordinates, q.coordinates)
-
-
-def scaled_curve_length(sm: ScaledManifold, curve: SampledCurve) -> float:
-    """Curve length in the scaled metric: ``sqrt(lam)`` times the base length."""
-    _require_on_base(sm, curve.points[0])
-    return sm.curve_length([pt.coordinates for pt in curve.points])
-
-
-def scaled_gradient(sm: ScaledManifold, base_gradient: TangentVector) -> TangentVector:
-    """Gradient in the scaled metric, given the base-metric gradient.
-
-    Only the magnitude changes (division by ``lam``); the direction is
-    untouched.
-    """
-    _require_on_base(sm, base_gradient.base)
-    return TangentVector(
-        base_gradient.base, sm.rescale_gradient(base_gradient.components)
-    )
-
-
-def scaled_exp(sm: ScaledManifold, v: TangentVector) -> ManifoldPoint:
-    """Exponential map under the scaled metric: identical to the base map."""
-    _require_on_base(sm, v.base)
-    return ManifoldPoint(v.manifold, sm.exp(v.base.coordinates, v.components))
-
-
-def scaled_log(sm: ScaledManifold, p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
-    """Logarithm map under the scaled metric: identical to the base map."""
-    _require_same_manifold(p, q)
-    _require_on_base(sm, p)
-    return TangentVector(p, sm.log(p.coordinates, q.coordinates))
-
-
-def scaled_transport(sm: ScaledManifold, v: TangentVector, q: ManifoldPoint) -> TangentVector:
-    """Parallel transport under the scaled metric: identical to the base map."""
-    _require_same_manifold(v.base, q)
-    _require_on_base(sm, q)
-    return TangentVector(q, sm.transport(v.base.coordinates, q.coordinates, v.components))
-
-
-def scaled_projection(sm: ScaledManifold, p: ManifoldPoint, w) -> TangentVector:
-    """Tangent projection under the scaled metric: identical to the base map."""
-    _require_on_base(sm, p)
-    return TangentVector(p, sm.to_tangent(p.coordinates, w))
+    return factor

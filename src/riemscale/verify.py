@@ -10,19 +10,26 @@ criterion is a lower bound instead of an upper bound.
 
 Per-check random streams are derived by hashing the root seed together
 with the check id; adding checks therefore never perturbs existing
-ones, and a report is byte-reproducible from its seed.
+ones, and a report is byte-reproducible from its seed.  After the
+checks, :func:`run_suite` appends one ``report.coverage`` record that
+compares the number of records with the registry size.
+
+:func:`render_json` writes the whole report and :func:`render_csv` the
+per-check records table; both use the library's single output format
+(17 significant digits, ``true``/``false``, sorted keys).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from . import _render
+from ._render import render_json
 from ._version import __version__
 from .charts import (
     builtin_charts,
@@ -451,11 +458,6 @@ def _run_calibration_optimality(rng):
     return float(worst)
 
 
-def _run_coverage(rng):
-    # asserted against the registry size when the report is assembled
-    return 0.0
-
-
 @dataclass(frozen=True)
 class PropertyCheck:
     check_id: str
@@ -567,63 +569,17 @@ def run_suite(seed: int) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Deterministic rendering: floats carry 17 significant digits so that
-# every value round-trips exactly, keys are emitted in sorted order, and
-# no timestamps or environment-dependent data appear anywhere.
-# ---------------------------------------------------------------------------
+REPORT_COLUMNS = (
+    "id", "category", "target", "lambda",
+    "deviation", "tolerance", "criterion", "passed",
+)
 
 
-def _render_value(value, indent: int, pad: str) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite value {value!r}")
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad * (indent + 1)
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_render_value(value[k], indent + 1, pad)}"
-            for k in sorted(value)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad * indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad * (indent + 1)
-        items = [f"{inner}{_render_value(v, indent + 1, pad)}" for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad * indent + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def render_json(report: dict) -> str:
-    """Canonical JSON rendering of a report (or any plain structure)."""
-    return _render_value(report, 0, "  ") + "\n"
+def report_rows(report: dict) -> list[list]:
+    """The per-check records as rows of :data:`REPORT_COLUMNS` cells."""
+    return [[record[col] for col in REPORT_COLUMNS] for record in report["records"]]
 
 
 def render_csv(report: dict) -> str:
     """Flat CSV rendering of the per-check records."""
-    columns = (
-        "id", "category", "target", "lambda",
-        "deviation", "tolerance", "criterion", "passed",
-    )
-    lines = [",".join(columns)]
-    for record in report["records"]:
-        cells = []
-        for col in columns:
-            value = record[col]
-            if isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, float):
-                cells.append(format(value, ".17g"))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _render.render_csv(REPORT_COLUMNS, report_rows(report))

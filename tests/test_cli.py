@@ -35,6 +35,8 @@ def run_cli_capture(capsys, *argv):
         ("--command", "frechet", "--points", "0"),
         ("--command", "frechet", "--seed", "-1"),
         ("--command", "bogus"),
+        ("--command", "calibrate", "--scale-target", "nan"),
+        ("--command", "calibrate", "--scale-target", "inf"),
     ],
 )
 def test_bad_arguments_are_rejected_before_any_computation(argv):
@@ -95,6 +97,14 @@ def test_scale_table_small_lambda_csv(capsys):
     assert cells["norm"] == 0.5
     assert cells["volume_density"] == 0.25
     assert cells["gradient"] == 4.0
+
+
+def test_scale_table_volume_overflow_is_a_clean_error(capsys):
+    code = run_cli("--command", "scale-table", "--lambda", "1e10", "--manifold", "spd:20")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: volume factor")
 
 
 # ---------------------------------------------------------------------------

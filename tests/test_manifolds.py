@@ -12,6 +12,7 @@ from riemscale import (
     ContractViolationError,
     DomainError,
     Euclidean,
+    InternalConsistencyError,
     ManifoldPoint,
     SampledCurve,
     Sphere,
@@ -109,6 +110,13 @@ def test_exp_spd_at_identity_is_matrix_exponential():
     oracle = scipy.linalg.expm(np.diag([1.0, -1.0]))
     assert_allclose(oracle, np.diag([math.e, 1.0 / math.e]), rtol=1e-14)
     assert_allclose(exp_map(v).coordinates, oracle, rtol=1e-13)
+
+
+def test_exp_spd_overflow_raises_instead_of_returning_nan():
+    # exp(800) overflows, so the product holds inf * 0 = NaN entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InternalConsistencyError, match="drifted nan"):
+            SPD2.exp(np.eye(2), np.diag([800.0, 1.0]))
 
 
 def test_log_at_same_point_is_zero(manifold, rng):

@@ -12,6 +12,7 @@ from riemscale import (
     DegenerateInputError,
     DomainError,
     Euclidean,
+    PartialEquivalenceError,
     ManifoldPoint,
     Objective,
     OptimizerConfig,
@@ -250,6 +251,16 @@ def test_equivalence_sweep(manifold, rng):
         assert deviation <= 1e-8
 
 
+def test_equivalence_failing_arm_raises_typed_error_with_prefix_deviation():
+    # the gradient at a point needs the logarithm toward its antipode
+    antipode = ManifoldPoint(S2, -_e(0).coordinates)
+    objective = frechet_objective([_e(0), antipode])
+    with pytest.raises(PartialEquivalenceError, match="common prefix of 0 iterates") as info:
+        equivalence_check(S2, objective, _e(0), eta=0.1, lam=4.0, iters=10)
+    assert isinstance(info.value, DomainError)
+    assert info.value.partial_deviation == 0.0
+
+
 # ---------------------------------------------------------------------------
 # scale calibration
 # ---------------------------------------------------------------------------
@@ -330,8 +341,9 @@ def test_joint_descent_unit_targets_match_plain_run(rng):
     objective = frechet_objective(points)
     config = OptimizerConfig(step_size=0.2, max_iters=50, grad_tol=0.0)
     targets = pairwise_distances(points)
-    trace, scale = joint_descent(points, targets, objective, points[0], config)
+    trace, scale, residual = joint_descent(points, targets, objective, points[0], config)
     assert scale.value == 1.0
+    assert residual == 0.0
     plain = riemannian_gd(S2, objective, points[0], config)
     for a, b in zip(trace.iterates, plain.iterates):
         assert np.array_equal(a.coordinates, b.coordinates)
@@ -342,8 +354,9 @@ def test_joint_descent_doubled_targets_match_quarter_step(rng):
     objective = frechet_objective(points)
     config = OptimizerConfig(step_size=0.2, max_iters=100, grad_tol=0.0)
     targets = 2.0 * pairwise_distances(points)
-    trace, scale = joint_descent(points, targets, objective, points[0], config)
+    trace, scale, residual = joint_descent(points, targets, objective, points[0], config)
     assert scale.value == pytest.approx(4.0, rel=1e-12)
+    assert residual == calibrate_scale(points, targets)[1]
     deviation = equivalence_check(
         S2, objective, points[0], eta=0.2, lam=scale.value, iters=100
     )
@@ -357,7 +370,7 @@ def test_joint_descent_stationary_start_is_scale_independent(rng):
     objective = frechet_objective([y])
     config = OptimizerConfig(step_size=0.3, max_iters=50)
     targets = 5.0 * pairwise_distances(anchor)
-    trace, scale = joint_descent(anchor, targets, objective, y, config)
+    trace, scale, _ = joint_descent(anchor, targets, objective, y, config)
     assert scale.value == pytest.approx(25.0, rel=1e-12)
     assert trace.stop_reason == "converged"
     assert len(trace) == 1

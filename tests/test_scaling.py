@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from riemscale import (
     ContractViolationError,
+    DomainError,
     Euclidean,
     ManifoldPoint,
     SampledCurve,
@@ -23,17 +24,11 @@ from riemscale import (
     inner_product,
     log_map,
     norm,
+    parallel_transport,
     random_point,
     random_tangent,
-    scaled_curve_length,
-    scaled_distance,
-    scaled_exp,
-    scaled_gradient,
-    scaled_inner,
-    scaled_log,
-    scaled_norm,
-    scaled_projection,
-    scaled_transport,
+    riemannian_gradient,
+    tangent_projection,
     volume_scale_factor,
 )
 
@@ -46,6 +41,16 @@ SPD2 = SymmetricPositiveDefinite(2)
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _on(sm, x):
+    """The same point (or tangent vector, or curve) rebuilt over ``sm``, so
+    the typed operations measure it in the scaled metric."""
+    if isinstance(x, ManifoldPoint):
+        return ManifoldPoint(sm, x.coordinates)
+    if isinstance(x, TangentVector):
+        return TangentVector(_on(sm, x.base), x.components)
+    return SampledCurve(tuple(_on(sm, pt) for pt in x.points), x.parameters)
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +77,15 @@ def test_scaled_inner_examples():
     e2 = Euclidean(2)
     p = ManifoldPoint(e2, np.zeros(2))
     u = TangentVector(p, np.array([3.0, 4.0]))
-    assert scaled_inner(ScaledManifold(e2, 1.0), u, u) == inner_product(u, u)
-    assert scaled_inner(ScaledManifold(e2, 4.0), u, u) == 100.0
+    u1 = _on(ScaledManifold(e2, 1.0), u)
+    u4 = _on(ScaledManifold(e2, 4.0), u)
+    assert inner_product(u1, u1) == inner_product(u, u)
+    assert inner_product(u4, u4) == 100.0
 
     pid = ManifoldPoint(SPD2, np.eye(2))
     w = TangentVector(pid, np.eye(2))
-    assert scaled_inner(ScaledManifold(SPD2, 0.5), w, w) == pytest.approx(1.0, abs=1e-14)
+    w_half = _on(ScaledManifold(SPD2, 0.5), w)
+    assert inner_product(w_half, w_half) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_scaled_norm_examples():
@@ -85,24 +93,24 @@ def test_scaled_norm_examples():
     p = ManifoldPoint(e2, np.zeros(2))
     zero = TangentVector(p, np.zeros(2))
     for lam in SCALES:
-        assert scaled_norm(ScaledManifold(e2, lam), zero) == 0.0
+        assert norm(_on(ScaledManifold(e2, lam), zero)) == 0.0
     two = TangentVector(p, np.array([2.0, 0.0]))
-    assert scaled_norm(ScaledManifold(e2, 4.0), two) == pytest.approx(4.0, rel=1e-15)
+    assert norm(_on(ScaledManifold(e2, 4.0), two)) == pytest.approx(4.0, rel=1e-15)
     ones = TangentVector(p, np.array([1.0, 1.0]))
-    assert scaled_norm(ScaledManifold(e2, 2.0), ones) == pytest.approx(2.0, rel=1e-15)
+    assert norm(_on(ScaledManifold(e2, 2.0), ones)) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_scaled_distance_examples():
     p = ManifoldPoint(S2, np.array([1.0, 0.0, 0.0]))
     q = ManifoldPoint(S2, np.array([0.0, 1.0, 0.0]))
-    assert scaled_distance(ScaledManifold(S2, 1.0), p, q) == distance(p, q)
-    assert scaled_distance(ScaledManifold(S2, 4.0), p, q) == pytest.approx(
-        math.pi, abs=1e-15
-    )
+    s1, s4 = ScaledManifold(S2, 1.0), ScaledManifold(S2, 4.0)
+    assert distance(_on(s1, p), _on(s1, q)) == distance(p, q)
+    assert distance(_on(s4, p), _on(s4, q)) == pytest.approx(math.pi, abs=1e-15)
     a = ManifoldPoint(SPD2, np.eye(2))
     b = ManifoldPoint(SPD2, np.diag([math.e, math.e]))
     # base distance oracle is sqrt(2); tripling the unit of length gives 3 sqrt(2)
-    assert scaled_distance(ScaledManifold(SPD2, 9.0), a, b) == pytest.approx(
+    s9 = ScaledManifold(SPD2, 9.0)
+    assert distance(_on(s9, a), _on(s9, b)) == pytest.approx(
         3.0 * math.sqrt(2.0), rel=1e-13
     )
 
@@ -113,13 +121,13 @@ def test_scaled_curve_length_examples():
         ManifoldPoint(S2, np.array([math.cos(t), math.sin(t), 0.0])) for t in ts
     )
     curve = SampledCurve(pts)
-    assert scaled_curve_length(ScaledManifold(S2, 4.0), curve) == pytest.approx(
+    assert curve_length(_on(ScaledManifold(S2, 4.0), curve)) == pytest.approx(
         math.pi, abs=1e-10
     )
-    assert scaled_curve_length(ScaledManifold(S2, 1.0), curve) == curve_length(curve)
+    assert curve_length(_on(ScaledManifold(S2, 1.0), curve)) == curve_length(curve)
     p = pts[0]
     constant = SampledCurve((p, p), np.array([0.0, 1.0]))
-    assert scaled_curve_length(ScaledManifold(S2, 10.0), constant) == 0.0
+    assert curve_length(_on(ScaledManifold(S2, 10.0), constant)) == 0.0
 
 
 def test_volume_scale_factor_examples():
@@ -129,6 +137,12 @@ def test_volume_scale_factor_examples():
     assert volume_scale_factor(ScaleFactor(4.0), 2) == 4.0
     with pytest.raises(ContractViolationError):
         volume_scale_factor(4.0, 0)
+
+
+@pytest.mark.parametrize("lam, n", [(1e10, 210), (1e-10, 210), (1e300, 3)])
+def test_volume_scale_factor_out_of_double_range_is_a_domain_error(lam, n):
+    with pytest.raises(DomainError, match="volume factor"):
+        volume_scale_factor(lam, n)
 
 
 def test_volume_scale_factor_matches_exponential_form():
@@ -141,17 +155,20 @@ def test_volume_scale_factor_matches_exponential_form():
 def test_scaled_gradient_examples():
     e2 = Euclidean(2)
     p = ManifoldPoint(e2, np.array([1.0, 2.0]))
-    grad = TangentVector(p, p.coordinates)  # gradient of the half squared norm
+    ambient = p.coordinates  # gradient of the half squared norm
     assert _same_bits(
-        scaled_gradient(ScaledManifold(e2, 1.0), grad).components, grad.components
+        riemannian_gradient(_on(ScaledManifold(e2, 1.0), p), ambient).components,
+        riemannian_gradient(p, ambient).components,
     )
     assert_allclose(
-        scaled_gradient(ScaledManifold(e2, 2.0), grad).components, [0.5, 1.0]
+        riemannian_gradient(_on(ScaledManifold(e2, 2.0), p), ambient).components,
+        [0.5, 1.0],
     )
-    zero = TangentVector(p, np.zeros(2))
     for lam in SCALES:
         assert_allclose(
-            scaled_gradient(ScaledManifold(e2, lam), zero).components, 0.0, atol=0
+            riemannian_gradient(_on(ScaledManifold(e2, lam), p), np.zeros(2)).components,
+            0.0,
+            atol=0,
         )
 
 
@@ -165,18 +182,18 @@ def test_delegation_examples_at_extreme_scale():
     p = ManifoldPoint(S2, np.array([1.0, 0.0, 0.0]))
     q = ManifoldPoint(S2, np.array([0.0, 1.0, 0.0]))
     v = TangentVector(p, np.array([0.0, math.pi / 2, 0.0]))
-    assert _same_bits(scaled_exp(sm, v).coordinates, exp_map(v).coordinates)
-    assert _same_bits(scaled_log(sm, p, q).components, log_map(p, q).components)
-    assert_allclose(scaled_exp(sm, v).coordinates, [0.0, 1.0, 0.0], atol=1e-15)
+    assert _same_bits(exp_map(_on(sm, v)).coordinates, exp_map(v).coordinates)
+    assert _same_bits(log_map(_on(sm, p), _on(sm, q)).components, log_map(p, q).components)
+    assert_allclose(exp_map(_on(sm, v)).coordinates, [0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_scaled_log_norm_rescales_like_distance():
     sm = ScaledManifold(S2, 4.0)
     p = ManifoldPoint(S2, np.array([1.0, 0.0, 0.0]))
     q = ManifoldPoint(S2, np.array([0.0, 1.0, 0.0]))
-    v = scaled_log(sm, p, q)
-    assert scaled_norm(sm, v) == pytest.approx(math.pi, abs=1e-14)
-    assert scaled_norm(sm, v) == pytest.approx(2.0 * norm(log_map(p, q)), rel=1e-14)
+    v = log_map(_on(sm, p), _on(sm, q))
+    assert norm(v) == pytest.approx(math.pi, abs=1e-14)
+    assert norm(v) == pytest.approx(2.0 * norm(log_map(p, q)), rel=1e-14)
 
 
 def test_delegation_is_bit_identical(manifold, rng):
@@ -188,17 +205,17 @@ def test_delegation_is_bit_identical(manifold, rng):
             v = random_tangent(p, rng)
             w = rng.standard_normal(manifold.ambient_shape)
             assert _same_bits(
-                scaled_exp(sm, v).coordinates, exp_map(v).coordinates
+                exp_map(_on(sm, v)).coordinates, exp_map(v).coordinates
             )
             assert _same_bits(
-                scaled_log(sm, p, q).components, log_map(p, q).components
+                log_map(_on(sm, p), _on(sm, q)).components, log_map(p, q).components
             )
             assert _same_bits(
-                scaled_transport(sm, v, q).components,
+                parallel_transport(_on(sm, v), _on(sm, q)).components,
                 manifold.transport(p.coordinates, q.coordinates, v.components),
             )
             assert _same_bits(
-                scaled_projection(sm, p, w).components,
+                tangent_projection(_on(sm, p), w).components,
                 manifold.to_tangent(p.coordinates, w),
             )
 
@@ -220,8 +237,8 @@ def test_variant_laws(manifold, rng):
         for lam in SCALES:
             sm = ScaledManifold(manifold, lam)
             root = math.sqrt(lam)
-            assert scaled_norm(sm, v) == pytest.approx(root * base_norm, rel=1e-12)
-            assert scaled_distance(sm, p, q) == pytest.approx(
+            assert norm(_on(sm, v)) == pytest.approx(root * base_norm, rel=1e-12)
+            assert distance(_on(sm, p), _on(sm, q)) == pytest.approx(
                 root * base_dist, rel=1e-12
             )
             got = sm.euclidean_to_riemannian_gradient(p.coordinates, ambient)
@@ -242,7 +259,7 @@ def test_variant_law_curve_length(manifold, rng):
         base = curve_length(curve)
         for lam in SCALES:
             sm = ScaledManifold(manifold, lam)
-            assert scaled_curve_length(sm, curve) == pytest.approx(
+            assert curve_length(_on(sm, curve)) == pytest.approx(
                 math.sqrt(lam) * base, rel=1e-12
             )
 
@@ -306,13 +323,16 @@ def test_gradient_direction_is_invariant(manifold, rng):
 # ---------------------------------------------------------------------------
 
 
-def test_scaled_ops_reject_foreign_points(rng):
+def test_scaled_ops_reject_foreign_points():
     sm = ScaledManifold(S2, 4.0)
-    e3 = Euclidean(3)
-    p = ManifoldPoint(e3, np.zeros(3))
-    q = ManifoldPoint(e3, np.ones(3))
+    p = ManifoldPoint(sm, np.array([1.0, 0.0, 0.0]))
+    q = ManifoldPoint(Euclidean(3), np.ones(3))
     with pytest.raises(ContractViolationError):
-        scaled_distance(sm, p, q)
+        distance(p, q)
+    with pytest.raises(ContractViolationError):
+        distance(p, ManifoldPoint(S2, np.array([0.0, 1.0, 0.0])))
+    with pytest.raises(ContractViolationError):
+        ManifoldPoint(sm, np.ones(3))
 
 
 def test_scaled_manifold_exposes_base_descriptor():
