@@ -69,6 +69,7 @@ from .charts import (
     coordinate_speed,
     euclidean_chart,
     geodesic_integrate,
+    geodesic_integrate_many,
     geodesic_residual,
     metric_at,
     polar_chart,

@@ -11,10 +11,21 @@ Charts are immutable; their metric functions must be pure, so every
 operation here can run concurrently.  Integration is fixed-step classic
 RK4 with no adaptivity: base and scaled runs then share identical step
 grids and comparisons are exactly reproducible.
+
+Geodesics of several charts from one start state, typically a base
+chart and its rescaled versions, are integrated in lockstep by
+``geodesic_integrate_many``: each RK4 stage computes the connection of
+every arm in one stacked pass (one matrix inverse, bracket and
+contraction for all arms), with every check of a single-point call kept
+per arm.  Metric functions stay pointwise, ``(n,) -> (n, n)``.  A
+single chart is the one-arm case of the same engine, and every path is
+bit-identical to a run of its chart on its own.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -95,7 +106,7 @@ class ChristoffelField:
     def __post_init__(self):
         symbols = np.asarray(self.symbols, dtype=float)
         asym = float(np.max(np.abs(symbols - symbols.transpose(0, 2, 1))))
-        if asym > CHRISTOFFEL_SYMMETRY_TOL:
+        if not asym <= CHRISTOFFEL_SYMMETRY_TOL:
             raise InternalConsistencyError(
                 f"connection coefficients asymmetric by {asym:.3e}"
             )
@@ -150,6 +161,77 @@ def _as_coords(chart: Chart, x) -> np.ndarray:
     return out
 
 
+def _finite_coords(chart: Chart, x, name: str) -> np.ndarray:
+    out = _as_coords(chart, x)
+    if not np.all(np.isfinite(out)):
+        raise ContractViolationError(f"{name} has non-finite entries: {out}")
+    return out
+
+
+def _require_finite_positive(name: str, value) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (math.isfinite(value) and value > 0)
+    ):
+        raise ContractViolationError(f"{name} must be a finite positive number, got {value!r}")
+
+
+class _RowsOutside(DomainError):
+    """Rows of a stacked evaluation that cannot be evaluated inside their
+    chart's domain.  ``reasons`` maps each such row to the message a
+    single-point call gives for it; the first one is this error's message.
+    """
+
+    def __init__(self, reasons: dict[int, str]):
+        super().__init__(next(iter(reasons.values())))
+        self.reasons = reasons
+
+
+def _metrics(charts, X: np.ndarray) -> np.ndarray:
+    """Evaluate and validate the metric of ``charts[a]`` at ``X[a]``.
+
+    Returns the stacked ``(K, n, n)`` matrices.  The caller has checked
+    the domain.  Each check (shape, finiteness, symmetry, positive
+    definiteness) runs over all rows in turn and raises
+    ``InvalidChartError`` naming the chart and point of the first row
+    that fails it.
+    """
+    n = X.shape[1]
+    G = np.empty((len(charts), n, n))
+    for a, (chart, x) in enumerate(zip(charts, X)):
+        try:
+            g = np.asarray(chart.metric_fn(x), dtype=float)
+        except DomainError as exc:
+            raise _RowsOutside({a: str(exc)}) from exc
+        if g.shape != (n, n):
+            raise InvalidChartError(
+                f"metric of {chart.name} at {x} has shape {g.shape}, expected ({n},{n})"
+            )
+        G[a] = g
+
+    def reject(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            a = int(np.argmax(bad))
+            raise InvalidChartError(f"metric of {charts[a].name} at {X[a]} {what}")
+
+    reject(~np.isfinite(G).all(axis=(1, 2)), "has non-finite entries")
+    asym = np.abs(G - G.transpose(0, 2, 1)).max(axis=(1, 2))
+    reject(asym > METRIC_SYMMETRY_TOL, "is not symmetric")
+    reject(np.linalg.eigvalsh(G)[:, 0] <= 0.0, "is not positive definite")
+    return G
+
+
+def _metrics_inside(chart: Chart, X: np.ndarray) -> np.ndarray:
+    """Validated metrics of ``chart`` at each row of ``X``; every row
+    must lie in the chart's box."""
+    outside = ~np.all((X >= chart.lower) & (X <= chart.upper), axis=1)
+    if outside.any():
+        x = X[np.argmax(outside)]
+        raise DomainError(f"{x} is outside the domain of {chart.name}")
+    return _metrics((chart,) * len(X), X)
+
+
 def metric_at(chart: Chart, x) -> np.ndarray:
     """Evaluate and validate the metric matrix at ``x``.
 
@@ -157,25 +239,81 @@ def metric_at(chart: Chart, x) -> np.ndarray:
     when the metric function does not produce a symmetric
     positive-definite matrix.
     """
-    x = _as_coords(chart, x)
-    if not chart.contains(x):
-        raise DomainError(f"{x} is outside the domain of {chart.name}")
-    g = np.asarray(chart.metric_fn(x), dtype=float)
-    n = chart.dimension
-    if g.shape != (n, n):
-        raise InvalidChartError(f"metric at {x} has shape {g.shape}, expected ({n},{n})")
-    if not np.all(np.isfinite(g)):
-        raise InvalidChartError(f"metric at {x} has non-finite entries")
-    if float(np.max(np.abs(g - g.T))) > METRIC_SYMMETRY_TOL:
-        raise InvalidChartError(f"metric at {x} is not symmetric")
-    if float(np.linalg.eigvalsh(g).min()) <= 0.0:
-        raise InvalidChartError(f"metric at {x} is not positive definite")
-    return g
+    return _metrics_inside(chart, _as_coords(chart, x)[None])[0]
 
 
 def volume_density(chart: Chart, x) -> float:
     """Volume density sqrt(det g) at ``x``."""
     return float(np.sqrt(np.linalg.det(metric_at(chart, x))))
+
+
+class _Stencil:
+    """The central-difference set-up shared by every evaluation of one
+    run: K charts of one dimension (row ``a`` of each stacked array
+    belongs to ``charts[a]``), the step, each box shrunk by the step,
+    and the offsets ``fd_step * eye(n)``."""
+
+    def __init__(self, charts, fd_step: float):
+        self.charts = tuple(charts)
+        self.fd_step = fd_step
+        self.lower = np.array([c.lower for c in self.charts]) + fd_step
+        self.upper = np.array([c.upper for c in self.charts]) - fd_step
+        self.offsets = fd_step * np.eye(self.charts[0].dimension)
+
+    def outside(self, X: np.ndarray) -> np.ndarray:
+        """Rows whose difference stencil would leave their box."""
+        return ~np.all((X >= self.lower) & (X <= self.upper), axis=1)
+
+
+def _connection(stencil: _Stencil, X: np.ndarray) -> np.ndarray:
+    """Connection coefficients ``gamma[a, k, i, j]`` of ``charts[a]`` at
+    ``X[a]`` by central finite differences, stacked ``(K, n, n, n)``.
+
+    Every row gets the checks of a single-point call: its stencil must
+    stay inside its box (``_RowsOutside`` lists every row that does
+    not), its center metric is validated by ``_metrics``, and its
+    coefficients must be symmetric in the lower index pair.  The stencil
+    evaluations trust the chart within that neighborhood.
+    """
+    charts, h = stencil.charts, stencil.fd_step
+    outside = stencil.outside(X)
+    if outside.any():
+        raise _RowsOutside({
+            int(a): f"{X[a]} is within {h} of the boundary of {charts[a].name}; "
+            "the difference stencil would leave the domain"
+            for a in np.flatnonzero(outside)
+        })
+    ginv = np.linalg.inv(_metrics(charts, X))
+    K, n = X.shape
+    plus = X[:, None, :] + stencil.offsets
+    minus = X[:, None, :] - stencil.offsets
+    g_plus = np.empty((K, n, n, n))
+    g_minus = np.empty((K, n, n, n))
+    for a, chart in enumerate(charts):
+        try:
+            for l in range(n):
+                g_plus[a, l] = chart.metric_fn(plus[a, l])
+                g_minus[a, l] = chart.metric_fn(minus[a, l])
+        except DomainError as exc:
+            raise _RowsOutside({a: str(exc)}) from exc
+    dg = (g_plus - g_minus) / (2.0 * h)  # dg[a, l] = d_l g at X[a]
+    # bracket[a, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    bracket = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    gamma = 0.5 * np.einsum("akl,aijl->akij", ginv, bracket)
+    asym = np.abs(gamma - gamma.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
+    bad = ~(asym <= CHRISTOFFEL_SYMMETRY_TOL)
+    if bad.any():
+        a = int(np.argmax(bad))
+        raise InternalConsistencyError(
+            f"connection coefficients of {charts[a].name} at {X[a]} "
+            f"asymmetric by {asym[a]:.3e}"
+        )
+    return gamma
+
+
+def _forcing(stencil: _Stencil, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The geodesic equation's acceleration -Gamma^k_ij v^i v^j, row by row."""
+    return -np.einsum("akij,ai,aj->ak", _connection(stencil, X), V, V)
 
 
 def christoffel_at(chart: Chart, x, fd_step: float = DEFAULT_FD_STEP) -> ChristoffelField:
@@ -187,28 +325,106 @@ def christoffel_at(chart: Chart, x, fd_step: float = DEFAULT_FD_STEP) -> Christo
     that neighborhood.
     """
     x = _as_coords(chart, x)
-    if fd_step <= 0.0:
-        raise ContractViolationError("fd_step must be positive")
-    if not chart.contains(x, margin=fd_step):
-        raise DomainError(
-            f"{x} is within {fd_step} of the boundary of {chart.name}; "
-            "the difference stencil would leave the domain"
-        )
-    g = metric_at(chart, x)
-    ginv = np.linalg.inv(g)
-    n = chart.dimension
-    dg = np.empty((n, n, n))  # dg[l] = d_l g
-    for l in range(n):
-        step = np.zeros(n)
-        step[l] = fd_step
-        dg[l] = (
-            np.asarray(chart.metric_fn(x + step), dtype=float)
-            - np.asarray(chart.metric_fn(x - step), dtype=float)
-        ) / (2.0 * fd_step)
-    # bracket[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    bracket = dg + dg.transpose(1, 0, 2) - np.moveaxis(dg, 0, 2)
-    symbols = 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
-    return ChristoffelField(x, symbols)
+    _require_finite_positive("fd_step", fd_step)
+    return ChristoffelField(x, _connection(_Stencil((chart,), fd_step), x[None])[0])
+
+
+def geodesic_integrate_many(
+    charts,
+    x0,
+    v0,
+    t_end: float = 1.0,
+    steps: int | None = None,
+    fd_step: float = DEFAULT_FD_STEP,
+) -> tuple[GeodesicPath, ...]:
+    """Integrate the geodesic equations of several charts from one start
+    state in lockstep, with fixed-step classical RK4.
+
+    Arm ``a`` follows ``charts[a]``; the charts must share a dimension.
+    Each RK4 stage evaluates the connection of every running arm in one
+    stacked call, with the checks and the arithmetic of a run on its
+    own, so path ``a`` is bit-identical to
+    ``geodesic_integrate(charts[a], x0, v0, ...)``.  ``steps`` defaults
+    to 1000 per unit time.
+
+    An arm that leaves its domain is frozen with its valid prefix and
+    the others go on.  The run then raises the ``PartialPathError``
+    that the lowest-index failed arm raises on its own, message and
+    prefix included, as running the arms one after another would.  The
+    one difference from such a sequence: any other ``GeometryError``
+    (an invalid metric or a broken connection, naming its arm's chart
+    and point) is raised at once, even after a lower-index arm has left
+    its domain.
+    """
+    charts = tuple(charts)
+    if not charts:
+        raise ContractViolationError("at least one chart is required")
+    if any(c.dimension != charts[0].dimension for c in charts):
+        raise ContractViolationError("charts integrated together must share a dimension")
+    x = _finite_coords(charts[0], x0, "x0")
+    v = _finite_coords(charts[0], v0, "v0")
+    _require_finite_positive("t_end", t_end)
+    _require_finite_positive("fd_step", fd_step)
+    if steps is None:
+        steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_end))
+    elif isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
+        raise ContractViolationError(f"steps must be an integer >= 1, got {steps!r}")
+    dt = t_end / steps
+
+    arms = len(charts)
+    live = np.arange(arms)  # running arms, in index order
+    stencil = _Stencil(charts, fd_step)
+    failed: dict[int, tuple[str, int]] = {}  # arm -> (message, valid steps)
+
+    def freeze(reasons: dict, k: int) -> None:
+        nonlocal live, stencil
+        for row, reason in reasons.items():
+            arm = int(live[row])
+            failed[arm] = (f"geodesic left the domain of {charts[arm].name} {reason}", k)
+        live = np.delete(live, list(reasons))
+        if live.size:
+            stencil = _Stencil([charts[a] for a in live], fd_step)
+
+    X = np.tile(x, (arms, 1))
+    V = np.tile(v, (arms, 1))
+    times = [0.0]
+    positions = [X.copy()]
+    velocities = [V.copy()]
+    k = 0
+    # once the lowest failed arm is below every running arm, its error is the result
+    while k < steps and live.size and min(failed, default=arms) > live[0]:
+        x, v = X[live], V[live]
+        try:
+            k1x, k1v = v, _forcing(stencil, x, v)
+            k2x = v + 0.5 * dt * k1v
+            k2v = _forcing(stencil, x + 0.5 * dt * k1x, k2x)
+            k3x = v + 0.5 * dt * k2v
+            k3v = _forcing(stencil, x + 0.5 * dt * k2x, k3x)
+            k4x = v + dt * k3v
+            k4v = _forcing(stencil, x + dt * k3x, k4x)
+        except _RowsOutside as exc:
+            # drop the arms that left and redo this step for the rest
+            freeze({row: f"near t={k * dt:.6g}: {r}" for row, r in exc.reasons.items()}, k)
+            continue
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        left = stencil.outside(x)
+        X[live[~left]] = x[~left]
+        V[live[~left]] = v[~left]
+        if left.any():
+            freeze({row: f"at t={(k + 1) * dt:.6g}" for row in np.flatnonzero(left)}, k)
+        times.append((k + 1) * dt)
+        positions.append(X.copy())
+        velocities.append(V.copy())
+        k += 1
+
+    T, P, W = np.array(times), np.array(positions), np.array(velocities)
+    if failed:
+        arm = min(failed)
+        message, valid = failed[arm]
+        end = valid + 1
+        raise PartialPathError(message, GeodesicPath(T[:end], P[:end, arm], W[:end, arm]))
+    return tuple(GeodesicPath(T, P[:, a], W[:, a]) for a in range(arms))
 
 
 def geodesic_integrate(
@@ -224,75 +440,31 @@ def geodesic_integrate(
     The state is (position, velocity) with the velocity forced by the
     quadratic connection term.  If the trajectory reaches the boundary
     the valid prefix is attached to the raised ``PartialPathError``.
-    ``steps`` defaults to 1000 per unit time.
+    ``steps`` defaults to 1000 per unit time.  This is the one-chart
+    case of ``geodesic_integrate_many``.
     """
-    x = _as_coords(chart, x0)
-    v = _as_coords(chart, v0)
-    if t_end <= 0.0:
-        raise ContractViolationError("t_end must be positive")
-    if steps is None:
-        steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_end))
-    if steps < 1:
-        raise ContractViolationError("steps must be >= 1")
-    dt = t_end / steps
-
-    def acceleration(xs: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        gamma = christoffel_at(chart, xs, fd_step=fd_step).symbols
-        return -np.einsum("kij,i,j->k", gamma, vs, vs)
-
-    times = [0.0]
-    positions = [x.copy()]
-    velocities = [v.copy()]
-    for k in range(steps):
-        try:
-            k1x, k1v = v, acceleration(x, v)
-            k2x = v + 0.5 * dt * k1v
-            k2v = acceleration(x + 0.5 * dt * k1x, k2x)
-            k3x = v + 0.5 * dt * k2v
-            k3v = acceleration(x + 0.5 * dt * k2x, k3x)
-            k4x = v + dt * k3v
-            k4v = acceleration(x + dt * k3x, k4x)
-        except DomainError as exc:
-            partial = GeodesicPath(
-                np.array(times), np.array(positions), np.array(velocities)
-            )
-            raise PartialPathError(
-                f"geodesic left the domain of {chart.name} near t={k * dt:.6g}: {exc}",
-                partial,
-            ) from exc
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if not chart.contains(x, margin=fd_step):
-            partial = GeodesicPath(
-                np.array(times), np.array(positions), np.array(velocities)
-            )
-            raise PartialPathError(
-                f"geodesic left the domain of {chart.name} at t={(k + 1) * dt:.6g}",
-                partial,
-            )
-        times.append((k + 1) * dt)
-        positions.append(x.copy())
-        velocities.append(v.copy())
-    return GeodesicPath(np.array(times), np.array(positions), np.array(velocities))
+    return geodesic_integrate_many((chart,), x0, v0, t_end, steps, fd_step)[0]
 
 
 def geodesic_residual(chart: Chart, path: GeodesicPath, fd_step: float = DEFAULT_FD_STEP) -> float:
     """Largest violation of the discretized geodesic equation at interior nodes.
 
     The acceleration is estimated by central differences of the stored
-    velocities and compared against the connection forcing term.
+    velocities and compared against the connection forcing term, which
+    is evaluated at all interior nodes in one stacked call.
     """
     times, pos, vel = path.times, path.positions, path.velocities
+    if path.dimension != chart.dimension:
+        raise ContractViolationError(
+            f"path has dimension {path.dimension}, chart {chart.name} has {chart.dimension}"
+        )
+    _require_finite_positive("fd_step", fd_step)
     if len(times) < 3:
         return 0.0
-    worst = 0.0
-    for k in range(1, len(times) - 1):
-        dt = times[k + 1] - times[k - 1]
-        accel = (vel[k + 1] - vel[k - 1]) / dt
-        gamma = christoffel_at(chart, pos[k], fd_step=fd_step).symbols
-        forcing = -np.einsum("kij,i,j->k", gamma, vel[k], vel[k])
-        worst = max(worst, float(np.max(np.abs(accel - forcing))))
-    return worst
+    interior = pos[1:-1]
+    forcing = _forcing(_Stencil((chart,) * len(interior), fd_step), interior, vel[1:-1])
+    accel = (vel[2:] - vel[:-2]) / (times[2:] - times[:-2])[:, None]
+    return float(np.max(np.abs(accel - forcing)))
 
 
 def coordinate_speed(chart: Chart, x, v) -> float:
@@ -322,8 +494,7 @@ def chart_curve_length(chart: Chart, times, points) -> float:
     edge_order = 2 if points.shape[0] >= 3 else 1
     velocities = np.gradient(points, times, axis=0, edge_order=edge_order)
     speeds = np.empty(points.shape[0])
-    for i, (x, v) in enumerate(zip(points, velocities)):
-        g = metric_at(chart, x)
+    for i, (v, g) in enumerate(zip(velocities, _metrics_inside(chart, points))):
         speeds[i] = np.sqrt(max(v @ g @ v, 0.0))
     return float(np.trapezoid(speeds, times))
 

@@ -20,6 +20,7 @@ from riemscale import (
     coordinate_speed,
     euclidean_chart,
     geodesic_integrate,
+    geodesic_integrate_many,
     geodesic_residual,
     metric_at,
     polar_chart,
@@ -31,6 +32,24 @@ from riemscale import (
 )
 
 INVARIANT_SCALES = (0.25, 4.0, 10.0)
+
+GEODESIC_CASES = (
+    (euclidean_chart(2), [0.0, 0.0], [0.5, -0.3]),
+    (polar_chart(), [3.0, 0.0], [0.5, 0.2]),
+    (sphere_chart(), [1.2, 0.3], [0.2, 0.5]),
+)
+
+
+def counted_chart(name, dim, half_width=5.0):
+    """A curved chart, g = diag(1 + x^2), that counts its metric evaluations."""
+    calls = []
+
+    def metric(x):
+        calls.append(1)
+        return np.diag(1.0 + x**2)
+
+    ones = np.ones(dim)
+    return Chart(name, dim, -half_width * ones, half_width * ones, metric), calls
 
 
 def polar_christoffel_oracle(r):
@@ -198,6 +217,98 @@ def test_geodesic_domain_exit_keeps_partial_path():
     assert float(partial.positions[-1, 0]) >= 9.9
 
 
+def _same_bytes(a, b):
+    return all(
+        x.tobytes() == y.tobytes()
+        for x, y in zip(
+            (a.times, a.positions, a.velocities), (b.times, b.positions, b.velocities)
+        )
+    )
+
+
+@pytest.mark.parametrize("chart, x0, v0", GEODESIC_CASES, ids=[c.name for c, _, _ in GEODESIC_CASES])
+def test_lockstep_paths_are_bit_identical_to_single_runs(chart, x0, v0):
+    arms = (chart, *(scale_chart_constant(chart, lam) for lam in INVARIANT_SCALES))
+    together = geodesic_integrate_many(arms, x0, v0, steps=250)
+    assert len(together) == len(arms)
+    for arm, path in zip(arms, together):
+        assert _same_bytes(path, geodesic_integrate(arm, x0, v0, steps=250))
+
+
+def _polar_box(name, r_max):
+    return Chart(name, 2, [0.1, -math.pi], [r_max, math.pi], polar_chart().metric_fn)
+
+
+def test_lockstep_raises_the_lowest_failed_arm_like_a_single_run():
+    # radial line r = 3 + t: "slow" leaves its box near t = 0.8, "fast" near t = 0.3
+    slow, fast, wide = _polar_box("slow", 3.8), _polar_box("fast", 3.3), _polar_box("wide", 10.0)
+    for arms, failing in (((slow, fast), slow), ((wide, fast), fast)):
+        with pytest.raises(PartialPathError) as alone:
+            geodesic_integrate(failing, [3.0, 0.0], [1.0, 0.0], steps=100)
+        with pytest.raises(PartialPathError) as together:
+            geodesic_integrate_many(arms, [3.0, 0.0], [1.0, 0.0], steps=100)
+        assert str(together.value) == str(alone.value)
+        assert failing.name in str(together.value)
+        assert _same_bytes(together.value.partial_path, alone.value.partial_path)
+
+
+def test_lockstep_invalid_arm_raises_naming_its_chart():
+    indefinite = Chart("indefinite-arm", 2, [-1.0, -1.0], [1.0, 1.0],
+                       lambda x: np.diag([1.0, -1.0]))
+    with pytest.raises(InvalidChartError, match="indefinite-arm"):
+        geodesic_integrate_many((polar_chart(), indefinite), [0.5, 0.0], [0.1, 0.1])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_lockstep_makes_one_stencil_of_metric_evaluations_per_stage(dim):
+    first, first_calls = counted_chart("first", dim)
+    second, second_calls = counted_chart("second", dim)
+    steps = 20
+    geodesic_integrate_many((first, second), np.zeros(dim), np.full(dim, 0.3), steps=steps)
+    # 4 RK4 stages, each the center plus 2n stencil points
+    assert len(first_calls) == len(second_calls) == 4 * (2 * dim + 1) * steps
+
+
+def test_lockstep_rejects_mismatched_or_missing_charts():
+    with pytest.raises(ContractViolationError):
+        geodesic_integrate_many((), [0.0, 0.0], [1.0, 0.0])
+    with pytest.raises(ContractViolationError):
+        geodesic_integrate_many((euclidean_chart(2), euclidean_chart(3)), [0.0, 0.0], [1.0, 0.0])
+
+
+START = ([3.0, 0.0], [0.5, 0.2])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=math.nan), id="t_end-nan"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=math.inf), id="t_end-inf"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=math.nan, steps=10),
+                 id="t_end-nan-with-steps"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=0.0), id="t_end-zero"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=-1.0), id="t_end-negative"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, fd_step=math.nan), id="fd_step-nan"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, fd_step=0.0), id="fd_step-zero"),
+    pytest.param(lambda c: geodesic_integrate(c, [math.nan, 0.0], START[1]), id="x0-nan"),
+    pytest.param(lambda c: geodesic_integrate(c, START[0], [math.inf, 0.0]), id="v0-inf"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, steps=True), id="steps-bool"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, steps=2.5), id="steps-float"),
+    pytest.param(lambda c: geodesic_integrate(c, *START, steps=0), id="steps-zero"),
+    pytest.param(lambda c: christoffel_at(c, START[0], fd_step=math.nan),
+                 id="christoffel-fd_step-nan"),
+    pytest.param(lambda c: geodesic_residual(c, geodesic_integrate(polar_chart(), *START,
+                                                                    steps=4), fd_step=math.inf),
+                 id="residual-fd_step-inf"),
+    pytest.param(lambda c: geodesic_residual(c, geodesic_integrate(euclidean_chart(3), [0.0] * 3,
+                                                                    [0.1] * 3, steps=4)),
+                 id="residual-dimension-mismatch"),
+])
+def test_bad_chart_arguments_are_rejected_before_any_evaluation(call):
+    chart, calls = counted_chart("counted", 2, half_width=9.0)
+    with pytest.raises(ContractViolationError):
+        call(chart)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # volume densities
 # ---------------------------------------------------------------------------
@@ -241,12 +352,7 @@ def test_connection_is_invariant_under_constant_scaling(rng):
 
 
 def test_geodesics_are_invariant_under_constant_scaling():
-    cases = (
-        (euclidean_chart(2), [0.0, 0.0], [0.5, -0.3]),
-        (polar_chart(), [3.0, 0.0], [0.5, 0.2]),
-        (sphere_chart(), [1.2, 0.3], [0.2, 0.5]),
-    )
-    for chart, x0, v0 in cases:
+    for chart, x0, v0 in GEODESIC_CASES:
         base = geodesic_integrate(chart, x0, v0, t_end=1.0, steps=1000)
         for lam in INVARIANT_SCALES:
             scaled = geodesic_integrate(
