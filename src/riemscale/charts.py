@@ -35,6 +35,7 @@ from ._render import render_csv
 from .errors import (
     ContractViolationError,
     DomainError,
+    GeometryError,
     InternalConsistencyError,
     InvalidChartError,
     PartialPathError,
@@ -177,17 +178,6 @@ def _require_finite_positive(name: str, value) -> None:
         raise ContractViolationError(f"{name} must be a finite positive number, got {value!r}")
 
 
-class _RowsOutside(DomainError):
-    """Rows of a stacked evaluation that cannot be evaluated inside their
-    chart's domain.  ``reasons`` maps each such row to the message a
-    single-point call gives for it; the first one is this error's message.
-    """
-
-    def __init__(self, reasons: dict[int, str]):
-        super().__init__(next(iter(reasons.values())))
-        self.reasons = reasons
-
-
 def _metrics(charts, X: np.ndarray) -> np.ndarray:
     """Evaluate and validate the metric of ``charts[a]`` at ``X[a]``.
 
@@ -200,10 +190,7 @@ def _metrics(charts, X: np.ndarray) -> np.ndarray:
     n = X.shape[1]
     G = np.empty((len(charts), n, n))
     for a, (chart, x) in enumerate(zip(charts, X)):
-        try:
-            g = np.asarray(chart.metric_fn(x), dtype=float)
-        except DomainError as exc:
-            raise _RowsOutside({a: str(exc)}) from exc
+        g = np.asarray(chart.metric_fn(x), dtype=float)
         if g.shape != (n, n):
             raise InvalidChartError(
                 f"metric of {chart.name} at {x} has shape {g.shape}, expected ({n},{n})"
@@ -247,56 +234,53 @@ def volume_density(chart: Chart, x) -> float:
     return float(np.sqrt(np.linalg.det(metric_at(chart, x))))
 
 
-class _Stencil:
-    """The central-difference set-up shared by every evaluation of one
-    run: K charts of one dimension (row ``a`` of each stacked array
-    belongs to ``charts[a]``), the step, each box shrunk by the step,
-    and the offsets ``fd_step * eye(n)``."""
-
-    def __init__(self, charts, fd_step: float):
-        self.charts = tuple(charts)
-        self.fd_step = fd_step
-        self.lower = np.array([c.lower for c in self.charts]) + fd_step
-        self.upper = np.array([c.upper for c in self.charts]) - fd_step
-        self.offsets = fd_step * np.eye(self.charts[0].dimension)
-
-    def outside(self, X: np.ndarray) -> np.ndarray:
-        """Rows whose difference stencil would leave their box."""
-        return ~np.all((X >= self.lower) & (X <= self.upper), axis=1)
+def _stencil_box(charts, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each chart's box shrunk by ``fd_step``, as stacked ``(K, n)``
+    lower and upper bounds: the points whose difference stencil stays
+    inside their box.  One chart's ``(1, n)`` bounds broadcast over any
+    number of points."""
+    return (
+        np.array([c.lower for c in charts]) + fd_step,
+        np.array([c.upper for c in charts]) - fd_step,
+    )
 
 
-def _connection(stencil: _Stencil, X: np.ndarray) -> np.ndarray:
+def _outside(box, X: np.ndarray) -> np.ndarray:
+    """Rows of ``X`` outside their row of the stencil ``box``."""
+    lower, upper = box
+    return ~np.all((X >= lower) & (X <= upper), axis=1)
+
+
+def _connection(charts, X: np.ndarray, fd_step: float, box) -> np.ndarray:
     """Connection coefficients ``gamma[a, k, i, j]`` of ``charts[a]`` at
     ``X[a]`` by central finite differences, stacked ``(K, n, n, n)``.
 
     Every row gets the checks of a single-point call: its stencil must
-    stay inside its box (``_RowsOutside`` lists every row that does
-    not), its center metric is validated by ``_metrics``, and its
-    coefficients must be symmetric in the lower index pair.  The stencil
-    evaluations trust the chart within that neighborhood.
+    stay inside its row of ``box`` (from ``_stencil_box``; a
+    ``DomainError`` names the first row that does not), its center
+    metric is validated by ``_metrics``, and its coefficients must be
+    symmetric in the lower index pair.  The stencil evaluations trust
+    the chart within that neighborhood.
     """
-    charts, h = stencil.charts, stencil.fd_step
-    outside = stencil.outside(X)
+    outside = _outside(box, X)
     if outside.any():
-        raise _RowsOutside({
-            int(a): f"{X[a]} is within {h} of the boundary of {charts[a].name}; "
+        a = int(np.argmax(outside))
+        raise DomainError(
+            f"{X[a]} is within {fd_step} of the boundary of {charts[a].name}; "
             "the difference stencil would leave the domain"
-            for a in np.flatnonzero(outside)
-        })
+        )
     ginv = np.linalg.inv(_metrics(charts, X))
     K, n = X.shape
-    plus = X[:, None, :] + stencil.offsets
-    minus = X[:, None, :] - stencil.offsets
+    offsets = fd_step * np.eye(n)
+    plus = X[:, None, :] + offsets
+    minus = X[:, None, :] - offsets
     g_plus = np.empty((K, n, n, n))
     g_minus = np.empty((K, n, n, n))
     for a, chart in enumerate(charts):
-        try:
-            for l in range(n):
-                g_plus[a, l] = chart.metric_fn(plus[a, l])
-                g_minus[a, l] = chart.metric_fn(minus[a, l])
-        except DomainError as exc:
-            raise _RowsOutside({a: str(exc)}) from exc
-    dg = (g_plus - g_minus) / (2.0 * h)  # dg[a, l] = d_l g at X[a]
+        for l in range(n):
+            g_plus[a, l] = chart.metric_fn(plus[a, l])
+            g_minus[a, l] = chart.metric_fn(minus[a, l])
+    dg = (g_plus - g_minus) / (2.0 * fd_step)  # dg[a, l] = d_l g at X[a]
     # bracket[a, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     bracket = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     gamma = 0.5 * np.einsum("akl,aijl->akij", ginv, bracket)
@@ -311,9 +295,9 @@ def _connection(stencil: _Stencil, X: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _forcing(stencil: _Stencil, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _forcing(charts, X: np.ndarray, V: np.ndarray, fd_step: float, box) -> np.ndarray:
     """The geodesic equation's acceleration -Gamma^k_ij v^i v^j, row by row."""
-    return -np.einsum("akij,ai,aj->ak", _connection(stencil, X), V, V)
+    return -np.einsum("akij,ai,aj->ak", _connection(charts, X, fd_step, box), V, V)
 
 
 def christoffel_at(chart: Chart, x, fd_step: float = DEFAULT_FD_STEP) -> ChristoffelField:
@@ -326,7 +310,46 @@ def christoffel_at(chart: Chart, x, fd_step: float = DEFAULT_FD_STEP) -> Christo
     """
     x = _as_coords(chart, x)
     _require_finite_positive("fd_step", fd_step)
-    return ChristoffelField(x, _connection(_Stencil((chart,), fd_step), x[None])[0])
+    charts = (chart,)
+    return ChristoffelField(x, _connection(charts, x[None], fd_step, _stencil_box(charts, fd_step))[0])
+
+
+def _rk4_lockstep(charts, x: np.ndarray, v: np.ndarray, dt: float, steps: int, fd_step: float):
+    """Advance every arm from ``(x, v)`` by up to ``steps`` classical RK4
+    steps of size ``dt``, with one stacked connection call per stage.
+
+    Returns the times, the stacked ``(k + 1, K, n)`` positions and
+    velocities of the ``k`` steps made, and why the run stopped early,
+    or ``None`` if it did not: a stage met a ``DomainError`` (a stencil
+    left an arm's box, or a metric function raised it), or a step ended
+    within ``fd_step`` of an arm's boundary.  Other errors propagate.
+    """
+    box = _stencil_box(charts, fd_step)
+    X = np.tile(x, (len(charts), 1))
+    V = np.tile(v, (len(charts), 1))
+    times, positions, velocities = [0.0], [X], [V]
+    stop = None
+    for k in range(steps):
+        try:
+            k1x, k1v = V, _forcing(charts, X, V, fd_step, box)
+            k2x = V + 0.5 * dt * k1v
+            k2v = _forcing(charts, X + 0.5 * dt * k1x, k2x, fd_step, box)
+            k3x = V + 0.5 * dt * k2v
+            k3v = _forcing(charts, X + 0.5 * dt * k2x, k3x, fd_step, box)
+            k4x = V + dt * k3v
+            k4v = _forcing(charts, X + dt * k3x, k4x, fd_step, box)
+        except DomainError as exc:
+            stop = f"near t={k * dt:.6g}: {exc}"
+            break
+        X = X + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        V = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if _outside(box, X).any():
+            stop = f"at t={(k + 1) * dt:.6g}"
+            break
+        times.append((k + 1) * dt)
+        positions.append(X)
+        velocities.append(V)
+    return np.array(times), np.array(positions), np.array(velocities), stop
 
 
 def geodesic_integrate_many(
@@ -341,20 +364,18 @@ def geodesic_integrate_many(
     state in lockstep, with fixed-step classical RK4.
 
     Arm ``a`` follows ``charts[a]``; the charts must share a dimension.
-    Each RK4 stage evaluates the connection of every running arm in one
-    stacked call, with the checks and the arithmetic of a run on its
-    own, so path ``a`` is bit-identical to
+    Each RK4 stage evaluates the connection of every arm in one stacked
+    call, with the checks and the arithmetic of a run on its own, so
+    path ``a`` is bit-identical to
     ``geodesic_integrate(charts[a], x0, v0, ...)``.  ``steps`` defaults
     to 1000 per unit time.
 
-    An arm that leaves its domain is frozen with its valid prefix and
-    the others go on.  The run then raises the ``PartialPathError``
-    that the lowest-index failed arm raises on its own, message and
-    prefix included, as running the arms one after another would.  The
-    one difference from such a sequence: any other ``GeometryError``
-    (an invalid metric or a broken connection, naming its arm's chart
-    and point) is raised at once, even after a lower-index arm has left
-    its domain.
+    If any arm fails (leaves its domain, or meets an invalid metric or
+    another ``GeometryError``), the arms are run again one at a time,
+    so the error raised, its message and the partial path of a
+    ``PartialPathError`` included, is the one that running the arms in
+    sequence gives.  An exception from outside the ``GeometryError``
+    family, raised by a metric function itself, propagates at once.
     """
     charts = tuple(charts)
     if not charts:
@@ -369,62 +390,22 @@ def geodesic_integrate_many(
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_end))
     elif isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
         raise ContractViolationError(f"steps must be an integer >= 1, got {steps!r}")
-    dt = t_end / steps
 
-    arms = len(charts)
-    live = np.arange(arms)  # running arms, in index order
-    stencil = _Stencil(charts, fd_step)
-    failed: dict[int, tuple[str, int]] = {}  # arm -> (message, valid steps)
-
-    def freeze(reasons: dict, k: int) -> None:
-        nonlocal live, stencil
-        for row, reason in reasons.items():
-            arm = int(live[row])
-            failed[arm] = (f"geodesic left the domain of {charts[arm].name} {reason}", k)
-        live = np.delete(live, list(reasons))
-        if live.size:
-            stencil = _Stencil([charts[a] for a in live], fd_step)
-
-    X = np.tile(x, (arms, 1))
-    V = np.tile(v, (arms, 1))
-    times = [0.0]
-    positions = [X.copy()]
-    velocities = [V.copy()]
-    k = 0
-    # once the lowest failed arm is below every running arm, its error is the result
-    while k < steps and live.size and min(failed, default=arms) > live[0]:
-        x, v = X[live], V[live]
-        try:
-            k1x, k1v = v, _forcing(stencil, x, v)
-            k2x = v + 0.5 * dt * k1v
-            k2v = _forcing(stencil, x + 0.5 * dt * k1x, k2x)
-            k3x = v + 0.5 * dt * k2v
-            k3v = _forcing(stencil, x + 0.5 * dt * k2x, k3x)
-            k4x = v + dt * k3v
-            k4v = _forcing(stencil, x + dt * k3x, k4x)
-        except _RowsOutside as exc:
-            # drop the arms that left and redo this step for the rest
-            freeze({row: f"near t={k * dt:.6g}: {r}" for row, r in exc.reasons.items()}, k)
-            continue
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        left = stencil.outside(x)
-        X[live[~left]] = x[~left]
-        V[live[~left]] = v[~left]
-        if left.any():
-            freeze({row: f"at t={(k + 1) * dt:.6g}" for row in np.flatnonzero(left)}, k)
-        times.append((k + 1) * dt)
-        positions.append(X.copy())
-        velocities.append(V.copy())
-        k += 1
-
-    T, P, W = np.array(times), np.array(positions), np.array(velocities)
-    if failed:
-        arm = min(failed)
-        message, valid = failed[arm]
-        end = valid + 1
-        raise PartialPathError(message, GeodesicPath(T[:end], P[:end, arm], W[:end, arm]))
-    return tuple(GeodesicPath(T, P[:, a], W[:, a]) for a in range(arms))
+    try:
+        times, P, W, stop = _rk4_lockstep(charts, x, v, t_end / steps, steps, fd_step)
+    except GeometryError:
+        if len(charts) == 1:
+            raise
+        stop = "an arm failed"
+    if stop is None:
+        return tuple(GeodesicPath(times, P[:, a], W[:, a]) for a in range(len(charts)))
+    if len(charts) > 1:
+        # Some arm failed: rerun the arms one at a time, as a sequence would.
+        return tuple(geodesic_integrate_many((c,), x, v, t_end, steps, fd_step)[0] for c in charts)
+    raise PartialPathError(
+        f"geodesic left the domain of {charts[0].name} {stop}",
+        GeodesicPath(times, P[:, 0], W[:, 0]),
+    )
 
 
 def geodesic_integrate(
@@ -458,11 +439,15 @@ def geodesic_residual(chart: Chart, path: GeodesicPath, fd_step: float = DEFAULT
         raise ContractViolationError(
             f"path has dimension {path.dimension}, chart {chart.name} has {chart.dimension}"
         )
+    if not (np.isfinite(times).all() and np.isfinite(pos).all() and np.isfinite(vel).all()):
+        raise ContractViolationError("path has non-finite times, positions or velocities")
     _require_finite_positive("fd_step", fd_step)
     if len(times) < 3:
         return 0.0
     interior = pos[1:-1]
-    forcing = _forcing(_Stencil((chart,) * len(interior), fd_step), interior, vel[1:-1])
+    charts = (chart,) * len(interior)
+    box = _stencil_box((chart,), fd_step)
+    forcing = _forcing(charts, interior, vel[1:-1], fd_step, box)
     accel = (vel[2:] - vel[:-2]) / (times[2:] - times[:-2])[:, None]
     return float(np.max(np.abs(accel - forcing)))
 

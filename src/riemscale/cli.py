@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ._render import render_csv, render_json
-from .charts import chart_from_string, geodesic_integrate_many, scale_chart_constant
+from .charts import chart_from_string, geodesic_integrate, scale_chart_constant
 from .errors import DegenerateInputError, GeometryError, PartialPathError
 from .manifolds import manifold_from_string
 from .optimize import (
@@ -258,9 +258,12 @@ def _default_start(chart_name: str, dimension: int):
 def cmd_geodesic(config: RunConfig) -> int:
     chart = chart_from_string(config.chart)
     x0, v0 = _default_start(chart.name, chart.dimension)
-    arms = (chart,) if config.lam == 1.0 else (chart, scale_chart_constant(chart, config.lam))
     try:
-        base, *scaled = geodesic_integrate_many(arms, x0, v0, t_end=1.0, steps=config.iters)
+        base = geodesic_integrate(chart, x0, v0, t_end=1.0, steps=config.iters)
+        scaled = None
+        if config.lam != 1.0:
+            scaled_chart = scale_chart_constant(chart, config.lam)
+            scaled = geodesic_integrate(scaled_chart, x0, v0, t_end=1.0, steps=config.iters)
     except PartialPathError as exc:
         sys.stderr.write(f"{exc}\n")
         _emit(exc.partial_path.to_csv(), config.out)
@@ -269,11 +272,10 @@ def cmd_geodesic(config: RunConfig) -> int:
     columns = ["t"] + [f"x{i}" for i in range(n)] + [f"xdot{i}" for i in range(n)]
     parts = [base.times[:, None], base.positions, base.velocities]
     deviation = 0.0
-    if scaled:
-        (path,) = scaled
-        deviation = float(np.max(np.abs(path.positions - base.positions)))
+    if scaled is not None:
+        deviation = float(np.max(np.abs(scaled.positions - base.positions)))
         columns += [f"scaled_{c}" for c in columns[1:]]
-        parts += [path.positions, path.velocities]
+        parts += [scaled.positions, scaled.velocities]
     rows = np.hstack(parts).tolist()
     payload = {
         "chart": config.chart,

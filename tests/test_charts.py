@@ -11,6 +11,7 @@ from riemscale import (
     Chart,
     ContractViolationError,
     DomainError,
+    GeodesicPath,
     InvalidChartError,
     PartialPathError,
     Sphere,
@@ -110,6 +111,19 @@ def test_metric_sphere_chart_example():
 def test_metric_outside_domain_raises():
     with pytest.raises(DomainError):
         metric_at(polar_chart(), [0.05, 0.0])
+
+
+def test_metric_function_domain_error_reaches_the_caller_unchanged():
+    class Singular(DomainError):
+        pass
+
+    def metric(x):
+        raise Singular(f"no metric at {x}")
+
+    chart = Chart("singular", 2, [-1.0, -1.0], [1.0, 1.0], metric)
+    for call in (metric_at, christoffel_at, volume_density):
+        with pytest.raises(Singular, match="no metric at"):
+            call(chart, [0.0, 0.0])
 
 
 def test_metric_validation_rejects_bad_charts():
@@ -252,6 +266,23 @@ def test_lockstep_raises_the_lowest_failed_arm_like_a_single_run():
         assert _same_bytes(together.value.partial_path, alone.value.partial_path)
 
 
+def test_lockstep_raises_a_lower_arm_failure_before_a_later_arms_earlier_error():
+    # arm 1's metric turns indefinite at r > 3.3, well before arm 0 leaves its box
+    def metric(x):
+        return np.diag([1.0, x[0] ** 2 if x[0] <= 3.3 else -1.0])
+
+    slow = _polar_box("slow", 3.8)
+    turning = Chart("turning", 2, [0.1, -math.pi], [10.0, math.pi], metric)
+    with pytest.raises(InvalidChartError, match="turning"):
+        geodesic_integrate(turning, [3.0, 0.0], [1.0, 0.0], steps=100)
+    with pytest.raises(PartialPathError) as alone:
+        geodesic_integrate(slow, [3.0, 0.0], [1.0, 0.0], steps=100)
+    with pytest.raises(PartialPathError) as together:
+        geodesic_integrate_many((slow, turning), [3.0, 0.0], [1.0, 0.0], steps=100)
+    assert str(together.value) == str(alone.value)
+    assert _same_bytes(together.value.partial_path, alone.value.partial_path)
+
+
 def test_lockstep_invalid_arm_raises_naming_its_chart():
     indefinite = Chart("indefinite-arm", 2, [-1.0, -1.0], [1.0, 1.0],
                        lambda x: np.diag([1.0, -1.0]))
@@ -301,6 +332,9 @@ START = ([3.0, 0.0], [0.5, 0.2])
     pytest.param(lambda c: geodesic_residual(c, geodesic_integrate(euclidean_chart(3), [0.0] * 3,
                                                                     [0.1] * 3, steps=4)),
                  id="residual-dimension-mismatch"),
+    pytest.param(lambda c: geodesic_residual(c, GeodesicPath([0.0, 0.5, 1.0], [[0.0, 0.0]] * 3,
+                                                             [[math.nan, 0.0]] * 3)),
+                 id="residual-nan-velocities"),
 ])
 def test_bad_chart_arguments_are_rejected_before_any_evaluation(call):
     chart, calls = counted_chart("counted", 2, half_width=9.0)
