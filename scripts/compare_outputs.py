@@ -1,0 +1,107 @@
+#!/usr/bin/env python3
+"""Check that the working tree prints exactly what a git revision prints.
+
+Usage::
+
+    python scripts/compare_outputs.py REV
+
+Exports ``REV`` with ``git archive`` into a temporary directory, then
+runs a fixed list of commands under that tree and under the working
+tree: ``python -m riemscale.cli`` for every command in the list, once
+with ``--format json`` and once with ``--format csv``, and the four
+demos.  Each run starts in a fresh empty directory with ``PYTHONPATH``
+pointing at the tree's ``src``.  Stdout, stderr and the exit status are
+compared byte for byte.  Prints one line per command and exits 1 if any
+of them differs.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLI_COMMANDS = [
+    ["--command", "verify", "--seed", "42"],
+    ["--command", "scale-table"],
+    ["--command", "scale-table", "--manifold", "spd:8", "--lambda", "4"],
+    ["--command", "frechet"],
+    ["--command", "frechet", "--manifold", "sphere:2", "--lambda", "4", "--seed", "3",
+     "--points", "8", "--check-equivalence"],
+    ["--command", "frechet", "--manifold", "spd:2", "--lambda", "2.5", "--seed", "9",
+     "--check-equivalence"],
+    ["--command", "frechet", "--manifold", "spd:8", "--lambda", "0.5", "--points", "20"],
+    ["--command", "frechet", "--points", "1"],
+    ["--command", "frechet", "--manifold", "spd:2", "--eta", "50"],
+    ["--command", "frechet", "--manifold", "spd:2", "--eta", "50", "--check-equivalence"],
+    ["--command", "frechet", "--manifold", "euclidean:3", "--eta", "5"],
+    ["--command", "calibrate"],
+    ["--command", "calibrate", "--manifold", "spd:2", "--scale-target", "3", "--seed", "5"],
+    ["--command", "calibrate", "--points", "1"],
+    ["--command", "calibrate", "--manifold", "spd:8", "--points", "25"],
+    ["--command", "geodesic"],
+    ["--command", "geodesic", "--chart", "polar", "--lambda", "4", "--iters", "1000"],
+]
+DEMOS = [
+    "01_scaling_laws.py",
+    "02_chart_invariance.py",
+    "03_step_size_equivalence.py",
+    "04_scale_calibration.py",
+]
+TIMEOUT_S = 600
+
+
+def runs(tree: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) for every command, run against ``tree``."""
+    out = []
+    for args in CLI_COMMANDS:
+        for fmt in ("json", "csv"):
+            argv = [*args, "--format", fmt]
+            out.append((" ".join(argv), [sys.executable, "-m", "riemscale.cli", *argv]))
+    for demo in DEMOS:
+        out.append((f"demo {demo}", [sys.executable, str(tree / "demos" / demo)]))
+    return out
+
+
+def run(tree: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ)
+    env.pop("RIEMSCALE_OUTPUT_DIR", None)
+    env["PYTHONPATH"] = str(tree / "src")
+    with tempfile.TemporaryDirectory() as cwd:
+        done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S)
+    return done.returncode, done.stdout, done.stderr
+
+
+def export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+        capture_output=True, check=True,
+    )
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        other = Path(tmp)
+        export(argv[0], other)
+        differ = 0
+        for (label, here_argv), (_, there_argv) in zip(runs(ROOT), runs(other)):
+            here, there = run(ROOT, here_argv), run(other, there_argv)
+            parts = [
+                name for name, a, b in zip(("status", "stdout", "stderr"), here, there) if a != b
+            ]
+            differ += bool(parts)
+            print(f"{'DIFF ' + ','.join(parts) if parts else 'same'}\t{label}", flush=True)
+    print(f"{differ} of {len(runs(ROOT))} commands differ from {argv[0]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

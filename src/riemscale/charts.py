@@ -40,6 +40,7 @@ from .errors import (
     InvalidChartError,
     PartialPathError,
 )
+from .manifolds import _require_count
 from .scaling import ScaleFactor
 
 MetricFunction = Callable[[np.ndarray], np.ndarray]
@@ -70,13 +71,12 @@ class Chart:
     metric_fn: MetricFunction
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ContractViolationError("chart dimension must be >= 1")
+        _require_count("chart dimension", self.dimension)
         lower = np.array(self.lower, dtype=float)
         upper = np.array(self.upper, dtype=float)
         if lower.shape != (self.dimension,) or upper.shape != (self.dimension,):
             raise ContractViolationError("domain bounds must match the dimension")
-        if np.any(lower >= upper):
+        if not np.all(lower < upper):
             raise ContractViolationError("domain box must have positive extent")
         lower.setflags(write=False)
         upper.setflags(write=False)
@@ -388,8 +388,8 @@ def geodesic_integrate_many(
     _require_finite_positive("fd_step", fd_step)
     if steps is None:
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_end))
-    elif isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 1:
-        raise ContractViolationError(f"steps must be an integer >= 1, got {steps!r}")
+    else:
+        _require_count("steps", steps)
 
     try:
         times, P, W, stop = _rk4_lockstep(charts, x, v, t_end / steps, steps, fd_step)
@@ -474,7 +474,9 @@ def chart_curve_length(chart: Chart, times, points) -> float:
         raise ContractViolationError("one time per sample is required")
     if points.shape[0] < 2:
         raise ContractViolationError("a sampled curve needs at least 2 points")
-    if np.any(np.diff(times) <= 0.0):
+    if not np.all(np.isfinite(times)):
+        raise ContractViolationError("times must be finite")
+    if not np.all(np.diff(times) > 0.0):
         raise ContractViolationError("times must be strictly increasing")
     edge_order = 2 if points.shape[0] >= 3 else 1
     velocities = np.gradient(points, times, axis=0, edge_order=edge_order)

@@ -12,11 +12,22 @@ Everything here is closed form: sphere operations use trigonometric
 formulas, matrix operations go through symmetric eigendecompositions.
 All values are immutable and all operations are pure functions, so the
 module is safe for unrestricted concurrent use.
+
+``log(p, q)`` and ``dist(p, q)`` take one optional leading batch axis
+on ``q``, following the vectorisation convention of geomstats: with
+``q`` of shape ``(N, *ambient_shape)`` they return ``(N,
+*ambient_shape)`` tangent vectors and ``(N,)`` distances, each row
+bit-identical to the single call on that row.  A single ``q`` is the
+batch-of-one case of the same code and returns an ambient array or a
+Python float.  This lets a barycenter iterate measure all data points in
+one call, with the SPD square root of the base point computed once.
+The other operations are pointwise.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Sequence
@@ -34,20 +45,38 @@ RENORM_TOL = 1e-9
 ANTIPODE_MARGIN = 1e-9
 
 
+# The LAPACK generalized symmetric eigensolver behind
+# ``scipy.linalg.eigh(q, p, eigvals_only=True)``, called directly to skip
+# that wrapper's per-call overhead.
+_SYGVD = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
+
+
+def _require_count(name: str, value) -> None:
+    """Reject anything but a non-bool integer >= 1 (sizes, step counts)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + _swap(a))
 
 
 def _sym_apply(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix through its eigenvalues."""
+    """Apply a scalar function to a symmetric matrix (or a stack of them)
+    through its eigenvalues."""
     w, v = np.linalg.eigh(a)
-    return (v * fn(w)) @ v.T
+    return (v * fn(w)[..., np.newaxis, :]) @ _swap(v)
 
 
 class Manifold(ABC):
@@ -83,8 +112,13 @@ class Manifold(ABC):
         return math.sqrt(max(self.inner(p, v, v), 0.0))
 
     @abstractmethod
-    def dist(self, p: np.ndarray, q: np.ndarray) -> float:
-        """Geodesic distance between ``p`` and ``q``."""
+    def dist(self, p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+        """Geodesic distance between ``p`` and ``q``.
+
+        ``q`` may carry a leading batch axis, ``(N, *ambient_shape)``;
+        the result is then the ``(N,)`` array of distances from ``p``
+        to each row.  A single ``q`` gives a Python float.
+        """
 
     # -- geodesic structure ---------------------------------------------
 
@@ -94,7 +128,13 @@ class Manifold(ABC):
 
     @abstractmethod
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Initial velocity of the geodesic from ``p`` reaching ``q`` at time 1."""
+        """Initial velocity of the geodesic from ``p`` reaching ``q`` at time 1.
+
+        ``q`` may carry a leading batch axis, ``(N, *ambient_shape)``;
+        the result is then the ``(N, *ambient_shape)`` stack of
+        logarithms at ``p``, and an error is the one the first failing
+        row would raise on its own.
+        """
 
     @abstractmethod
     def transport(self, p: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -147,6 +187,12 @@ class Manifold(ABC):
     def zero_tangent(self, p: np.ndarray) -> np.ndarray:
         return np.zeros(self.ambient_shape)
 
+    def _rows(self, q) -> tuple[np.ndarray, bool]:
+        """``q`` as an ``(N, *ambient_shape)`` stack, and whether it was one point."""
+        q = np.asarray(q, dtype=float)
+        single = q.ndim == len(self.ambient_shape)
+        return (q[np.newaxis] if single else q), single
+
     def _check_shape(self, arr, what: str) -> np.ndarray:
         out = np.array(arr, dtype=float)
         if out.shape != self.ambient_shape:
@@ -166,8 +212,7 @@ class Euclidean(Manifold):
     family: ClassVar[str] = "euclidean"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ContractViolationError("dimension must be >= 1")
+        _require_count("dimension", self.dim)
 
     @property
     def intrinsic_dim(self) -> int:
@@ -180,8 +225,12 @@ class Euclidean(Manifold):
     def inner(self, p, u, v) -> float:
         return float(np.dot(u, v))
 
-    def dist(self, p, q) -> float:
-        return float(np.linalg.norm(q - p))
+    def dist(self, p, q):
+        rows, single = self._rows(q)
+        diff = rows - p
+        # vecdot rounds each row like np.linalg.norm does a single vector
+        d = np.sqrt(np.vecdot(diff, diff))
+        return float(d[0]) if single else d
 
     def exp(self, p, v):
         return p + v
@@ -220,8 +269,7 @@ class Sphere(Manifold):
     family: ClassVar[str] = "sphere"
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ContractViolationError("dimension must be >= 1")
+        _require_count("dimension", self.dim)
 
     @property
     def intrinsic_dim(self) -> int:
@@ -234,13 +282,12 @@ class Sphere(Manifold):
     def inner(self, p, u, v) -> float:
         return float(np.dot(u, v))
 
-    def dist(self, p, q) -> float:
-        if np.array_equal(p, q):
-            return 0.0
-        c = float(np.clip(np.dot(p, q), -1.0, 1.0))
-        u = q - c * p
+    def dist(self, p, q):
+        rows, single = self._rows(q)
+        same, c, u, nu = self._chords(p, rows)
         # atan2 keeps full accuracy near both coincident and antipodal pairs
-        return float(np.arctan2(np.linalg.norm(u), c))
+        d = np.where(same, 0.0, np.arctan2(nu, c))
+        return float(d[0]) if single else d
 
     def exp(self, p, v):
         theta = float(np.linalg.norm(v))
@@ -250,19 +297,27 @@ class Sphere(Manifold):
         return self._renormalize(out)
 
     def log(self, p, q):
-        if np.array_equal(p, q):
-            return np.zeros_like(p)
-        c = float(np.clip(np.dot(p, q), -1.0, 1.0))
-        if c <= -1.0 + ANTIPODE_MARGIN:
+        rows, single = self._rows(q)
+        same, c, u, nu = self._chords(p, rows)
+        if (~same & (c <= -1.0 + ANTIPODE_MARGIN)).any():
             raise DomainError(
                 "logarithm is undefined at the antipode: no canonical direction"
             )
-        u = q - c * p
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            return np.zeros_like(p)
-        theta = float(np.arctan2(nu, c))
-        return (theta / nu) * u
+        zero = same | (nu == 0.0)
+        theta = np.arctan2(nu, c)
+        ratio = np.divide(theta, nu, out=np.zeros_like(theta), where=~zero)
+        out = ratio[:, np.newaxis] * u
+        out[zero] = 0.0
+        return out[0] if single else out
+
+    @staticmethod
+    def _chords(p, rows):
+        """Per row of ``rows``: equality with ``p``, the clipped cosine
+        ``c``, the component ``u`` orthogonal to ``p`` and its norm."""
+        same = (rows == p).all(axis=-1)
+        c = np.clip(np.vecdot(rows, p), -1.0, 1.0)
+        u = rows - c[:, np.newaxis] * p
+        return same, c, u, np.sqrt(np.vecdot(u, u))
 
     def transport(self, p, q, v):
         w = self.log(p, q)
@@ -331,8 +386,7 @@ class SymmetricPositiveDefinite(Manifold):
     family: ClassVar[str] = "spd"
 
     def __post_init__(self):
-        if self.side < 1:
-            raise ContractViolationError("matrix side must be >= 1")
+        _require_count("matrix side", self.side)
 
     @property
     def intrinsic_dim(self) -> int:
@@ -347,11 +401,18 @@ class SymmetricPositiveDefinite(Manifold):
         pv = np.linalg.solve(p, v)
         return float(np.einsum("ij,ji->", pu, pv))
 
-    def dist(self, p, q) -> float:
-        if np.array_equal(p, q):
-            return 0.0
-        w = scipy.linalg.eigh(q, p, eigvals_only=True)
-        return float(np.sqrt(np.sum(np.log(w) ** 2)))
+    def dist(self, p, q):
+        rows, single = self._rows(q)
+        same = (rows == p).all(axis=(-2, -1))
+        # generalized eigenvalues of (q, p), i.e. of p^-1 q; rows equal
+        # to p read as ones so that their distance is exactly zero
+        w = np.ones(rows.shape[:2])
+        for i in np.flatnonzero(~same):
+            w[i], _, info = _SYGVD(rows[i], p, uplo="L", jobz="N")
+            if info != 0 or not np.all(w[i] > 0.0):
+                raise DomainError("matrix is not positive definite")
+        d = np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+        return float(d[0]) if single else d
 
     def exp(self, p, v):
         half, inv_half = self._sqrt_and_inv_sqrt(p)
@@ -360,12 +421,14 @@ class SymmetricPositiveDefinite(Manifold):
         return self._resymmetrize(out)
 
     def log(self, p, q):
-        if np.array_equal(p, q):
-            return np.zeros_like(p)
-        half, inv_half = self._sqrt_and_inv_sqrt(p)
-        inner = _sym(inv_half @ q @ inv_half)
-        out = half @ _sym_apply(inner, np.log) @ half
-        return self._resymmetrize(out)
+        rows, single = self._rows(q)
+        out = np.zeros_like(rows)
+        other = ~(rows == p).all(axis=(-2, -1))
+        if other.any():
+            half, inv_half = self._sqrt_and_inv_sqrt(p)
+            inner = _sym(inv_half @ rows[other] @ inv_half)
+            out[other] = self._resymmetrize(half @ _sym_apply(inner, np.log) @ half)
+        return out[0] if single else out
 
     def transport(self, p, q, v):
         if np.array_equal(p, q):
@@ -416,10 +479,13 @@ class SymmetricPositiveDefinite(Manifold):
 
     @staticmethod
     def _resymmetrize(out: np.ndarray) -> np.ndarray:
-        drift = float(np.max(np.abs(out - out.T)))
-        if not drift <= RENORM_TOL:
+        """Symmetrize a matrix or a stack of them; the first one that
+        drifted past the budget raises with its own drift."""
+        drift = np.atleast_1d(np.abs(out - _swap(out)).max(axis=(-2, -1)))
+        bad = drift[~(drift <= RENORM_TOL)]
+        if bad.size:
             raise InternalConsistencyError(
-                f"matrix result drifted {drift:.3e} from symmetry"
+                f"matrix result drifted {float(bad[0]):.3e} from symmetry"
             )
         return _sym(out)
 
@@ -514,7 +580,8 @@ class SampledCurve:
             params = np.asarray(self.parameters, dtype=float)
         if params.shape != (len(points),):
             raise ContractViolationError("one parameter value per sample is required")
-        if params[0] < 0.0 or params[-1] > 1.0 or np.any(np.diff(params) <= 0.0):
+        # written as the positive condition so that NaN fails it
+        if not (params[0] >= 0.0 and params[-1] <= 1.0 and np.all(np.diff(params) > 0.0)):
             raise ContractViolationError(
                 "parameters must be strictly increasing within [0, 1]"
             )

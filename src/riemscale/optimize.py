@@ -152,28 +152,38 @@ def riemannian_gd(
     return OptimizerTrace(tuple(iterates), tuple(values), tuple(grad_norms), stop_reason)
 
 
+def _on_one_manifold(points: tuple[ManifoldPoint, ...]) -> tuple[Manifold, np.ndarray]:
+    """The manifold shared by a non-empty point set, and the points'
+    coordinates stacked along a leading batch axis."""
+    manifold = points[0].manifold
+    if any(pt.manifold != manifold for pt in points[1:]):
+        raise ContractViolationError("points live on different manifolds")
+    return manifold, np.stack([pt.coordinates for pt in points])
+
+
 def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
     """Mean squared distance to a point set, halved.
 
     The gradient at ``x`` is the negated average of the logarithm maps
     toward the data points, which vanishes exactly at the barycenter.
+    Each evaluation makes one batched ``dist`` or ``log`` call over all
+    data points.
     """
     points = tuple(points)
     if not points:
         raise ContractViolationError("at least one point is required")
-    manifold = points[0].manifold
-    if any(pt.manifold != manifold for pt in points[1:]):
-        raise ContractViolationError("points live on different manifolds")
-    coords = [pt.coordinates for pt in points]
+    manifold, coords = _on_one_manifold(points)
     n = len(coords)
 
     def value_fn(x: ManifoldPoint) -> float:
-        return sum(manifold.dist(x.coordinates, y) ** 2 for y in coords) / (2.0 * n)
+        # Python-float squares summed left to right: numpy's vectorised
+        # square and pairwise sum would round differently
+        return sum(float(d) ** 2 for d in manifold.dist(x.coordinates, coords)) / (2.0 * n)
 
     def gradient_fn(x: ManifoldPoint) -> TangentVector:
-        total = manifold.zero_tangent(x.coordinates)
-        for y in coords:
-            total = total + manifold.log(x.coordinates, y)
+        # a running sum adds the rows strictly left to right (np.sum may
+        # pair them up); + 0.0 gives the +0.0 a sum started at zero gives
+        total = np.cumsum(manifold.log(x.coordinates, coords), axis=0)[-1] + 0.0
         return TangentVector(x, -total / n)
 
     return Objective(value_fn, gradient_fn)
@@ -217,14 +227,15 @@ def equivalence_check(
 
 
 def pairwise_distances(points: Sequence[ManifoldPoint]) -> np.ndarray:
-    """Symmetric matrix of base-metric distances between the points."""
+    """Symmetric matrix of base-metric distances between points on one
+    manifold, one batched ``dist`` call per row."""
     points = tuple(points)
     n = len(points)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = points[i].manifold.dist(points[i].coordinates, points[j].coordinates)
-            out[i, j] = out[j, i] = d
+    if n:
+        manifold, coords = _on_one_manifold(points)
+        for i in range(n - 1):
+            out[i, i + 1 :] = out[i + 1 :, i] = manifold.dist(coords[i], coords[i + 1 :])
     return out
 
 

@@ -111,7 +111,7 @@ class ScaledManifold(Manifold):
     def inner(self, p, u, v) -> float:
         return self.lam * self.base.inner(p, u, v)
 
-    def dist(self, p, q) -> float:
+    def dist(self, p, q) -> float | np.ndarray:
         return math.sqrt(self.lam) * self.base.dist(p, q)
 
     def curve_length(self, points: Sequence[np.ndarray]) -> float:

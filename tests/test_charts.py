@@ -485,6 +485,10 @@ def test_chart_curve_length_validation():
         chart_curve_length(chart, [0.0], [[0.0, 0.0]])
     with pytest.raises(DomainError):
         chart_curve_length(chart, [0.0, 1.0], [[0.0, 0.0], [20.0, 0.0]])
+    segment = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]]
+    for times in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf], [np.nan, 0.5, 1.0]):
+        with pytest.raises(ContractViolationError):
+            chart_curve_length(chart, times, segment)
 
 
 # ---------------------------------------------------------------------------

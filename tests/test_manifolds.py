@@ -2,6 +2,7 @@
 randomized structural properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from riemscale import (
+    Chart,
     ContractViolationError,
     DomainError,
     Euclidean,
@@ -180,6 +182,18 @@ def test_distance_spd_against_frobenius_log_oracle():
     assert distance(p, q) == pytest.approx(oracle, abs=1e-13)
 
 
+def test_distance_spd_indefinite_base_is_a_domain_error():
+    with pytest.raises(DomainError, match="not positive definite"):
+        SPD2.dist(-np.eye(2), np.eye(2))
+
+
+def test_distance_spd_indefinite_target_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not positive definite"):
+            SPD2.dist(np.eye(2), np.diag([1.0, -1.0]))
+
+
 # ---------------------------------------------------------------------------
 # parallel transport
 # ---------------------------------------------------------------------------
@@ -306,6 +320,9 @@ def test_sampled_curve_validation():
         SampledCurve((p, q), np.array([0.5, 1.5]))
     with pytest.raises(ContractViolationError):
         SampledCurve((p, _point(E3, [0.0, 0.0, 0.0])))
+    for params in ([0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.inf]):
+        with pytest.raises(ContractViolationError):
+            SampledCurve((p, q, _point(E2, [2.0, 0.0])), np.array(params))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +373,21 @@ def test_descriptor_invariants():
     assert Euclidean(4).intrinsic_dim == 4
     with pytest.raises(ContractViolationError):
         Sphere(0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Sphere(True),
+    lambda: Euclidean(True),
+    lambda: SymmetricPositiveDefinite(2.5),
+    lambda: Euclidean(0),
+    lambda: Chart("flag", True, [0.0], [1.0], lambda x: np.eye(1)),
+    lambda: Chart("nan-box", 1, [np.nan], [1.0], lambda x: np.eye(1)),
+    lambda: Chart("nan-top", 2, [0.0, 0.0], [1.0, np.nan], lambda x: np.eye(2)),
+], ids=["sphere-bool", "euclidean-bool", "spd-float", "euclidean-zero", "chart-bool",
+        "chart-nan-lower", "chart-nan-upper"])
+def test_sizes_must_be_integers_and_boxes_ordered(build):
+    with pytest.raises(ContractViolationError):
+        build()
 
 
 def test_manifold_from_string():
