@@ -12,12 +12,17 @@ with ``--format json`` and once with ``--format csv``, and the four
 demos.  Each run starts in a fresh empty directory with ``PYTHONPATH``
 pointing at the tree's ``src``.  Stdout, stderr and the exit status are
 compared byte for byte.  Prints one line per command and exits 1 if any
-of them differs.
+of them differs.  Where stdout differs but both outputs have the same
+text around their numbers, the line also gives the largest absolute
+difference between corresponding numbers, which tells a last-digit
+change from a real one.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -53,6 +58,7 @@ DEMOS = [
     "04_scale_calibration.py",
 ]
 TIMEOUT_S = 600
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
 def runs(tree: Path) -> list[tuple[str, list[str]]]:
@@ -74,6 +80,19 @@ def run(tree: Path, argv: list[str]) -> tuple[int, bytes, bytes]:
     with tempfile.TemporaryDirectory() as cwd:
         done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, timeout=TIMEOUT_S)
     return done.returncode, done.stdout, done.stderr
+
+
+def max_numeric_diff(a: bytes, b: bytes) -> float | None:
+    """Largest absolute difference between corresponding numbers of two
+    outputs, or ``None`` when their non-numeric text differs."""
+    if NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b):
+        return None
+    gaps = [
+        0.0 if x == y else abs(float(x) - float(y))
+        for x, y in zip(NUMBER.findall(a), NUMBER.findall(b))
+    ]
+    # a NaN gap (NaN against a number) counts as infinitely large
+    return max((math.inf if math.isnan(g) else g for g in gaps), default=0.0)
 
 
 def export(rev: str, dest: Path) -> None:
@@ -98,7 +117,11 @@ def main(argv: list[str]) -> int:
                 name for name, a, b in zip(("status", "stdout", "stderr"), here, there) if a != b
             ]
             differ += bool(parts)
-            print(f"{'DIFF ' + ','.join(parts) if parts else 'same'}\t{label}", flush=True)
+            note = ""
+            if "stdout" in parts:
+                gap = max_numeric_diff(here[1], there[1])
+                note = " (text differs)" if gap is None else f" (max numeric diff {gap:.3g})"
+            print(f"{'DIFF ' + ','.join(parts) + note if parts else 'same'}\t{label}", flush=True)
     print(f"{differ} of {len(runs(ROOT))} commands differ from {argv[0]}")
     return 1 if differ else 0
 

@@ -12,18 +12,23 @@ operation here can run concurrently.  Integration is fixed-step classic
 RK4 with no adaptivity: base and scaled runs then share identical step
 grids and comparisons are exactly reproducible.
 
-Geodesics of several charts from one start state, typically a base
-chart and its rescaled versions, are integrated in lockstep by
-``geodesic_integrate_many``: each RK4 stage computes the connection of
-every arm in one stacked pass (one matrix inverse, bracket and
-contraction for all arms), with every check of a single-point call kept
-per arm.  Metric functions stay pointwise, ``(n,) -> (n, n)``.  A
-single chart is the one-arm case of the same engine, and every path is
-bit-identical to a run of its chart on its own.
+Metric functions are batched: ``(B, n) -> (B, n, n)``, the metric at
+each row of a batch of points.  A single point is the batch of one.
+
+Geodesics of several charts, typically base charts and their rescaled
+versions, each arm from a shared or its own start state, are integrated
+in lockstep by ``geodesic_integrate_many``: each RK4 stage makes one
+metric call per arm, covering its center point and its 2n difference
+stencil points, and computes the connection of every arm in one stacked
+pass (one matrix inverse, bracket and contraction for all arms), with
+every check of a single-point call kept per arm.  A single chart is the
+one-arm case of the same engine, and every path is bit-identical to a
+run of its chart on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -43,6 +48,9 @@ from .errors import (
 from .manifolds import _require_count
 from .scaling import ScaleFactor
 
+# Maps a (B, n) batch of coordinate rows to the (B, n, n) stack of
+# metric matrices at those rows, one row at a time in effect: row b of
+# the result depends only on row b of the input.
 MetricFunction = Callable[[np.ndarray], np.ndarray]
 
 # Central differences with this step bottom out around 1e-10 for smooth
@@ -57,11 +65,12 @@ CHRISTOFFEL_SYMMETRY_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Chart:
-    """A coordinate box together with a metric-matrix function.
+    """A coordinate box together with a batched metric-matrix function.
 
-    ``metric_fn`` maps a coordinate vector to the n x n matrix of
-    metric components at that point; it must return a symmetric
-    positive-definite matrix everywhere in the box.
+    ``metric_fn`` maps a ``(B, n)`` batch of coordinate rows to the
+    ``(B, n, n)`` stack of metric components at those points; each
+    matrix must be symmetric positive-definite everywhere in the box.
+    A single point is evaluated as a batch of one.
     """
 
     name: str
@@ -178,24 +187,35 @@ def _require_finite_positive(name: str, value) -> None:
         raise ContractViolationError(f"{name} must be a finite positive number, got {value!r}")
 
 
-def _metrics(charts, X: np.ndarray) -> np.ndarray:
-    """Evaluate and validate the metric of ``charts[a]`` at ``X[a]``.
+def _evaluate(charts, P: np.ndarray) -> np.ndarray:
+    """Metric matrices of ``charts[a]`` at every point of ``P[a]``,
+    stacked ``(K, m, n, n)`` from ``(K, m, n)`` points.
 
-    Returns the stacked ``(K, n, n)`` matrices.  The caller has checked
-    the domain.  Each check (shape, finiteness, symmetry, positive
-    definiteness) runs over all rows in turn and raises
-    ``InvalidChartError`` naming the chart and point of the first row
-    that fails it.
+    Consecutive blocks of one chart share one call of its metric
+    function, so a single chart is a single call.  A result of the wrong
+    shape raises ``InvalidChartError`` naming the chart.
     """
-    n = X.shape[1]
-    G = np.empty((len(charts), n, n))
-    for a, (chart, x) in enumerate(zip(charts, X)):
-        g = np.asarray(chart.metric_fn(x), dtype=float)
-        if g.shape != (n, n):
+    K, m, n = P.shape
+    points = P.reshape(K * m, n)
+    parts, start = [], 0
+    for chart, run in itertools.groupby(charts):
+        stop = start + m * len(tuple(run))
+        rows, start = points[start:stop], stop
+        g = np.asarray(chart.metric_fn(rows), dtype=float)
+        if g.shape != (len(rows), n, n):
             raise InvalidChartError(
-                f"metric of {chart.name} at {x} has shape {g.shape}, expected ({n},{n})"
+                f"metric of {chart.name} on {len(rows)} points has shape {g.shape}, "
+                f"expected {(len(rows), n, n)}"
             )
-        G[a] = g
+        parts.append(g)
+    return np.concatenate(parts).reshape(K, m, n, n)
+
+
+def _validated(charts, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """``G``, the stacked metrics of ``charts[a]`` at ``X[a]``, once each
+    check (finiteness, symmetry, positive definiteness) has run over all
+    rows in turn; the first row that fails one raises
+    ``InvalidChartError`` naming its chart and point."""
 
     def reject(bad: np.ndarray, what: str) -> None:
         if bad.any():
@@ -210,13 +230,14 @@ def _metrics(charts, X: np.ndarray) -> np.ndarray:
 
 
 def _metrics_inside(chart: Chart, X: np.ndarray) -> np.ndarray:
-    """Validated metrics of ``chart`` at each row of ``X``; every row
-    must lie in the chart's box."""
+    """Validated metrics of ``chart`` at each row of ``X``, from one call
+    of its metric function; every row must lie in the chart's box."""
     outside = ~np.all((X >= chart.lower) & (X <= chart.upper), axis=1)
     if outside.any():
         x = X[np.argmax(outside)]
         raise DomainError(f"{x} is outside the domain of {chart.name}")
-    return _metrics((chart,) * len(X), X)
+    charts = (chart,) * len(X)
+    return _validated(charts, X, _evaluate(charts, X[:, None])[:, 0])
 
 
 def metric_at(chart: Chart, x) -> np.ndarray:
@@ -255,12 +276,14 @@ def _connection(charts, X: np.ndarray, fd_step: float, box) -> np.ndarray:
     """Connection coefficients ``gamma[a, k, i, j]`` of ``charts[a]`` at
     ``X[a]`` by central finite differences, stacked ``(K, n, n, n)``.
 
-    Every row gets the checks of a single-point call: its stencil must
-    stay inside its row of ``box`` (from ``_stencil_box``; a
-    ``DomainError`` names the first row that does not), its center
-    metric is validated by ``_metrics``, and its coefficients must be
-    symmetric in the lower index pair.  The stencil evaluations trust
-    the chart within that neighborhood.
+    Each row's center and its 2n stencil points are evaluated together,
+    one metric call per run of rows on one chart (``_evaluate``).  Every
+    row gets the checks of a single-point call: its stencil must stay
+    inside its row of ``box`` (from ``_stencil_box``; a ``DomainError``
+    names the first row that does not), its center metric is validated
+    by ``_validated``, and its coefficients must be symmetric in the
+    lower index pair.  The stencil evaluations trust the chart within
+    that neighborhood.
     """
     outside = _outside(box, X)
     if outside.any():
@@ -269,17 +292,13 @@ def _connection(charts, X: np.ndarray, fd_step: float, box) -> np.ndarray:
             f"{X[a]} is within {fd_step} of the boundary of {charts[a].name}; "
             "the difference stencil would leave the domain"
         )
-    ginv = np.linalg.inv(_metrics(charts, X))
-    K, n = X.shape
+    n = X.shape[1]
+    center = X[:, None, :]
     offsets = fd_step * np.eye(n)
-    plus = X[:, None, :] + offsets
-    minus = X[:, None, :] - offsets
-    g_plus = np.empty((K, n, n, n))
-    g_minus = np.empty((K, n, n, n))
-    for a, chart in enumerate(charts):
-        for l in range(n):
-            g_plus[a, l] = chart.metric_fn(plus[a, l])
-            g_minus[a, l] = chart.metric_fn(minus[a, l])
+    # G[a] holds the metric at X[a], then at X[a] + h e_l, then at X[a] - h e_l
+    G = _evaluate(charts, np.concatenate((center, center + offsets, center - offsets), axis=1))
+    ginv = np.linalg.inv(_validated(charts, X, G[:, 0]))
+    g_plus, g_minus = G[:, 1 : n + 1], G[:, n + 1 :]
     dg = (g_plus - g_minus) / (2.0 * fd_step)  # dg[a, l] = d_l g at X[a]
     # bracket[a, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     bracket = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
@@ -314,9 +333,9 @@ def christoffel_at(chart: Chart, x, fd_step: float = DEFAULT_FD_STEP) -> Christo
     return ChristoffelField(x, _connection(charts, x[None], fd_step, _stencil_box(charts, fd_step))[0])
 
 
-def _rk4_lockstep(charts, x: np.ndarray, v: np.ndarray, dt: float, steps: int, fd_step: float):
-    """Advance every arm from ``(x, v)`` by up to ``steps`` classical RK4
-    steps of size ``dt``, with one stacked connection call per stage.
+def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, dt: float, steps: int, fd_step: float):
+    """Advance arm ``a`` from ``(X[a], V[a])`` by up to ``steps`` classical
+    RK4 steps of size ``dt``, with one stacked connection call per stage.
 
     Returns the times, the stacked ``(k + 1, K, n)`` positions and
     velocities of the ``k`` steps made, and why the run stopped early,
@@ -325,8 +344,6 @@ def _rk4_lockstep(charts, x: np.ndarray, v: np.ndarray, dt: float, steps: int, f
     within ``fd_step`` of an arm's boundary.  Other errors propagate.
     """
     box = _stencil_box(charts, fd_step)
-    X = np.tile(x, (len(charts), 1))
-    V = np.tile(v, (len(charts), 1))
     times, positions, velocities = [0.0], [X], [V]
     stop = None
     for k in range(steps):
@@ -352,6 +369,24 @@ def _rk4_lockstep(charts, x: np.ndarray, v: np.ndarray, dt: float, steps: int, f
     return np.array(times), np.array(positions), np.array(velocities), stop
 
 
+def _start_rows(charts, x, name: str) -> np.ndarray:
+    """``x0`` or ``v0`` as one finite row per arm, ``(K, n)``: either a
+    shared ``(n,)`` row or a ``(K, n)`` array of one row per arm."""
+    K, n = len(charts), charts[0].dimension
+    rows = np.asarray(x, dtype=float)
+    if rows.shape == (n,):
+        rows = np.tile(rows, (K, 1))
+    elif rows.shape != (K, n):
+        raise ContractViolationError(
+            f"{name} has shape {rows.shape}, expected ({n},) or ({K}, {n}) for {K} charts"
+        )
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        a = int(np.argmax(bad))
+        raise ContractViolationError(f"{name} of arm {a} has non-finite entries: {rows[a]}")
+    return rows
+
+
 def geodesic_integrate_many(
     charts,
     x0,
@@ -360,30 +395,34 @@ def geodesic_integrate_many(
     steps: int | None = None,
     fd_step: float = DEFAULT_FD_STEP,
 ) -> tuple[GeodesicPath, ...]:
-    """Integrate the geodesic equations of several charts from one start
-    state in lockstep, with fixed-step classical RK4.
+    """Integrate the geodesic equations of several charts in lockstep,
+    with fixed-step classical RK4.
 
     Arm ``a`` follows ``charts[a]``; the charts must share a dimension.
-    Each RK4 stage evaluates the connection of every arm in one stacked
-    call, with the checks and the arithmetic of a run on its own, so
+    ``x0`` and ``v0`` are each either one ``(n,)`` start shared by every
+    arm or a ``(K, n)`` array with one row per arm.  Each RK4 stage
+    makes one metric call per arm (adjacent arms of one chart object
+    share it) and evaluates the connection of every arm in one stacked
+    pass, with the checks and the arithmetic of a run on its own, so
     path ``a`` is bit-identical to
-    ``geodesic_integrate(charts[a], x0, v0, ...)``.  ``steps`` defaults
-    to 1000 per unit time.
+    ``geodesic_integrate(charts[a], x0[a], v0[a], ...)``.  ``steps``
+    defaults to 1000 per unit time.
 
     If any arm fails (leaves its domain, or meets an invalid metric or
-    another ``GeometryError``), the arms are run again one at a time,
-    so the error raised, its message and the partial path of a
-    ``PartialPathError`` included, is the one that running the arms in
-    sequence gives.  An exception from outside the ``GeometryError``
-    family, raised by a metric function itself, propagates at once.
+    another ``GeometryError``), the arms are run again one at a time
+    from their own starts, so the error raised, its message and the
+    partial path of a ``PartialPathError`` included, is the one that
+    running the arms in sequence gives.  An exception from outside the
+    ``GeometryError`` family, raised by a metric function itself,
+    propagates at once.
     """
     charts = tuple(charts)
     if not charts:
         raise ContractViolationError("at least one chart is required")
     if any(c.dimension != charts[0].dimension for c in charts):
         raise ContractViolationError("charts integrated together must share a dimension")
-    x = _finite_coords(charts[0], x0, "x0")
-    v = _finite_coords(charts[0], v0, "v0")
+    X = _start_rows(charts, x0, "x0")
+    V = _start_rows(charts, v0, "v0")
     _require_finite_positive("t_end", t_end)
     _require_finite_positive("fd_step", fd_step)
     if steps is None:
@@ -392,7 +431,7 @@ def geodesic_integrate_many(
         _require_count("steps", steps)
 
     try:
-        times, P, W, stop = _rk4_lockstep(charts, x, v, t_end / steps, steps, fd_step)
+        times, P, W, stop = _rk4_lockstep(charts, X, V, t_end / steps, steps, fd_step)
     except GeometryError:
         if len(charts) == 1:
             raise
@@ -401,7 +440,10 @@ def geodesic_integrate_many(
         return tuple(GeodesicPath(times, P[:, a], W[:, a]) for a in range(len(charts)))
     if len(charts) > 1:
         # Some arm failed: rerun the arms one at a time, as a sequence would.
-        return tuple(geodesic_integrate_many((c,), x, v, t_end, steps, fd_step)[0] for c in charts)
+        return tuple(
+            geodesic_integrate_many((c,), x, v, t_end, steps, fd_step)[0]
+            for c, x, v in zip(charts, X, V)
+        )
     raise PartialPathError(
         f"geodesic left the domain of {charts[0].name} {stop}",
         GeodesicPath(times, P[:, 0], W[:, 0]),
@@ -454,8 +496,8 @@ def geodesic_residual(chart: Chart, path: GeodesicPath, fd_step: float = DEFAULT
 
 def coordinate_speed(chart: Chart, x, v) -> float:
     """Metric speed sqrt(v^T g(x) v) of a coordinate velocity."""
+    v = _finite_coords(chart, v, "velocity")
     g = metric_at(chart, x)
-    v = _as_coords(chart, v)
     return float(np.sqrt(max(v @ g @ v, 0.0)))
 
 
@@ -489,14 +531,14 @@ def chart_curve_length(chart: Chart, times, points) -> float:
 def scale_chart_constant(chart: Chart, scale: ScaleFactor | float) -> Chart:
     """Chart with the metric multiplied by a constant factor.
 
-    The scaling wraps the metric function lazily, so the product is
-    exact at every evaluation point.
+    The scaling wraps the batched metric function lazily, so the product
+    is exact at every evaluation point.
     """
     lam = scale.value if isinstance(scale, ScaleFactor) else float(ScaleFactor(scale))
     base_fn = chart.metric_fn
 
-    def scaled_fn(x: np.ndarray) -> np.ndarray:
-        return lam * np.asarray(base_fn(x), dtype=float)
+    def scaled_fn(X: np.ndarray) -> np.ndarray:
+        return lam * np.asarray(base_fn(X), dtype=float)
 
     return Chart(
         name=f"{chart.name}|scale={lam:g}",
@@ -510,17 +552,22 @@ def scale_chart_constant(chart: Chart, scale: ScaleFactor | float) -> Chart:
 def scale_chart_pointwise(chart: Chart, factor_fn: Callable[[np.ndarray], float]) -> Chart:
     """Chart with a position-dependent factor multiplying the metric.
 
-    Unlike the constant case this genuinely changes the geometry; it
-    exists so that the breakdown of connection invariance under
-    non-constant factors can be demonstrated numerically.
+    ``factor_fn`` maps one coordinate point ``(n,)`` to a scalar; the
+    batched metric applies it to each row of its batch in turn.  Unlike
+    the constant case this genuinely changes the geometry; it exists so
+    that the breakdown of connection invariance under non-constant
+    factors can be demonstrated numerically.
     """
     base_fn = chart.metric_fn
 
-    def scaled_fn(x: np.ndarray) -> np.ndarray:
-        f = float(factor_fn(x))
-        if not np.isfinite(f) or f <= 0.0:
-            raise InvalidChartError(f"pointwise factor is {f!r} at {x}, must be > 0")
-        return f * np.asarray(base_fn(x), dtype=float)
+    def scaled_fn(X: np.ndarray) -> np.ndarray:
+        factors = np.empty(len(X))
+        for b, x in enumerate(X):
+            f = float(factor_fn(x))
+            if not np.isfinite(f) or f <= 0.0:
+                raise InvalidChartError(f"pointwise factor is {f!r} at {x}, must be > 0")
+            factors[b] = f
+        return factors[:, None, None] * np.asarray(base_fn(X), dtype=float)
 
     return Chart(
         name=f"{chart.name}|pointwise",
@@ -538,12 +585,20 @@ def scale_chart_pointwise(chart: Chart, factor_fn: Callable[[np.ndarray], float]
 # ---------------------------------------------------------------------------
 
 
+def _diag_one_and(second: np.ndarray) -> np.ndarray:
+    """The stack of matrices ``diag(1, second[b])``."""
+    G = np.zeros((len(second), 2, 2))
+    G[:, 0, 0] = 1.0
+    G[:, 1, 1] = second
+    return G
+
+
 def euclidean_chart(dim: int, half_width: float = 10.0) -> Chart:
     """Cartesian coordinates on flat space: the metric is the identity."""
-    eye = np.eye(dim)
+    eye = np.eye(dim)[None]
 
-    def metric(x: np.ndarray) -> np.ndarray:
-        return eye.copy()
+    def metric(X: np.ndarray) -> np.ndarray:
+        return eye.repeat(len(X), axis=0)
 
     return Chart(
         name=f"euclidean:{dim}",
@@ -557,8 +612,8 @@ def euclidean_chart(dim: int, half_width: float = 10.0) -> Chart:
 def polar_chart() -> Chart:
     """Polar coordinates (r, theta) on the flat plane: g = diag(1, r^2)."""
 
-    def metric(x: np.ndarray) -> np.ndarray:
-        return np.diag([1.0, x[0] ** 2])
+    def metric(X: np.ndarray) -> np.ndarray:
+        return _diag_one_and(X[:, 0] ** 2)
 
     return Chart(
         name="polar",
@@ -573,8 +628,8 @@ def sphere_chart() -> Chart:
     """Colatitude/longitude (theta, phi) on the unit 2-sphere:
     g = diag(1, sin^2 theta)."""
 
-    def metric(x: np.ndarray) -> np.ndarray:
-        return np.diag([1.0, np.sin(x[0]) ** 2])
+    def metric(X: np.ndarray) -> np.ndarray:
+        return _diag_one_and(np.sin(X[:, 0]) ** 2)
 
     return Chart(
         name="sphere-chart",

@@ -296,11 +296,17 @@ def _run_connection_invariance(rng):
 
 
 def _run_geodesic_invariance(rng):
-    worst = 0.0
+    # every chart's base arm and its scaled arms, from that chart's start, in one run
+    per_chart = 1 + len(INVARIANT_LAMBDAS)
+    arms, starts = [], []
     for chart in builtin_charts():
-        x0, v0 = GEODESIC_STARTS[chart.name]
-        arms = (chart, *(scale_chart_constant(chart, lam) for lam in INVARIANT_LAMBDAS))
-        base, *scaled = geodesic_integrate_many(arms, x0, v0, t_end=1.0, steps=1000)
+        arms += [chart, *(scale_chart_constant(chart, lam) for lam in INVARIANT_LAMBDAS)]
+        starts += [GEODESIC_STARTS[chart.name]] * per_chart
+    x0, v0 = np.array(starts).transpose(1, 0, 2)
+    paths = geodesic_integrate_many(arms, x0, v0, t_end=1.0, steps=1000)
+    worst = 0.0
+    for i in range(0, len(paths), per_chart):
+        base, *scaled = paths[i : i + per_chart]
         for path in scaled:
             worst = max(worst, float(np.max(np.abs(path.positions - base.positions))))
     return worst

@@ -42,12 +42,15 @@ GEODESIC_CASES = (
 
 
 def counted_chart(name, dim, half_width=5.0):
-    """A curved chart, g = diag(1 + x^2), that counts its metric evaluations."""
+    """A curved chart, g = diag(1 + x^2), that records the number of
+    points of each call of its metric function."""
     calls = []
 
-    def metric(x):
-        calls.append(1)
-        return np.diag(1.0 + x**2)
+    def metric(X):
+        calls.append(len(X))
+        G = np.zeros((len(X), dim, dim))
+        G[:, range(dim), range(dim)] = 1.0 + X**2
+        return G
 
     ones = np.ones(dim)
     return Chart(name, dim, -half_width * ones, half_width * ones, metric), calls
@@ -117,8 +120,8 @@ def test_metric_function_domain_error_reaches_the_caller_unchanged():
     class Singular(DomainError):
         pass
 
-    def metric(x):
-        raise Singular(f"no metric at {x}")
+    def metric(X):
+        raise Singular(f"no metric at {X}")
 
     chart = Chart("singular", 2, [-1.0, -1.0], [1.0, 1.0], metric)
     for call in (metric_at, christoffel_at, volume_density):
@@ -126,15 +129,31 @@ def test_metric_function_domain_error_reaches_the_caller_unchanged():
             call(chart, [0.0, 0.0])
 
 
+def constant_metric(matrix):
+    """A batched metric function with the same matrix at every point."""
+    matrix = np.array(matrix, dtype=float)
+    return lambda X: np.tile(matrix, (len(X), 1, 1))
+
+
 def test_metric_validation_rejects_bad_charts():
-    asym = Chart("asym", 2, [-1.0, -1.0], [1.0, 1.0],
-                 lambda x: np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(InvalidChartError):
+    asym = Chart("asym", 2, [-1.0, -1.0], [1.0, 1.0], constant_metric([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(InvalidChartError, match="asym at .* is not symmetric"):
         metric_at(asym, [0.0, 0.0])
-    indefinite = Chart("indef", 2, [-1.0, -1.0], [1.0, 1.0],
-                       lambda x: np.diag([1.0, -1.0]))
-    with pytest.raises(InvalidChartError):
+    indefinite = Chart("indef", 2, [-1.0, -1.0], [1.0, 1.0], constant_metric(np.diag([1.0, -1.0])))
+    with pytest.raises(InvalidChartError, match="indef at .* is not positive definite"):
         metric_at(indefinite, [0.0, 0.0])
+
+
+def test_metric_of_the_wrong_batch_shape_names_its_chart():
+    # a pointwise (n,) -> (n, n) function breaks the batched contract
+    pointwise = Chart("pointwise", 2, [-1.0, -1.0], [1.0, 1.0], lambda x: np.eye(2))
+    for call in (metric_at, christoffel_at, volume_density):
+        with pytest.raises(InvalidChartError, match=r"pointwise on \d+ points has shape \(2, 2\)"):
+            call(pointwise, [0.0, 0.0])
+    with pytest.raises(InvalidChartError, match="pointwise"):
+        geodesic_integrate_many((polar_chart(), pointwise), [0.5, 0.0], [0.1, 0.1], steps=5)
+    with pytest.raises(InvalidChartError, match="pointwise"):
+        chart_curve_length(pointwise, [0.0, 1.0], [[0.0, 0.0], [0.5, 0.0]])
 
 
 def test_chart_construction_validation():
@@ -268,12 +287,15 @@ def test_lockstep_raises_the_lowest_failed_arm_like_a_single_run():
 
 def test_lockstep_raises_a_lower_arm_failure_before_a_later_arms_earlier_error():
     # arm 1's metric turns indefinite at r > 3.3, well before arm 0 leaves its box
-    def metric(x):
-        return np.diag([1.0, x[0] ** 2 if x[0] <= 3.3 else -1.0])
+    def metric(X):
+        G = np.zeros((len(X), 2, 2))
+        G[:, 0, 0] = 1.0
+        G[:, 1, 1] = np.where(X[:, 0] <= 3.3, X[:, 0] ** 2, -1.0)
+        return G
 
     slow = _polar_box("slow", 3.8)
     turning = Chart("turning", 2, [0.1, -math.pi], [10.0, math.pi], metric)
-    with pytest.raises(InvalidChartError, match="turning"):
+    with pytest.raises(InvalidChartError, match="turning at .* is not positive definite"):
         geodesic_integrate(turning, [3.0, 0.0], [1.0, 0.0], steps=100)
     with pytest.raises(PartialPathError) as alone:
         geodesic_integrate(slow, [3.0, 0.0], [1.0, 0.0], steps=100)
@@ -285,8 +307,8 @@ def test_lockstep_raises_a_lower_arm_failure_before_a_later_arms_earlier_error()
 
 def test_lockstep_invalid_arm_raises_naming_its_chart():
     indefinite = Chart("indefinite-arm", 2, [-1.0, -1.0], [1.0, 1.0],
-                       lambda x: np.diag([1.0, -1.0]))
-    with pytest.raises(InvalidChartError, match="indefinite-arm"):
+                       constant_metric(np.diag([1.0, -1.0])))
+    with pytest.raises(InvalidChartError, match="indefinite-arm at .* is not positive definite"):
         geodesic_integrate_many((polar_chart(), indefinite), [0.5, 0.0], [0.1, 0.1])
 
 
@@ -296,8 +318,35 @@ def test_lockstep_makes_one_stencil_of_metric_evaluations_per_stage(dim):
     second, second_calls = counted_chart("second", dim)
     steps = 20
     geodesic_integrate_many((first, second), np.zeros(dim), np.full(dim, 0.3), steps=steps)
-    # 4 RK4 stages, each the center plus 2n stencil points
-    assert len(first_calls) == len(second_calls) == 4 * (2 * dim + 1) * steps
+    # 4 RK4 stages, each one call on the center plus 2n stencil points
+    for calls in (first_calls, second_calls):
+        assert len(calls) == 4 * steps
+        assert sum(calls) == 4 * (2 * dim + 1) * steps
+
+
+def test_lockstep_with_per_arm_starts_matches_single_runs():
+    # the 12 arms of the verify suite: each built-in chart, base and scaled, from its own start
+    arms, starts = [], []
+    for chart, x0, v0 in GEODESIC_CASES:
+        arms += [chart, *(scale_chart_constant(chart, lam) for lam in INVARIANT_SCALES)]
+        starts += [(x0, v0)] * (1 + len(INVARIANT_SCALES))
+    x0s, v0s = np.array(starts).transpose(1, 0, 2)
+    together = geodesic_integrate_many(arms, x0s, v0s, steps=250)
+    assert len(together) == 12
+    for arm, x0, v0, path in zip(arms, x0s, v0s, together):
+        assert _same_bytes(path, geodesic_integrate(arm, x0, v0, steps=250))
+
+
+def test_lockstep_rerun_uses_each_arms_own_start():
+    # radial lines r = 3 + t and r = 3.5 + t: the second arm leaves r <= 3.8 near t = 0.3
+    box = _polar_box("box", 3.8)
+    with pytest.raises(PartialPathError) as alone:
+        geodesic_integrate(box, [3.5, 0.0], [1.0, 0.0], steps=100)
+    with pytest.raises(PartialPathError) as together:
+        geodesic_integrate_many((_polar_box("wide", 10.0), box), [[3.0, 0.0], [3.5, 0.0]],
+                                [1.0, 0.0], steps=100)
+    assert str(together.value) == str(alone.value)
+    assert _same_bytes(together.value.partial_path, alone.value.partial_path)
 
 
 def test_lockstep_rejects_mismatched_or_missing_charts():
@@ -321,6 +370,11 @@ START = ([3.0, 0.0], [0.5, 0.2])
     pytest.param(lambda c: geodesic_integrate(c, *START, fd_step=0.0), id="fd_step-zero"),
     pytest.param(lambda c: geodesic_integrate(c, [math.nan, 0.0], START[1]), id="x0-nan"),
     pytest.param(lambda c: geodesic_integrate(c, START[0], [math.inf, 0.0]), id="v0-inf"),
+    pytest.param(lambda c: geodesic_integrate_many((c, c), [START[0]] * 3, START[1]),
+                 id="x0-rows-mismatch"),
+    pytest.param(lambda c: geodesic_integrate_many((c, c), START[0], [START[1], [0.1, math.nan]]),
+                 id="v0-nan-row"),
+    pytest.param(lambda c: coordinate_speed(c, START[0], [math.nan, 0.0]), id="speed-nan-velocity"),
     pytest.param(lambda c: geodesic_integrate(c, *START, steps=True), id="steps-bool"),
     pytest.param(lambda c: geodesic_integrate(c, *START, steps=2.5), id="steps-float"),
     pytest.param(lambda c: geodesic_integrate(c, *START, steps=0), id="steps-zero"),
