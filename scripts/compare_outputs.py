@@ -50,6 +50,12 @@ CLI_COMMANDS = [
     ["--command", "calibrate", "--manifold", "spd:8", "--points", "25"],
     ["--command", "geodesic"],
     ["--command", "geodesic", "--chart", "polar", "--lambda", "4", "--iters", "1000"],
+    # argument errors: usage message on stderr, exit status 2
+    ["--command", "scale-table", "--lambda", "nan"],
+    ["--command", "frechet", "--iters", "0"],
+    ["--command", "frechet", "--points", "0"],
+    ["--command", "frechet", "--manifold", "sphere:0"],
+    ["--command", "geodesic", "--chart", "euclidean:0"],
 ]
 DEMOS = [
     "01_scaling_laws.py",

@@ -29,8 +29,6 @@ run of its chart on its own.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,7 +43,7 @@ from .errors import (
     InvalidChartError,
     PartialPathError,
 )
-from .manifolds import _require_count
+from .manifolds import _floats, _require_count, _require_real
 from .scaling import ScaleFactor
 
 # Maps a (B, n) batch of coordinate rows to the (B, n, n) stack of
@@ -61,6 +59,9 @@ DEFAULT_STEPS_PER_UNIT_TIME = 1000
 
 METRIC_SYMMETRY_TOL = 1e-12
 CHRISTOFFEL_SYMMETRY_TOL = 1e-8
+
+# Half the side of the box of every built-in Euclidean chart.
+_EUCLIDEAN_HALF_WIDTH = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +82,8 @@ class Chart:
 
     def __post_init__(self):
         _require_count("chart dimension", self.dimension)
-        lower = np.array(self.lower, dtype=float)
-        upper = np.array(self.upper, dtype=float)
+        lower = _floats(self.lower, "lower bound")
+        upper = _floats(self.upper, "upper bound")
         if lower.shape != (self.dimension,) or upper.shape != (self.dimension,):
             raise ContractViolationError("domain bounds must match the dimension")
         if not np.all(lower < upper):
@@ -91,11 +92,6 @@ class Chart:
         upper.setflags(write=False)
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
-
-    def contains(self, x: np.ndarray, margin: float = 0.0) -> bool:
-        return bool(
-            np.all(x >= self.lower + margin) and np.all(x <= self.upper - margin)
-        )
 
     def __repr__(self):
         return f"Chart({self.name!r}, dim={self.dimension})"
@@ -114,15 +110,18 @@ class ChristoffelField:
     symbols: np.ndarray
 
     def __post_init__(self):
-        symbols = np.asarray(self.symbols, dtype=float)
+        pt = _floats(self.point, "point")
+        symbols = _floats(self.symbols, "connection coefficients")
+        if pt.ndim != 1 or symbols.shape != pt.shape * 3:
+            raise ContractViolationError(
+                f"coefficients of shape {symbols.shape} do not match point shape {pt.shape}"
+            )
         asym = float(np.max(np.abs(symbols - symbols.transpose(0, 2, 1))))
         if not asym <= CHRISTOFFEL_SYMMETRY_TOL:
             raise InternalConsistencyError(
                 f"connection coefficients asymmetric by {asym:.3e}"
             )
-        pt = np.array(self.point, dtype=float)
         pt.setflags(write=False)
-        symbols = symbols.copy()
         symbols.setflags(write=False)
         object.__setattr__(self, "point", pt)
         object.__setattr__(self, "symbols", symbols)
@@ -137,10 +136,10 @@ class GeodesicPath:
     velocities: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        pos = np.array(self.positions, dtype=float)
-        vel = np.array(self.velocities, dtype=float)
-        if pos.shape != vel.shape or pos.shape[0] != times.shape[0]:
+        times = _floats(self.times, "times")
+        pos = _floats(self.positions, "positions")
+        vel = _floats(self.velocities, "velocities")
+        if times.ndim != 1 or pos.ndim != 2 or pos.shape != vel.shape or len(pos) != len(times):
             raise ContractViolationError("path arrays have inconsistent shapes")
         for arr in (times, pos, vel):
             arr.setflags(write=False)
@@ -162,29 +161,14 @@ class GeodesicPath:
         return render_csv(columns, rows)
 
 
-def _as_coords(chart: Chart, x) -> np.ndarray:
-    out = np.asarray(x, dtype=float)
-    if out.shape != (chart.dimension,):
-        raise ContractViolationError(
-            f"coordinates have shape {out.shape}, expected ({chart.dimension},)"
-        )
+def _as_coords(x, n: int, name: str = "coordinates", finite: bool = False) -> np.ndarray:
+    """``x`` as one ``(n,)`` float row, and finite if ``finite`` is set."""
+    out = _floats(x, name)
+    if out.shape != (n,):
+        raise ContractViolationError(f"{name} have shape {out.shape}, expected ({n},)")
+    if finite and not np.all(np.isfinite(out)):
+        raise ContractViolationError(f"{name} have non-finite entries: {out}")
     return out
-
-
-def _finite_coords(chart: Chart, x, name: str) -> np.ndarray:
-    out = _as_coords(chart, x)
-    if not np.all(np.isfinite(out)):
-        raise ContractViolationError(f"{name} has non-finite entries: {out}")
-    return out
-
-
-def _require_finite_positive(name: str, value) -> None:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, numbers.Real)
-        or not (math.isfinite(value) and value > 0)
-    ):
-        raise ContractViolationError(f"{name} must be a finite positive number, got {value!r}")
 
 
 def _evaluate(charts, P: np.ndarray) -> np.ndarray:
@@ -247,7 +231,7 @@ def metric_at(chart: Chart, x) -> np.ndarray:
     when the metric function does not produce a symmetric
     positive-definite matrix.
     """
-    return _metrics_inside(chart, _as_coords(chart, x)[None])[0]
+    return _metrics_inside(chart, _as_coords(x, chart.dimension)[None])[0]
 
 
 def volume_density(chart: Chart, x) -> float:
@@ -327,8 +311,8 @@ def christoffel_at(chart: Chart, x, fd_step: float = DEFAULT_FD_STEP) -> Christo
     fully validated; the stencil evaluations trust the chart within
     that neighborhood.
     """
-    x = _as_coords(chart, x)
-    _require_finite_positive("fd_step", fd_step)
+    x = _as_coords(x, chart.dimension)
+    _require_real("fd_step", fd_step)
     charts = (chart,)
     return ChristoffelField(x, _connection(charts, x[None], fd_step, _stencil_box(charts, fd_step))[0])
 
@@ -373,7 +357,7 @@ def _start_rows(charts, x, name: str) -> np.ndarray:
     """``x0`` or ``v0`` as one finite row per arm, ``(K, n)``: either a
     shared ``(n,)`` row or a ``(K, n)`` array of one row per arm."""
     K, n = len(charts), charts[0].dimension
-    rows = np.asarray(x, dtype=float)
+    rows = _floats(x, name)
     if rows.shape == (n,):
         rows = np.tile(rows, (K, 1))
     elif rows.shape != (K, n):
@@ -423,8 +407,8 @@ def geodesic_integrate_many(
         raise ContractViolationError("charts integrated together must share a dimension")
     X = _start_rows(charts, x0, "x0")
     V = _start_rows(charts, v0, "v0")
-    _require_finite_positive("t_end", t_end)
-    _require_finite_positive("fd_step", fd_step)
+    _require_real("t_end", t_end)
+    _require_real("fd_step", fd_step)
     if steps is None:
         steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_end))
     else:
@@ -483,7 +467,7 @@ def geodesic_residual(chart: Chart, path: GeodesicPath, fd_step: float = DEFAULT
         )
     if not (np.isfinite(times).all() and np.isfinite(pos).all() and np.isfinite(vel).all()):
         raise ContractViolationError("path has non-finite times, positions or velocities")
-    _require_finite_positive("fd_step", fd_step)
+    _require_real("fd_step", fd_step)
     if len(times) < 3:
         return 0.0
     interior = pos[1:-1]
@@ -496,7 +480,7 @@ def geodesic_residual(chart: Chart, path: GeodesicPath, fd_step: float = DEFAULT
 
 def coordinate_speed(chart: Chart, x, v) -> float:
     """Metric speed sqrt(v^T g(x) v) of a coordinate velocity."""
-    v = _finite_coords(chart, v, "velocity")
+    v = _as_coords(v, chart.dimension, "velocity coordinates", finite=True)
     g = metric_at(chart, x)
     return float(np.sqrt(max(v @ g @ v, 0.0)))
 
@@ -508,8 +492,8 @@ def chart_curve_length(chart: Chart, times, points) -> float:
     (second-order interior and edges), speeds from the metric at each
     sample.
     """
-    times = np.asarray(times, dtype=float)
-    points = np.asarray(points, dtype=float)
+    times = _floats(times, "times")
+    points = _floats(points, "points")
     if points.ndim != 2 or points.shape[1] != chart.dimension:
         raise ContractViolationError("points must be an (m, n) coordinate array")
     if times.shape != (points.shape[0],):
@@ -593,8 +577,9 @@ def _diag_one_and(second: np.ndarray) -> np.ndarray:
     return G
 
 
-def euclidean_chart(dim: int, half_width: float = 10.0) -> Chart:
+def euclidean_chart(dim: int) -> Chart:
     """Cartesian coordinates on flat space: the metric is the identity."""
+    _require_count("chart dimension", dim)
     eye = np.eye(dim)[None]
 
     def metric(X: np.ndarray) -> np.ndarray:
@@ -603,8 +588,8 @@ def euclidean_chart(dim: int, half_width: float = 10.0) -> Chart:
     return Chart(
         name=f"euclidean:{dim}",
         dimension=dim,
-        lower=-half_width * np.ones(dim),
-        upper=half_width * np.ones(dim),
+        lower=np.full(dim, -_EUCLIDEAN_HALF_WIDTH),
+        upper=np.full(dim, _EUCLIDEAN_HALF_WIDTH),
         metric_fn=metric,
     )
 
@@ -654,8 +639,6 @@ def chart_from_string(name: str) -> Chart:
             dim = int(name.partition(":")[2])
         except ValueError:
             raise ContractViolationError(f"malformed chart name {name!r}") from None
-        if dim < 1:
-            raise ContractViolationError("chart dimension must be >= 1")
         return euclidean_chart(dim)
     raise ContractViolationError(
         f"unknown chart {name!r}; available: {', '.join(CHART_NAMES)}"
@@ -669,7 +652,7 @@ def builtin_charts() -> tuple[Chart, ...]:
 
 def spherical_to_ambient(x) -> np.ndarray:
     """Map sphere-chart coordinates (theta, phi) to a unit vector in R^3."""
-    theta, phi = np.asarray(x, dtype=float)
+    theta, phi = _as_coords(x, 2, "sphere-chart coordinates")
     return np.array(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
     )

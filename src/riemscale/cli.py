@@ -27,7 +27,7 @@ import numpy as np
 from ._render import render_csv, render_json
 from .charts import chart_from_string, geodesic_integrate, scale_chart_constant
 from .errors import DegenerateInputError, GeometryError, PartialPathError
-from .manifolds import manifold_from_string
+from .manifolds import _require_count, _require_real, manifold_from_string
 from .optimize import (
     STOP_ERROR,
     OptimizerConfig,
@@ -91,37 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> RunConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, value in (
-        ("--lambda", args.lam), ("--eta", args.eta), ("--scale-target", args.scale_target)
-    ):
-        if not math.isfinite(value) or value <= 0.0:
-            parser.error(f"{flag} must be a finite positive real, got {value}")
-    if args.iters < 1:
-        parser.error("--iters must be >= 1")
-    if args.n_points < 1:
-        parser.error("--points must be >= 1")
     if not 0 <= args.seed < 2**64:
         parser.error("--seed must fit in an unsigned 64-bit integer")
-    # reject unknown manifold/chart specs before any computation
+    # reject bad values and unknown manifold/chart specs before any computation
     try:
+        for flag, value in (
+            ("--lambda", args.lam), ("--eta", args.eta), ("--scale-target", args.scale_target)
+        ):
+            _require_real(flag, value)
+        _require_count("--iters", args.iters)
+        _require_count("--points", args.n_points)
         manifold_from_string(args.manifold)
         chart_from_string(args.chart)
     except GeometryError as exc:
         parser.error(str(exc))
-    return RunConfig(
-        command=args.command,
-        manifold=args.manifold,
-        chart=args.chart,
-        lam=args.lam,
-        eta=args.eta,
-        iters=args.iters,
-        seed=args.seed,
-        n_points=args.n_points,
-        scale_target=args.scale_target,
-        check_equivalence=args.check_equivalence,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    return RunConfig(**vars(args))
 
 
 def _resolve_out(out: str | None) -> Path | None:

@@ -26,6 +26,7 @@ The other operations are pointwise.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from abc import ABC, abstractmethod
@@ -51,10 +52,39 @@ ANTIPODE_MARGIN = 1e-9
 _SYGVD = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
 
 
+# Argument checks of the typed entry points; the raw ``Manifold`` engine
+# methods and chart metric-function outputs go unchecked.
+
+
 def _require_count(name: str, value) -> None:
     """Reject anything but a non-bool integer >= 1 (sizes, step counts)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def _require_real(name: str, value, positive: bool = True) -> float:
+    """``value`` as a float if it is a finite non-bool real that is > 0,
+    or >= 0 when ``positive`` is false; otherwise reject it."""
+    x = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond the double range
+            x = float(value)
+    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise ContractViolationError(f"{name} must be a finite {sign} real, got {value!r}")
+    return x
+
+
+def _floats(x, name: str) -> np.ndarray:
+    """``x`` as a new float64 array; reject ragged, text or other
+    non-numeric input."""
+    try:
+        raw = np.asarray(x)
+    except ValueError:
+        raw = None
+    if raw is None or raw.dtype.kind not in "biuf":
+        raise ContractViolationError(f"{name} must be a rectangular array of reals")
+    return np.array(raw, dtype=float)
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -194,7 +224,7 @@ class Manifold(ABC):
         return (q[np.newaxis] if single else q), single
 
     def _check_shape(self, arr, what: str) -> np.ndarray:
-        out = np.array(arr, dtype=float)
+        out = _floats(arr, what)
         if out.shape != self.ambient_shape:
             raise ContractViolationError(
                 f"{what} has shape {out.shape}, expected {self.ambient_shape} on {self}"
@@ -501,8 +531,6 @@ def manifold_from_string(spec: str) -> Manifold:
         size = int(size_str)
     except ValueError:
         raise ContractViolationError(f"malformed manifold spec {spec!r}") from None
-    if size < 1:
-        raise ContractViolationError(f"manifold size must be >= 1, got {size}")
     if family == "euclidean":
         return Euclidean(size)
     if family == "sphere":
@@ -577,7 +605,7 @@ class SampledCurve:
         if self.parameters is None:
             params = np.linspace(0.0, 1.0, len(points))
         else:
-            params = np.asarray(self.parameters, dtype=float)
+            params = _floats(self.parameters, "parameters")
         if params.shape != (len(points),):
             raise ContractViolationError("one parameter value per sample is required")
         # written as the positive condition so that NaN fails it

@@ -27,7 +27,9 @@ from .errors import (
     DomainError,
     PartialEquivalenceError,
 )
-from .manifolds import Manifold, ManifoldPoint, TangentVector
+from .manifolds import (
+    Manifold, ManifoldPoint, TangentVector, _floats, _require_count, _require_real
+)
 from .scaling import ScaledManifold, ScaleFactor
 
 STOP_CONVERGED = "converged"
@@ -55,12 +57,9 @@ class OptimizerConfig:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
-        if not np.isfinite(self.step_size) or self.step_size <= 0.0:
-            raise ContractViolationError("step_size must be a finite positive real")
-        if self.max_iters < 1:
-            raise ContractViolationError("max_iters must be >= 1")
-        if self.grad_tol < 0.0:
-            raise ContractViolationError("grad_tol must be nonnegative")
+        _require_real("step_size", self.step_size)
+        _require_count("max_iters", self.max_iters)
+        _require_real("grad_tol", self.grad_tol, positive=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,7 +251,7 @@ def calibrate_scale(
     points = tuple(base_points)
     if len(points) < 2:
         raise ContractViolationError("at least two points are required")
-    targets = np.asarray(target_distances, dtype=float)
+    targets = _floats(target_distances, "target distances")
     n = len(points)
     if targets.shape != (n, n):
         raise ContractViolationError(
@@ -307,8 +306,7 @@ def random_frechet_problem(
 ) -> tuple[tuple[ManifoldPoint, ...], Objective, ManifoldPoint]:
     """Seeded barycenter problem: random points, their objective, and the
     first point as the start."""
-    if n_points < 1:
-        raise ContractViolationError("n_points must be >= 1")
+    _require_count("n_points", n_points)
     points = tuple(
         ManifoldPoint(manifold, manifold.random_point(rng)) for _ in range(n_points)
     )

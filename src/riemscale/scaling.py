@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolationError, DomainError
-from .manifolds import Manifold
+from .manifolds import Manifold, _require_count, _require_real
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,7 @@ class ScaleFactor:
     value: float
 
     def __post_init__(self):
-        value = float(self.value)
-        if not math.isfinite(value) or value <= 0.0:
-            raise ContractViolationError(
-                f"scale factor must be a finite positive real, got {self.value!r}"
-            )
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", _require_real("scale factor", self.value))
 
     def __float__(self) -> float:
         return self.value
@@ -160,8 +155,7 @@ def volume_scale_factor(scale: ScaleFactor | float, n: int) -> float:
     Raises :class:`DomainError` when the factor overflows or underflows
     double precision.
     """
-    if int(n) != n or n < 1:
-        raise ContractViolationError(f"dimension must be a positive integer, got {n!r}")
+    _require_count("dimension", n)
     lam = scale.value if isinstance(scale, ScaleFactor) else float(ScaleFactor(scale))
     try:
         factor = lam ** (n / 2)

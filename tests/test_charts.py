@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from riemscale import (
     Chart,
+    ChristoffelField,
     ContractViolationError,
     DomainError,
     GeodesicPath,
@@ -389,6 +390,22 @@ START = ([3.0, 0.0], [0.5, 0.2])
     pytest.param(lambda c: geodesic_residual(c, GeodesicPath([0.0, 0.5, 1.0], [[0.0, 0.0]] * 3,
                                                              [[math.nan, 0.0]] * 3)),
                  id="residual-nan-velocities"),
+    pytest.param(lambda c: metric_at(c, "ab"), id="metric-text-point"),
+    pytest.param(lambda c: geodesic_integrate(c, [[3.0, 0.0], [3.0]], START[1]), id="x0-ragged"),
+    pytest.param(lambda c: coordinate_speed(c, START[0], ["x", 1.0]), id="speed-text-velocity"),
+    pytest.param(lambda c: chart_curve_length(c, [0.0, 1.0], [[3.0, 0.0], [4.0]]),
+                 id="curve-ragged-points"),
+    pytest.param(lambda c: chart_curve_length(c, ["a", "b"], [[3.0, 0.0], [4.0, 0.0]]),
+                 id="curve-text-times"),
+    pytest.param(lambda c: spherical_to_ambient([1.0, 2.0, 3.0]), id="spherical-three-coords"),
+    pytest.param(lambda c: euclidean_chart(-1), id="euclidean-chart-negative"),
+    pytest.param(lambda c: euclidean_chart(2.5), id="euclidean-chart-float"),
+    pytest.param(lambda c: ChristoffelField([3.0, 0.0], np.zeros((2, 2))),
+                 id="christoffel-field-shape"),
+    pytest.param(lambda c: GeodesicPath([0.0, 1.0], [3.0, 4.0], [1.0, 1.0]),
+                 id="path-one-dimensional-positions"),
+    pytest.param(lambda c: GeodesicPath(["a", "b"], [[3.0, 0.0]] * 2, [[1.0, 0.0]] * 2),
+                 id="path-text-times"),
 ])
 def test_bad_chart_arguments_are_rejected_before_any_evaluation(call):
     chart, calls = counted_chart("counted", 2, half_width=9.0)

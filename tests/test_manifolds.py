@@ -320,6 +320,8 @@ def test_sampled_curve_validation():
         SampledCurve((p, q), np.array([0.5, 1.5]))
     with pytest.raises(ContractViolationError):
         SampledCurve((p, _point(E3, [0.0, 0.0, 0.0])))
+    with pytest.raises(ContractViolationError):
+        SampledCurve((p, q), ["a", 1.0])
     for params in ([0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.inf]):
         with pytest.raises(ContractViolationError):
             SampledCurve((p, q, _point(E2, [2.0, 0.0])), np.array(params))
@@ -350,13 +352,15 @@ def test_spd_rejects_asymmetric_points_and_tangents():
 
 
 def test_wrong_shape_rejected(manifold):
-    with pytest.raises(ContractViolationError):
-        ManifoldPoint(manifold, np.zeros(7))
+    for coords in (np.zeros(7), [[1.0], [2.0, 3.0]]):
+        with pytest.raises(ContractViolationError):
+            ManifoldPoint(manifold, coords)
 
 
 def test_non_finite_rejected():
-    with pytest.raises(ContractViolationError):
-        _point(E2, [np.nan, 0.0])
+    for coords in ([np.nan, 0.0], "ab"):
+        with pytest.raises(ContractViolationError):
+            ManifoldPoint(E2, coords)
 
 
 def test_coordinates_are_read_only(manifold, rng):
@@ -383,8 +387,9 @@ def test_descriptor_invariants():
     lambda: Chart("flag", True, [0.0], [1.0], lambda x: np.eye(1)),
     lambda: Chart("nan-box", 1, [np.nan], [1.0], lambda x: np.eye(1)),
     lambda: Chart("nan-top", 2, [0.0, 0.0], [1.0, np.nan], lambda x: np.eye(2)),
+    lambda: Chart("text-box", 1, ["a"], [1.0], lambda x: np.eye(1)),
 ], ids=["sphere-bool", "euclidean-bool", "spd-float", "euclidean-zero", "chart-bool",
-        "chart-nan-lower", "chart-nan-upper"])
+        "chart-nan-lower", "chart-nan-upper", "chart-text-lower"])
 def test_sizes_must_be_integers_and_boxes_ordered(build):
     with pytest.raises(ContractViolationError):
         build()

@@ -57,12 +57,18 @@ def _e(i):
 
 
 def test_config_validation():
-    with pytest.raises(ContractViolationError):
-        OptimizerConfig(step_size=0.0)
-    with pytest.raises(ContractViolationError):
-        OptimizerConfig(step_size=0.1, max_iters=0)
-    with pytest.raises(ContractViolationError):
-        OptimizerConfig(step_size=0.1, grad_tol=-1.0)
+    for kwargs in (
+        dict(step_size=0.0),
+        dict(step_size=0.1, max_iters=0),
+        dict(step_size=0.1, grad_tol=-1.0),
+        dict(step_size="a"),
+        dict(step_size=True),
+        dict(step_size=0.1, grad_tol=math.nan),
+        dict(step_size=0.1, max_iters=2.5),
+        dict(step_size=0.1, max_iters=True),
+    ):
+        with pytest.raises(ContractViolationError):
+            OptimizerConfig(**kwargs)
 
 
 def test_trace_columns_have_equal_length_and_csv_schema():
@@ -329,6 +335,8 @@ def test_calibrate_contract_violations():
         calibrate_scale(points, np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(ContractViolationError):
         calibrate_scale(points, np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    with pytest.raises(ContractViolationError):
+        calibrate_scale(points, [[0.0, 1.0], [1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -381,5 +389,6 @@ def test_random_frechet_problem_shapes(manifold, rng):
     assert len(points) == 3
     assert x0 is points[0]
     assert objective.value_fn(x0) >= 0.0
-    with pytest.raises(ContractViolationError):
-        random_frechet_problem(manifold, 0, rng)
+    for bad in (0, 2.5, True):
+        with pytest.raises(ContractViolationError):
+            random_frechet_problem(manifold, bad, rng)

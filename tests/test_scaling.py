@@ -58,10 +58,12 @@ def _on(sm, x):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan"), "abc", None, True, "4"])
 def test_scale_factor_rejects_bad_values(bad):
     with pytest.raises(ContractViolationError):
         ScaleFactor(bad)
+    with pytest.raises(ContractViolationError):
+        ScaledManifold(S2, bad)
 
 
 def test_scale_factor_value():
@@ -135,8 +137,9 @@ def test_volume_scale_factor_examples():
     assert volume_scale_factor(4.0, 3) == pytest.approx(8.0, rel=1e-15)
     assert volume_scale_factor(0.25, 2) == pytest.approx(0.25, rel=1e-15)
     assert volume_scale_factor(ScaleFactor(4.0), 2) == 4.0
-    with pytest.raises(ContractViolationError):
-        volume_scale_factor(4.0, 0)
+    for n in (0, 2.0, True):
+        with pytest.raises(ContractViolationError):
+            volume_scale_factor(4.0, n)
 
 
 @pytest.mark.parametrize("lam, n", [(1e10, 210), (1e-10, 210), (1e300, 3)])
