@@ -43,7 +43,7 @@ from .errors import (
     InvalidChartError,
     PartialPathError,
 )
-from .manifolds import _floats, _require_count, _require_real
+from .manifolds import _floats, _require_count
 from .scaling import ScaleFactor
 
 # Maps a (B, n) batch of coordinate rows to the (B, n, n) stack of
@@ -54,8 +54,8 @@ MetricFunction = Callable[[np.ndarray], np.ndarray]
 # Central differences with this step bottom out around 1e-10 for smooth
 # metrics in double precision, comfortably inside the 1e-6 tolerances
 # used by the invariance checks.
-DEFAULT_FD_STEP = 1e-5
-DEFAULT_STEPS_PER_UNIT_TIME = 1000
+FD_STEP = 1e-5
+DEFAULT_STEPS = 1000
 
 METRIC_SYMMETRY_TOL = 1e-12
 CHRISTOFFEL_SYMMETRY_TOL = 1e-8
@@ -151,14 +151,15 @@ class GeodesicPath:
     def dimension(self) -> int:
         return self.positions.shape[1]
 
-    def to_csv(self) -> str:
-        """Render as CSV with columns ``t, x0.., xdot0..``."""
+    def table(self) -> tuple[list[str], np.ndarray]:
+        """Columns ``t, x0.., xdot0..`` and one row per node."""
         n = self.dimension
         columns = ["t"] + [f"x{i}" for i in range(n)] + [f"xdot{i}" for i in range(n)]
-        rows = (
-            [t, *x, *v] for t, x, v in zip(self.times, self.positions, self.velocities)
-        )
-        return render_csv(columns, rows)
+        return columns, np.hstack((self.times[:, None], self.positions, self.velocities))
+
+    def to_csv(self) -> str:
+        """Render :meth:`table` as CSV."""
+        return render_csv(*self.table())
 
 
 def _as_coords(x, n: int, name: str = "coordinates", finite: bool = False) -> np.ndarray:
@@ -213,10 +214,17 @@ def _validated(charts, X: np.ndarray, G: np.ndarray) -> np.ndarray:
     return G
 
 
+def _outside(box, X: np.ndarray) -> np.ndarray:
+    """Rows of ``X`` outside their row of ``box``, a pair of lower and
+    upper bounds that broadcast against ``X``."""
+    lower, upper = box
+    return ~np.all((X >= lower) & (X <= upper), axis=1)
+
+
 def _metrics_inside(chart: Chart, X: np.ndarray) -> np.ndarray:
     """Validated metrics of ``chart`` at each row of ``X``, from one call
     of its metric function; every row must lie in the chart's box."""
-    outside = ~np.all((X >= chart.lower) & (X <= chart.upper), axis=1)
+    outside = _outside((chart.lower, chart.upper), X)
     if outside.any():
         x = X[np.argmax(outside)]
         raise DomainError(f"{x} is outside the domain of {chart.name}")
@@ -239,24 +247,18 @@ def volume_density(chart: Chart, x) -> float:
     return float(np.sqrt(np.linalg.det(metric_at(chart, x))))
 
 
-def _stencil_box(charts, fd_step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each chart's box shrunk by ``fd_step``, as stacked ``(K, n)``
+def _stencil_box(charts) -> tuple[np.ndarray, np.ndarray]:
+    """Each chart's box shrunk by ``FD_STEP``, as stacked ``(K, n)``
     lower and upper bounds: the points whose difference stencil stays
     inside their box.  One chart's ``(1, n)`` bounds broadcast over any
     number of points."""
     return (
-        np.array([c.lower for c in charts]) + fd_step,
-        np.array([c.upper for c in charts]) - fd_step,
+        np.array([c.lower for c in charts]) + FD_STEP,
+        np.array([c.upper for c in charts]) - FD_STEP,
     )
 
 
-def _outside(box, X: np.ndarray) -> np.ndarray:
-    """Rows of ``X`` outside their row of the stencil ``box``."""
-    lower, upper = box
-    return ~np.all((X >= lower) & (X <= upper), axis=1)
-
-
-def _connection(charts, X: np.ndarray, fd_step: float, box) -> np.ndarray:
+def _connection(charts, X: np.ndarray, box) -> np.ndarray:
     """Connection coefficients ``gamma[a, k, i, j]`` of ``charts[a]`` at
     ``X[a]`` by central finite differences, stacked ``(K, n, n, n)``.
 
@@ -273,17 +275,17 @@ def _connection(charts, X: np.ndarray, fd_step: float, box) -> np.ndarray:
     if outside.any():
         a = int(np.argmax(outside))
         raise DomainError(
-            f"{X[a]} is within {fd_step} of the boundary of {charts[a].name}; "
+            f"{X[a]} is within {FD_STEP} of the boundary of {charts[a].name}; "
             "the difference stencil would leave the domain"
         )
     n = X.shape[1]
     center = X[:, None, :]
-    offsets = fd_step * np.eye(n)
+    offsets = FD_STEP * np.eye(n)
     # G[a] holds the metric at X[a], then at X[a] + h e_l, then at X[a] - h e_l
     G = _evaluate(charts, np.concatenate((center, center + offsets, center - offsets), axis=1))
     ginv = np.linalg.inv(_validated(charts, X, G[:, 0]))
     g_plus, g_minus = G[:, 1 : n + 1], G[:, n + 1 :]
-    dg = (g_plus - g_minus) / (2.0 * fd_step)  # dg[a, l] = d_l g at X[a]
+    dg = (g_plus - g_minus) / (2.0 * FD_STEP)  # dg[a, l] = d_l g at X[a]
     # bracket[a, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     bracket = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     gamma = 0.5 * np.einsum("akl,aijl->akij", ginv, bracket)
@@ -298,47 +300,48 @@ def _connection(charts, X: np.ndarray, fd_step: float, box) -> np.ndarray:
     return gamma
 
 
-def _forcing(charts, X: np.ndarray, V: np.ndarray, fd_step: float, box) -> np.ndarray:
+def _forcing(charts, X: np.ndarray, V: np.ndarray, box) -> np.ndarray:
     """The geodesic equation's acceleration -Gamma^k_ij v^i v^j, row by row."""
-    return -np.einsum("akij,ai,aj->ak", _connection(charts, X, fd_step, box), V, V)
+    return -np.einsum("akij,ai,aj->ak", _connection(charts, X, box), V, V)
 
 
-def christoffel_at(chart: Chart, x, fd_step: float = DEFAULT_FD_STEP) -> ChristoffelField:
+def christoffel_at(chart: Chart, x) -> ChristoffelField:
     """Connection coefficients at ``x`` by central finite differences.
 
-    ``x`` must sit inside the domain by at least ``fd_step`` so the
+    ``x`` must sit inside the domain by at least ``FD_STEP`` so the
     difference stencil stays inside the box.  The center evaluation is
     fully validated; the stencil evaluations trust the chart within
     that neighborhood.
     """
     x = _as_coords(x, chart.dimension)
-    _require_real("fd_step", fd_step)
     charts = (chart,)
-    return ChristoffelField(x, _connection(charts, x[None], fd_step, _stencil_box(charts, fd_step))[0])
+    return ChristoffelField(x, _connection(charts, x[None], _stencil_box(charts))[0])
 
 
-def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, dt: float, steps: int, fd_step: float):
+def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, steps: int):
     """Advance arm ``a`` from ``(X[a], V[a])`` by up to ``steps`` classical
-    RK4 steps of size ``dt``, with one stacked connection call per stage.
+    RK4 steps of size ``1 / steps``, with one stacked connection call per
+    stage.
 
     Returns the times, the stacked ``(k + 1, K, n)`` positions and
     velocities of the ``k`` steps made, and why the run stopped early,
     or ``None`` if it did not: a stage met a ``DomainError`` (a stencil
     left an arm's box, or a metric function raised it), or a step ended
-    within ``fd_step`` of an arm's boundary.  Other errors propagate.
+    within ``FD_STEP`` of an arm's boundary.  Other errors propagate.
     """
-    box = _stencil_box(charts, fd_step)
+    box = _stencil_box(charts)
+    dt = 1.0 / steps
     times, positions, velocities = [0.0], [X], [V]
     stop = None
     for k in range(steps):
         try:
-            k1x, k1v = V, _forcing(charts, X, V, fd_step, box)
+            k1x, k1v = V, _forcing(charts, X, V, box)
             k2x = V + 0.5 * dt * k1v
-            k2v = _forcing(charts, X + 0.5 * dt * k1x, k2x, fd_step, box)
+            k2v = _forcing(charts, X + 0.5 * dt * k1x, k2x, box)
             k3x = V + 0.5 * dt * k2v
-            k3v = _forcing(charts, X + 0.5 * dt * k2x, k3x, fd_step, box)
+            k3v = _forcing(charts, X + 0.5 * dt * k2x, k3x, box)
             k4x = V + dt * k3v
-            k4v = _forcing(charts, X + dt * k3x, k4x, fd_step, box)
+            k4v = _forcing(charts, X + dt * k3x, k4x, box)
         except DomainError as exc:
             stop = f"near t={k * dt:.6g}: {exc}"
             break
@@ -372,15 +375,10 @@ def _start_rows(charts, x, name: str) -> np.ndarray:
 
 
 def geodesic_integrate_many(
-    charts,
-    x0,
-    v0,
-    t_end: float = 1.0,
-    steps: int | None = None,
-    fd_step: float = DEFAULT_FD_STEP,
+    charts, x0, v0, steps: int = DEFAULT_STEPS
 ) -> tuple[GeodesicPath, ...]:
-    """Integrate the geodesic equations of several charts in lockstep,
-    with fixed-step classical RK4.
+    """Integrate the geodesic equations of several charts in lockstep
+    over unit time, with ``steps`` fixed steps of classical RK4.
 
     Arm ``a`` follows ``charts[a]``; the charts must share a dimension.
     ``x0`` and ``v0`` are each either one ``(n,)`` start shared by every
@@ -389,8 +387,7 @@ def geodesic_integrate_many(
     share it) and evaluates the connection of every arm in one stacked
     pass, with the checks and the arithmetic of a run on its own, so
     path ``a`` is bit-identical to
-    ``geodesic_integrate(charts[a], x0[a], v0[a], ...)``.  ``steps``
-    defaults to 1000 per unit time.
+    ``geodesic_integrate(charts[a], x0[a], v0[a], steps)``.
 
     If any arm fails (leaves its domain, or meets an invalid metric or
     another ``GeometryError``), the arms are run again one at a time
@@ -407,15 +404,10 @@ def geodesic_integrate_many(
         raise ContractViolationError("charts integrated together must share a dimension")
     X = _start_rows(charts, x0, "x0")
     V = _start_rows(charts, v0, "v0")
-    _require_real("t_end", t_end)
-    _require_real("fd_step", fd_step)
-    if steps is None:
-        steps = max(1, round(DEFAULT_STEPS_PER_UNIT_TIME * t_end))
-    else:
-        _require_count("steps", steps)
+    _require_count("steps", steps)
 
     try:
-        times, P, W, stop = _rk4_lockstep(charts, X, V, t_end / steps, steps, fd_step)
+        times, P, W, stop = _rk4_lockstep(charts, X, V, steps)
     except GeometryError:
         if len(charts) == 1:
             raise
@@ -425,7 +417,7 @@ def geodesic_integrate_many(
     if len(charts) > 1:
         # Some arm failed: rerun the arms one at a time, as a sequence would.
         return tuple(
-            geodesic_integrate_many((c,), x, v, t_end, steps, fd_step)[0]
+            geodesic_integrate_many((c,), x, v, steps)[0]
             for c, x, v in zip(charts, X, V)
         )
     raise PartialPathError(
@@ -434,26 +426,22 @@ def geodesic_integrate_many(
     )
 
 
-def geodesic_integrate(
-    chart: Chart,
-    x0,
-    v0,
-    t_end: float = 1.0,
-    steps: int | None = None,
-    fd_step: float = DEFAULT_FD_STEP,
-) -> GeodesicPath:
-    """Integrate the geodesic equation with fixed-step classical RK4.
+def geodesic_integrate(chart: Chart, x0, v0, steps: int = DEFAULT_STEPS) -> GeodesicPath:
+    """Integrate the geodesic equation over unit time with ``steps``
+    fixed steps of classical RK4.
 
     The state is (position, velocity) with the velocity forced by the
-    quadratic connection term.  If the trajectory reaches the boundary
-    the valid prefix is attached to the raised ``PartialPathError``.
-    ``steps`` defaults to 1000 per unit time.  This is the one-chart
-    case of ``geodesic_integrate_many``.
+    quadratic connection term.  For a horizon ``T``, integrate from
+    ``T * v0``: node ``s`` of that path is the geodesic at time ``T * s``,
+    with ``T`` times its velocity.  If the trajectory reaches the
+    boundary the valid prefix is attached to the raised
+    ``PartialPathError``.  This is the one-chart case of
+    ``geodesic_integrate_many``.
     """
-    return geodesic_integrate_many((chart,), x0, v0, t_end, steps, fd_step)[0]
+    return geodesic_integrate_many((chart,), x0, v0, steps)[0]
 
 
-def geodesic_residual(chart: Chart, path: GeodesicPath, fd_step: float = DEFAULT_FD_STEP) -> float:
+def geodesic_residual(chart: Chart, path: GeodesicPath) -> float:
     """Largest violation of the discretized geodesic equation at interior nodes.
 
     The acceleration is estimated by central differences of the stored
@@ -467,13 +455,11 @@ def geodesic_residual(chart: Chart, path: GeodesicPath, fd_step: float = DEFAULT
         )
     if not (np.isfinite(times).all() and np.isfinite(pos).all() and np.isfinite(vel).all()):
         raise ContractViolationError("path has non-finite times, positions or velocities")
-    _require_real("fd_step", fd_step)
     if len(times) < 3:
         return 0.0
     interior = pos[1:-1]
     charts = (chart,) * len(interior)
-    box = _stencil_box((chart,), fd_step)
-    forcing = _forcing(charts, interior, vel[1:-1], fd_step, box)
+    forcing = _forcing(charts, interior, vel[1:-1], _stencil_box((chart,)))
     accel = (vel[2:] - vel[:-2]) / (times[2:] - times[:-2])[:, None]
     return float(np.max(np.abs(accel - forcing)))
 

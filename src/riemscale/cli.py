@@ -26,7 +26,7 @@ import numpy as np
 
 from ._render import render_csv, render_json
 from .charts import chart_from_string, geodesic_integrate, scale_chart_constant
-from .errors import DegenerateInputError, GeometryError, PartialPathError
+from .errors import DegenerateInputError, GeometryError
 from .manifolds import _require_count, _require_real, manifold_from_string
 from .optimize import (
     STOP_ERROR,
@@ -242,25 +242,16 @@ def _default_start(chart_name: str, dimension: int):
 def cmd_geodesic(config: RunConfig) -> int:
     chart = chart_from_string(config.chart)
     x0, v0 = _default_start(chart.name, chart.dimension)
-    try:
-        base = geodesic_integrate(chart, x0, v0, t_end=1.0, steps=config.iters)
-        scaled = None
-        if config.lam != 1.0:
-            scaled_chart = scale_chart_constant(chart, config.lam)
-            scaled = geodesic_integrate(scaled_chart, x0, v0, t_end=1.0, steps=config.iters)
-    except PartialPathError as exc:
-        sys.stderr.write(f"{exc}\n")
-        _emit(exc.partial_path.to_csv(), config.out)
-        return 3
-    n = chart.dimension
-    columns = ["t"] + [f"x{i}" for i in range(n)] + [f"xdot{i}" for i in range(n)]
-    parts = [base.times[:, None], base.positions, base.velocities]
+    base = geodesic_integrate(chart, x0, v0, steps=config.iters)
+    columns, table = base.table()
     deviation = 0.0
-    if scaled is not None:
+    if config.lam != 1.0:
+        scaled_chart = scale_chart_constant(chart, config.lam)
+        scaled = geodesic_integrate(scaled_chart, x0, v0, steps=config.iters)
         deviation = float(np.max(np.abs(scaled.positions - base.positions)))
         columns += [f"scaled_{c}" for c in columns[1:]]
-        parts += [scaled.positions, scaled.velocities]
-    rows = np.hstack(parts).tolist()
+        table = np.hstack((table, scaled.positions, scaled.velocities))
+    rows = table.tolist()
     payload = {
         "chart": config.chart,
         "lambda": config.lam,

@@ -30,7 +30,7 @@ import contextlib
 import math
 import numbers
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -56,10 +56,21 @@ _SYGVD = scipy.linalg.get_lapack_funcs("sygvd", dtype=np.float64)
 # methods and chart metric-function outputs go unchecked.
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the type and bit length of an int with more
+    digits than Python converts to text."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            raise
+        return f"{type(value).__name__} of {value.bit_length()} bits"
+
+
 def _require_count(name: str, value) -> None:
     """Reject anything but a non-bool integer >= 1 (sizes, step counts)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ContractViolationError(f"{name} must be an integer >= 1, got {value!r}")
+        raise ContractViolationError(f"{name} must be an integer >= 1, got {_shown(value)}")
 
 
 def _require_real(name: str, value, positive: bool = True) -> float:
@@ -71,7 +82,7 @@ def _require_real(name: str, value, positive: bool = True) -> float:
             x = float(value)
     if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
         sign = "positive" if positive else "nonnegative"
-        raise ContractViolationError(f"{name} must be a finite {sign} real, got {value!r}")
+        raise ContractViolationError(f"{name} must be a finite {sign} real, got {_shown(value)}")
     return x
 
 
@@ -583,38 +594,32 @@ class TangentVector:
         return f"TangentVector(base={self.base!r}, components={self.components!r})"
 
 
+def _require_points(*points) -> None:
+    """Reject any argument that is not a ``ManifoldPoint``."""
+    for pt in points:
+        if not isinstance(pt, ManifoldPoint):
+            raise ContractViolationError(f"expected a ManifoldPoint, got {type(pt).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """An ordered sampling of a curve, with parameters in [0, 1].
+    """An ordered sampling of a curve.
 
     At least two samples are required and all points must live on the
-    same manifold.  When ``parameters`` is omitted a uniform grid is
-    used.
+    same manifold.
     """
 
     points: tuple[ManifoldPoint, ...]
-    parameters: np.ndarray = field(default=None)
 
     def __post_init__(self):
         points = tuple(self.points)
         if len(points) < 2:
             raise ContractViolationError("a sampled curve needs at least 2 points")
+        _require_points(*points)
         m = points[0].manifold
         if any(pt.manifold != m for pt in points[1:]):
             raise ContractViolationError("curve samples live on different manifolds")
-        if self.parameters is None:
-            params = np.linspace(0.0, 1.0, len(points))
-        else:
-            params = _floats(self.parameters, "parameters")
-        if params.shape != (len(points),):
-            raise ContractViolationError("one parameter value per sample is required")
-        # written as the positive condition so that NaN fails it
-        if not (params[0] >= 0.0 and params[-1] <= 1.0 and np.all(np.diff(params) > 0.0)):
-            raise ContractViolationError(
-                "parameters must be strictly increasing within [0, 1]"
-            )
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "parameters", _readonly(params))
 
     @property
     def manifold(self) -> Manifold:
@@ -622,6 +627,7 @@ class SampledCurve:
 
 
 def _require_same_manifold(p: ManifoldPoint, q: ManifoldPoint) -> Manifold:
+    _require_points(p, q)
     if p.manifold != q.manifold:
         raise ContractViolationError(
             f"points live on different manifolds: {p.manifold} vs {q.manifold}"

@@ -28,7 +28,8 @@ from .errors import (
     PartialEquivalenceError,
 )
 from .manifolds import (
-    Manifold, ManifoldPoint, TangentVector, _floats, _require_count, _require_real
+    Manifold, ManifoldPoint, TangentVector, _floats, _require_count, _require_points,
+    _require_real,
 )
 from .scaling import ScaledManifold, ScaleFactor
 
@@ -117,6 +118,7 @@ def riemannian_gd(
     truncates the trace with ``stop_reason == "error"``.
     """
     base = manifold.root if isinstance(manifold, ScaledManifold) else manifold
+    _require_points(x0)
     if x0.manifold != base:
         raise ContractViolationError(f"x0 lives on {x0.manifold}, expected {base}")
 
@@ -154,6 +156,7 @@ def riemannian_gd(
 def _on_one_manifold(points: tuple[ManifoldPoint, ...]) -> tuple[Manifold, np.ndarray]:
     """The manifold shared by a non-empty point set, and the points'
     coordinates stacked along a leading batch axis."""
+    _require_points(*points)
     manifold = points[0].manifold
     if any(pt.manifold != manifold for pt in points[1:]):
         raise ContractViolationError("points live on different manifolds")

@@ -303,7 +303,7 @@ def _run_geodesic_invariance(rng):
         arms += [chart, *(scale_chart_constant(chart, lam) for lam in INVARIANT_LAMBDAS)]
         starts += [GEODESIC_STARTS[chart.name]] * per_chart
     x0, v0 = np.array(starts).transpose(1, 0, 2)
-    paths = geodesic_integrate_many(arms, x0, v0, t_end=1.0, steps=1000)
+    paths = geodesic_integrate_many(arms, x0, v0, steps=1000)
     worst = 0.0
     for i in range(0, len(paths), per_chart):
         base, *scaled = paths[i : i + per_chart]
@@ -353,7 +353,7 @@ def _run_nonconstant_scaling(rng):
 
 def _run_chart_matches_closed_form(rng):
     chart = chart_from_string("sphere-chart")
-    path = geodesic_integrate(chart, (np.pi / 2, 0.0), (0.0, 1.0), t_end=1.0, steps=1000)
+    path = geodesic_integrate(chart, (np.pi / 2, 0.0), (0.0, 1.0), steps=1000)
     sphere = Sphere(2)
     start = spherical_to_ambient(path.positions[0])
     velocity = np.array([0.0, 1.0, 0.0])

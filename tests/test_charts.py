@@ -361,14 +361,6 @@ START = ([3.0, 0.0], [0.5, 0.2])
 
 
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=math.nan), id="t_end-nan"),
-    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=math.inf), id="t_end-inf"),
-    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=math.nan, steps=10),
-                 id="t_end-nan-with-steps"),
-    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=0.0), id="t_end-zero"),
-    pytest.param(lambda c: geodesic_integrate(c, *START, t_end=-1.0), id="t_end-negative"),
-    pytest.param(lambda c: geodesic_integrate(c, *START, fd_step=math.nan), id="fd_step-nan"),
-    pytest.param(lambda c: geodesic_integrate(c, *START, fd_step=0.0), id="fd_step-zero"),
     pytest.param(lambda c: geodesic_integrate(c, [math.nan, 0.0], START[1]), id="x0-nan"),
     pytest.param(lambda c: geodesic_integrate(c, START[0], [math.inf, 0.0]), id="v0-inf"),
     pytest.param(lambda c: geodesic_integrate_many((c, c), [START[0]] * 3, START[1]),
@@ -379,11 +371,6 @@ START = ([3.0, 0.0], [0.5, 0.2])
     pytest.param(lambda c: geodesic_integrate(c, *START, steps=True), id="steps-bool"),
     pytest.param(lambda c: geodesic_integrate(c, *START, steps=2.5), id="steps-float"),
     pytest.param(lambda c: geodesic_integrate(c, *START, steps=0), id="steps-zero"),
-    pytest.param(lambda c: christoffel_at(c, START[0], fd_step=math.nan),
-                 id="christoffel-fd_step-nan"),
-    pytest.param(lambda c: geodesic_residual(c, geodesic_integrate(polar_chart(), *START,
-                                                                    steps=4), fd_step=math.inf),
-                 id="residual-fd_step-inf"),
     pytest.param(lambda c: geodesic_residual(c, geodesic_integrate(euclidean_chart(3), [0.0] * 3,
                                                                     [0.1] * 3, steps=4)),
                  id="residual-dimension-mismatch"),
@@ -458,11 +445,9 @@ def test_connection_is_invariant_under_constant_scaling(rng):
 
 def test_geodesics_are_invariant_under_constant_scaling():
     for chart, x0, v0 in GEODESIC_CASES:
-        base = geodesic_integrate(chart, x0, v0, t_end=1.0, steps=1000)
+        base = geodesic_integrate(chart, x0, v0, steps=1000)
         for lam in INVARIANT_SCALES:
-            scaled = geodesic_integrate(
-                scale_chart_constant(chart, lam), x0, v0, t_end=1.0, steps=1000
-            )
+            scaled = geodesic_integrate(scale_chart_constant(chart, lam), x0, v0, steps=1000)
             assert float(np.max(np.abs(scaled.positions - base.positions))) <= 1e-8
 
 
@@ -568,14 +553,19 @@ def test_chart_curve_length_validation():
 
 
 def test_equator_geodesic_matches_closed_form_sphere():
-    path = geodesic_integrate(sphere_chart(), [math.pi / 2, 0.0], [0.0, 1.0])
+    # speed 2.5 over unit time is the unit-speed geodesic to the horizon 2.5
+    speeds = (1.0, 2.5)
+    paths = geodesic_integrate_many(
+        (sphere_chart(),) * len(speeds), [math.pi / 2, 0.0], [[0.0, s] for s in speeds]
+    )
     sphere = Sphere(2)
-    start = spherical_to_ambient(path.positions[0])
-    velocity = np.array([0.0, 1.0, 0.0])
-    for t, x in zip(path.times[::100], path.positions[::100]):
-        ambient = spherical_to_ambient(x)
-        reference = sphere.exp(start, t * velocity)
-        assert float(np.max(np.abs(ambient - reference))) <= 1e-6
+    for speed, path in zip(speeds, paths):
+        start = spherical_to_ambient(path.positions[0])
+        velocity = np.array([0.0, speed, 0.0])
+        for t, x in zip(path.times[::100], path.positions[::100]):
+            ambient = spherical_to_ambient(x)
+            reference = sphere.exp(start, t * velocity)
+            assert float(np.max(np.abs(ambient - reference))) <= 1e-6
 
 
 def test_chart_from_string():

@@ -153,6 +153,10 @@ def test_log_rejects_manifold_mismatch():
     q = _point(E3, [1.0, 0.0, 0.0])
     with pytest.raises(ContractViolationError):
         log_map(p, q)
+    with pytest.raises(ContractViolationError):
+        log_map(p, q.coordinates)
+    with pytest.raises(ContractViolationError):
+        distance("a", "b")
 
 
 def test_distance_to_self_is_exactly_zero(manifold, rng):
@@ -294,7 +298,7 @@ def test_gradient_spd_example_matches_finite_differences(rng):
 
 def test_curve_length_constant_curve_is_zero(manifold, rng):
     p = random_point(manifold, rng)
-    curve = SampledCurve((p, p, p), np.array([0.0, 0.5, 1.0]))
+    curve = SampledCurve((p, p, p))
     assert curve_length(curve) == 0.0
 
 
@@ -315,16 +319,11 @@ def test_sampled_curve_validation():
     with pytest.raises(ContractViolationError):
         SampledCurve((p,))
     with pytest.raises(ContractViolationError):
-        SampledCurve((p, q), np.array([0.0, 0.0]))
-    with pytest.raises(ContractViolationError):
-        SampledCurve((p, q), np.array([0.5, 1.5]))
-    with pytest.raises(ContractViolationError):
         SampledCurve((p, _point(E3, [0.0, 0.0, 0.0])))
     with pytest.raises(ContractViolationError):
-        SampledCurve((p, q), ["a", 1.0])
-    for params in ([0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.inf]):
-        with pytest.raises(ContractViolationError):
-            SampledCurve((p, q, _point(E2, [2.0, 0.0])), np.array(params))
+        SampledCurve((1, 2))
+    with pytest.raises(ContractViolationError):
+        SampledCurve((p, q.coordinates))
 
 
 # ---------------------------------------------------------------------------

@@ -66,9 +66,12 @@ def test_config_validation():
         dict(step_size=0.1, grad_tol=math.nan),
         dict(step_size=0.1, max_iters=2.5),
         dict(step_size=0.1, max_iters=True),
+        dict(step_size=0.1, max_iters=-10**5000),
     ):
         with pytest.raises(ContractViolationError):
             OptimizerConfig(**kwargs)
+    with pytest.raises(ContractViolationError):
+        riemannian_gd(S2, frechet_objective([_e(0)]), "abc", OptimizerConfig(0.1))
 
 
 def test_trace_columns_have_equal_length_and_csv_schema():
@@ -224,6 +227,10 @@ def test_frechet_objective_validation():
         frechet_objective([])
     with pytest.raises(ContractViolationError):
         frechet_objective([_e(0), ManifoldPoint(E2, np.zeros(2))])
+    with pytest.raises(ContractViolationError):
+        frechet_objective(["a"])
+    with pytest.raises(ContractViolationError):
+        pairwise_distances([_e(0), _e(1).coordinates])
 
 
 # ---------------------------------------------------------------------------
