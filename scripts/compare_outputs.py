@@ -44,10 +44,12 @@ CLI_COMMANDS = [
     ["--command", "frechet", "--manifold", "spd:2", "--eta", "50"],
     ["--command", "frechet", "--manifold", "spd:2", "--eta", "50", "--check-equivalence"],
     ["--command", "frechet", "--manifold", "euclidean:3", "--eta", "5"],
+    ["--command", "frechet", "--manifold", "spd:8", "--points", "12", "--check-equivalence"],
     ["--command", "calibrate"],
     ["--command", "calibrate", "--manifold", "spd:2", "--scale-target", "3", "--seed", "5"],
     ["--command", "calibrate", "--points", "1"],
     ["--command", "calibrate", "--manifold", "spd:8", "--points", "25"],
+    ["--command", "calibrate", "--manifold", "sphere:2", "--points", "60"],
     ["--command", "geodesic"],
     ["--command", "geodesic", "--chart", "polar", "--lambda", "4", "--iters", "1000"],
     ["--command", "geodesic", "--chart", "euclidean:3", "--lambda", "0.25", "--iters", "7"],

@@ -28,8 +28,7 @@ from .errors import (
     PartialEquivalenceError,
 )
 from .manifolds import (
-    Manifold, ManifoldPoint, TangentVector, _floats, _require_count, _require_points,
-    _require_real,
+    Manifold, ManifoldPoint, TangentVector, _floats, _require, _require_count, _require_real,
 )
 from .scaling import ScaledManifold, ScaleFactor
 
@@ -118,7 +117,7 @@ def riemannian_gd(
     truncates the trace with ``stop_reason == "error"``.
     """
     base = manifold.root if isinstance(manifold, ScaledManifold) else manifold
-    _require_points(x0)
+    _require(ManifoldPoint, x0)
     if x0.manifold != base:
         raise ContractViolationError(f"x0 lives on {x0.manifold}, expected {base}")
 
@@ -156,7 +155,7 @@ def riemannian_gd(
 def _on_one_manifold(points: tuple[ManifoldPoint, ...]) -> tuple[Manifold, np.ndarray]:
     """The manifold shared by a non-empty point set, and the points'
     coordinates stacked along a leading batch axis."""
-    _require_points(*points)
+    _require(ManifoldPoint, *points)
     manifold = points[0].manifold
     if any(pt.manifold != manifold for pt in points[1:]):
         raise ContractViolationError("points live on different manifolds")
@@ -215,9 +214,13 @@ def equivalence_check(
     cfg_base = OptimizerConfig(step_size=eta / lam, max_iters=iters, grad_tol=0.0)
     run_scaled = riemannian_gd(scaled, objective, x0, cfg_scaled)
     run_base = riemannian_gd(manifold, objective, x0, cfg_base)
+    common = min(len(run_scaled), len(run_base))
     deviation = 0.0
-    for a, b in zip(run_scaled.iterates, run_base.iterates):
-        deviation = max(deviation, manifold.dist(a.coordinates, b.coordinates))
+    if common:
+        a = np.stack([pt.coordinates for pt in run_scaled.iterates[:common]])
+        b = np.stack([pt.coordinates for pt in run_base.iterates[:common]])
+        # Python's max from 0.0, row by row, as one max call per pair takes it
+        deviation = max(deviation, *manifold.dist(a, b).tolist())
     if STOP_ERROR in (run_scaled.stop_reason, run_base.stop_reason):
         raise PartialEquivalenceError(
             "an arm of the equivalence run failed; deviation over the "

@@ -3,7 +3,7 @@ raises a ``GeometryError`` subclass, whatever the argument's type."""
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from riemscale import (
@@ -11,14 +11,21 @@ from riemscale import (
     GeometryError,
     ManifoldPoint,
     OptimizerConfig,
+    SampledCurve,
     ScaleFactor,
+    TangentVector,
+    curve_length,
     euclidean_chart,
+    exp_map,
+    inner_product,
     metric_at,
+    norm,
     polar_chart,
+    tangent_projection,
     volume_scale_factor,
 )
 
-SETTINGS = settings(derandomize=True, deadline=None, max_examples=300)
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=500)
 
 # Integers stay in [-3, 64], so that no drawn count allocates or integrates
 # anything large.
@@ -48,11 +55,27 @@ CALLS = {
     "euclidean_chart": euclidean_chart,
     "metric_at": lambda v: metric_at(polar_chart(), v),
     "ManifoldPoint": lambda v: ManifoldPoint(Euclidean(2), v),
+    "ManifoldPoint.manifold": lambda v: ManifoldPoint(v, [1.0, 0.0]),
+    # no drawn argument is a point, vector or curve
+    "TangentVector": lambda v: TangentVector(v, [1.0]),
+    "SampledCurve": SampledCurve,
+    "norm": norm,
+    "exp_map": exp_map,
+    "inner_product": lambda v: inner_product(v, v),
+    "tangent_projection": lambda v: tangent_projection(v, [1, 0]),
+    "curve_length": curve_length,
 }
 
 
 @SETTINGS
 @given(st.sampled_from(sorted(CALLS)), ARGUMENTS)
+@example("TangentVector", "a")
+@example("SampledCurve", 5)
+@example("norm", "a")
+@example("exp_map", "a")
+@example("inner_product", "a")
+@example("tangent_projection", "a")
+@example("curve_length", "ab")
 def test_typed_entry_points_return_or_raise_a_geometry_error(name, value):
     try:
         CALLS[name](value)

@@ -1,7 +1,7 @@
-"""The leading batch axis of ``Manifold.log`` and ``Manifold.dist``:
-every row of a batched call is the single call on that row, bit for bit,
-and the batched Fréchet objective and pairwise distances keep the
-values of their per-point loops."""
+"""The leading batch axis of ``Manifold.log`` and ``Manifold.dist`` (on
+``q``, and for ``dist`` on ``p`` too): every row of a batched call is the
+single call on that row, bit for bit, and the batched Fréchet objective
+and pairwise distances keep the values of their per-point loops."""
 
 import math
 
@@ -77,7 +77,8 @@ def _reference_dist(m, p, q):
     if isinstance(m, Sphere):
         c = float(np.clip(np.dot(p, q), -1.0, 1.0))
         return float(np.arctan2(np.linalg.norm(q - c * p), c))
-    w = scipy.linalg.eigh(q, p, eigvals_only=True)
+    linv = np.linalg.inv(np.linalg.cholesky(p))
+    w = np.linalg.eigvalsh(linv @ q @ linv.T)
     return float(np.sqrt(np.sum(np.log(w) ** 2)))
 
 
@@ -100,9 +101,11 @@ def _reference_log(m, p, q):
     half, inv_half = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
     a = inv_half @ q @ inv_half
     w, v = np.linalg.eigh(0.5 * (a + a.T))
-    out = half @ ((v * np.log(w)) @ v.T) @ half
+    f = (v * np.log(w)) @ v.T
+    out = half @ f @ half
     drift = float(np.max(np.abs(out - out.T)))
-    if not drift <= RENORM_TOL:
+    size = float(np.max(np.abs(half))) ** 2 * float(np.max(np.abs(f)))
+    if not drift <= RENORM_TOL * max(size, 1.0):
         raise InternalConsistencyError(f"matrix result drifted {drift:.3e} from symmetry")
     return 0.5 * (out + out.T)
 
@@ -133,6 +136,33 @@ def test_each_batched_row_is_the_single_call_on_that_row(batch):
         assert _outcome(op, p, rows) == expected
         assert _first_failure_or_rows(op, p, rows) == expected
     assert all(type(m.dist(p, q)) is float for q in rows)
+
+
+@SETTINGS
+@given(batches(), st.floats(-3.0, 3.0))
+def test_dist_batches_the_base_point_row_by_row(batch, log_lam):
+    m, p, rows = batch
+    for man in (m, ScaledManifold(m, 10.0**log_lam)):
+        others = rows[::-1]
+        for ps, qs, pairs in (
+            (rows, others, zip(rows, others)),
+            (rows, p, ((a, p) for a in rows)),
+            (p, rows, ((p, b) for b in rows)),
+        ):
+            expected = np.array([man.dist(a, b) for a, b in pairs])
+            assert man.dist(ps, qs).tobytes() == expected.tobytes()
+
+
+@SETTINGS
+@given(st.sampled_from([m for m in MANIFOLDS if isinstance(m, SymmetricPositiveDefinite)]),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 4.0))
+def test_spd_dist_matches_the_generalized_eigenvalue_form(m, seed, log_cond):
+    rng = np.random.default_rng(seed)
+    p, *rows = (_spd(rng, m.side, 10.0 ** rng.uniform(0.0, log_cond)) for _ in range(9))
+    ref = np.array([
+        math.sqrt(np.sum(np.log(scipy.linalg.eigh(q, p, eigvals_only=True)) ** 2)) for q in rows
+    ])
+    assert np.all(np.abs(m.dist(p, np.stack(rows)) - ref) <= 1e-9 * np.maximum(ref, 1.0))
 
 
 def test_stacked_drift_guard_raises_with_the_first_drifted_rows_drift():

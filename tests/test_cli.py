@@ -1,6 +1,10 @@
 """Command-line surface: arguments, outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +279,13 @@ def test_absolute_out_ignores_env_var(tmp_path, monkeypatch):
     target = tmp_path / "direct.json"
     assert run_cli("--command", "scale-table", "--out", str(target)) == 0
     assert target.exists()
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, riemscale.cli; print('scipy.linalg' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr

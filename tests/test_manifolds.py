@@ -121,6 +121,20 @@ def test_exp_spd_overflow_raises_instead_of_returning_nan():
             SPD2.exp(np.eye(2), np.diag([800.0, 1.0]))
 
 
+def test_spd_symmetry_guard_scales_with_an_ill_conditioned_base():
+    # p = A diag(1, c) A^T with c up to 1e8 and q near the identity: the
+    # log's rounding asymmetry grows with c, past any absolute budget
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        a, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        p = (a * [1.0, 10.0 ** rng.uniform(0.0, 8.0)]) @ a.T
+        p = 0.5 * (p + p.T)
+        e = 1e-3 * rng.standard_normal((2, 2))
+        q = np.eye(2) + 0.5 * (e + e.T)
+        v = SPD2.log(p, q)
+        assert np.isfinite(SPD2.exp(p, v)).all()
+
+
 def test_log_at_same_point_is_zero(manifold, rng):
     p = random_point(manifold, rng)
     assert_allclose(log_map(p, p).components, 0.0, atol=0)
