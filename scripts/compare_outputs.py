@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 CLI_COMMANDS = [
     ["--command", "verify", "--seed", "42"],
+    ["--command", "verify", "--seed", "7"],
     ["--command", "scale-table"],
     ["--command", "scale-table", "--manifold", "spd:8", "--lambda", "4"],
     ["--command", "frechet"],

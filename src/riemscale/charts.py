@@ -162,12 +162,12 @@ class GeodesicPath:
         return render_csv(*self.table())
 
 
-def _as_coords(x, n: int, name: str = "coordinates", finite: bool = False) -> np.ndarray:
-    """``x`` as one ``(n,)`` float row, and finite if ``finite`` is set."""
+def _as_coords(x, n: int, name: str = "coordinates") -> np.ndarray:
+    """``x`` as one finite ``(n,)`` float row."""
     out = _floats(x, name)
     if out.shape != (n,):
         raise ContractViolationError(f"{name} have shape {out.shape}, expected ({n},)")
-    if finite and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise ContractViolationError(f"{name} have non-finite entries: {out}")
     return out
 
@@ -235,7 +235,8 @@ def _metrics_inside(chart: Chart, X: np.ndarray) -> np.ndarray:
 def metric_at(chart: Chart, x) -> np.ndarray:
     """Evaluate and validate the metric matrix at ``x``.
 
-    Raises ``DomainError`` outside the box and ``InvalidChartError``
+    Raises ``ContractViolationError`` unless ``x`` is one finite row,
+    ``DomainError`` outside the box and ``InvalidChartError``
     when the metric function does not produce a symmetric
     positive-definite matrix.
     """
@@ -466,7 +467,7 @@ def geodesic_residual(chart: Chart, path: GeodesicPath) -> float:
 
 def coordinate_speed(chart: Chart, x, v) -> float:
     """Metric speed sqrt(v^T g(x) v) of a coordinate velocity."""
-    v = _as_coords(v, chart.dimension, "velocity coordinates", finite=True)
+    v = _as_coords(v, chart.dimension, "velocity coordinates")
     g = metric_at(chart, x)
     return float(np.sqrt(max(v @ g @ v, 0.0)))
 
@@ -486,8 +487,8 @@ def chart_curve_length(chart: Chart, times, points) -> float:
         raise ContractViolationError("one time per sample is required")
     if points.shape[0] < 2:
         raise ContractViolationError("a sampled curve needs at least 2 points")
-    if not np.all(np.isfinite(times)):
-        raise ContractViolationError("times must be finite")
+    if not (np.isfinite(times).all() and np.isfinite(points).all()):
+        raise ContractViolationError("times and points must be finite")
     if not np.all(np.diff(times) > 0.0):
         raise ContractViolationError("times must be strictly increasing")
     edge_order = 2 if points.shape[0] >= 3 else 1

@@ -193,9 +193,6 @@ def cmd_frechet(config: RunConfig) -> int:
 
 
 def cmd_calibrate(config: RunConfig) -> int:
-    if config.n_points < 2:
-        sys.stderr.write("calibrate needs --points >= 2\n")
-        return 2
     manifold = manifold_from_string(config.manifold)
     rng = np.random.default_rng(config.seed)
     points, objective, x0 = random_frechet_problem(manifold, config.n_points, rng)

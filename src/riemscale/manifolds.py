@@ -368,6 +368,8 @@ class Sphere(Manifold):
         theta = float(np.linalg.norm(v))
         if theta == 0.0:
             return p.copy()
+        if not math.isfinite(theta):
+            raise DomainError(f"tangent norm {theta} is not finite")
         out = math.cos(theta) * p + math.sin(theta) * (v / theta)
         return self._renormalize(out)
 

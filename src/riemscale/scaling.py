@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractViolationError, DomainError
-from .manifolds import Manifold, _require_count, _require_real
+from .errors import DomainError
+from .manifolds import Manifold, _require, _require_count, _require_real
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class ScaledManifold(Manifold):
     scale: ScaleFactor
 
     def __post_init__(self):
-        if not isinstance(self.base, Manifold):
-            raise ContractViolationError("base must be a Manifold")
+        _require(Manifold, self.base)
         if not isinstance(self.scale, ScaleFactor):
             object.__setattr__(self, "scale", ScaleFactor(self.scale))
 
@@ -140,12 +139,6 @@ class ScaledManifold(Manifold):
 
     def random_point(self, rng):
         return self.base.random_point(rng)
-
-    def random_tangent(self, p, rng):
-        return self.base.random_tangent(p, rng)
-
-    def zero_tangent(self, p):
-        return self.base.zero_tangent(p)
 
 
 def volume_scale_factor(scale: ScaleFactor | float, n: int) -> float:

@@ -2,8 +2,9 @@
 
 Every claimed law -- the variant quantities with their exact factors,
 the invariance of the geodesic machinery, and the optimizer step-size
-equivalence -- appears here as one named check that measures a worst
-deviation over a seeded sweep and compares it against a pinned
+equivalence -- appears here as one named check.  Its runner sweeps
+seeded cases and yields every deviation it measures; :func:`_worst`
+reduces them to the largest, which is compared against a pinned
 tolerance.  One deliberately inverted check demonstrates that a
 position-dependent factor breaks connection invariance, so its
 criterion is a lower bound instead of an upper bound.
@@ -61,6 +62,7 @@ VARIANT_LAMBDAS = (0.25, 1.0, 4.0, 10.0)
 INVARIANT_LAMBDAS = (0.25, 4.0, 10.0)
 CASES_PER_SWEEP = 100
 DELEGATION_CASES = 25
+MANIFOLDS = tuple(manifold_from_string(spec) for spec in MANIFOLD_SPECS)
 
 # Safe launch states for chart geodesics: trajectories stay well inside
 # each built-in domain over one unit of time.
@@ -77,8 +79,8 @@ def derive_seed(root_seed: int, check_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _rel(value: float, reference: float, floor: float = 1e-300) -> float:
-    return abs(value - reference) / max(abs(reference), floor)
+def _rel(value: float, reference: float) -> float:
+    return abs(value - reference) / max(abs(reference), 1e-300)
 
 
 def _rel_array(value: np.ndarray, reference: np.ndarray) -> float:
@@ -90,6 +92,14 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     a = np.asarray(a)
     b = np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _bit_gaps(pairs):
+    """For each ``(got, ref)`` pair that differs in any bit, the largest
+    entrywise gap, at least 1e-30 so that it fails a zero tolerance."""
+    for got, ref in pairs:
+        if not _same_bits(got, ref):
+            yield max(float(np.max(np.abs(got - ref))), 1e-30)
 
 
 def _angle_between(m: Manifold, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
@@ -105,10 +115,10 @@ def _angle_between(m: Manifold, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> 
     return math.pi - angle if c < 0.0 else angle
 
 
-def _random_curve(m: Manifold, rng: np.random.Generator, samples: int = 4):
-    """A short sampled curve built from successive moderate geodesic steps."""
+def _random_curve(m: Manifold, rng: np.random.Generator):
+    """A four-point sampled curve built from successive moderate geodesic steps."""
     pts = [m.random_point(rng)]
-    for _ in range(samples - 1):
+    for _ in range(3):
         v = m.random_tangent(pts[-1], rng)
         nv = m.norm(pts[-1], v)
         if nv > 0.0:
@@ -123,56 +133,46 @@ def _interior_points(chart, rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Check runners.  Each takes a dedicated random generator and returns the
-# worst deviation it observed.
+# Check runners.  Each takes a dedicated random generator and yields every
+# deviation it measures; :func:`_worst` reduces them to the check's result.
 # ---------------------------------------------------------------------------
 
 
-def _run_variant_norm(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+def _sqrt_law(rng, draw, measure):
+    """Relative deviations of ``measure`` on each scaled manifold from
+    sqrt(lam) times its base value, at ``draw``'s arguments."""
+    for m in MANIFOLDS:
         for _ in range(CASES_PER_SWEEP):
-            p = m.random_point(rng)
-            v = m.random_tangent(p, rng)
-            base = m.norm(p, v)
+            args = draw(m, rng)
+            base = measure(m, *args)
             for lam in VARIANT_LAMBDAS:
-                sm = ScaledManifold(m, lam)
-                worst = max(worst, _rel(sm.norm(p, v), math.sqrt(lam) * base))
-    return worst
+                yield _rel(measure(ScaledManifold(m, lam), *args), math.sqrt(lam) * base)
+
+
+def _point_and_tangent(m, rng):
+    p = m.random_point(rng)
+    return p, m.random_tangent(p, rng)
+
+
+def _run_variant_norm(rng):
+    return _sqrt_law(rng, _point_and_tangent, lambda m, p, v: m.norm(p, v))
 
 
 def _run_variant_distance(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
-        for _ in range(CASES_PER_SWEEP):
-            p = m.random_point(rng)
-            q = m.random_point(rng)
-            base = m.dist(p, q)
-            for lam in VARIANT_LAMBDAS:
-                sm = ScaledManifold(m, lam)
-                worst = max(worst, _rel(sm.dist(p, q), math.sqrt(lam) * base))
-    return worst
+    return _sqrt_law(
+        rng, lambda m, rng: (m.random_point(rng), m.random_point(rng)),
+        lambda m, p, q: m.dist(p, q),
+    )
 
 
 def _run_variant_curve_length(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
-        for _ in range(CASES_PER_SWEEP):
-            pts = _random_curve(m, rng)
-            base = m.curve_length(pts)
-            for lam in VARIANT_LAMBDAS:
-                sm = ScaledManifold(m, lam)
-                worst = max(worst, _rel(sm.curve_length(pts), math.sqrt(lam) * base))
-    return worst
+    return _sqrt_law(
+        rng, lambda m, rng: (_random_curve(m, rng),), lambda m, pts: m.curve_length(pts)
+    )
 
 
 def _run_variant_gradient(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         for _ in range(CASES_PER_SWEEP):
             p = m.random_point(rng)
             ambient = rng.standard_normal(m.ambient_shape)
@@ -180,23 +180,18 @@ def _run_variant_gradient(rng):
             for lam in VARIANT_LAMBDAS:
                 sm = ScaledManifold(m, lam)
                 got = sm.euclidean_to_riemannian_gradient(p, ambient)
-                worst = max(worst, _rel_array(got, base / lam))
-    return worst
+                yield _rel_array(got, base / lam)
 
 
 def _run_variant_volume_factor(rng):
-    worst = 0.0
     for n in range(1, 9):
         for lam in VARIANT_LAMBDAS:
             reference = math.exp(0.5 * n * math.log(lam))
-            worst = max(worst, _rel(volume_scale_factor(lam, n), reference))
-    return worst
+            yield _rel(volume_scale_factor(lam, n), reference)
 
 
 def _run_delegation(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         for _ in range(DELEGATION_CASES):
             p = m.random_point(rng)
             q = m.random_point(rng)
@@ -204,23 +199,17 @@ def _run_delegation(rng):
             w = rng.standard_normal(m.ambient_shape)
             for lam in VARIANT_LAMBDAS:
                 sm = ScaledManifold(m, lam)
-                pairs = (
+                yield from _bit_gaps((
                     (sm.exp(p, v), m.exp(p, v)),
                     (sm.log(p, q), m.log(p, q)),
                     (sm.transport(p, q, v), m.transport(p, q, v)),
                     (sm.to_tangent(p, w), m.to_tangent(p, w)),
-                )
-                for got, ref in pairs:
-                    if not _same_bits(got, ref):
-                        worst = max(worst, float(np.max(np.abs(got - ref))), 1e-30)
-    return worst
+                ))
 
 
 def _run_composition(rng):
-    worst = 0.0
     pairs = ((0.25, 4.0), (4.0, 10.0), (10.0, 0.25))
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         for lam1, lam2 in pairs:
             nested = ScaledManifold(ScaledManifold(m, lam1), lam2)
             flat = ScaledManifold(m, lam1 * lam2)
@@ -229,45 +218,32 @@ def _run_composition(rng):
                 q = m.random_point(rng)
                 v = m.random_tangent(p, rng)
                 ambient = rng.standard_normal(m.ambient_shape)
-                worst = max(worst, _rel(nested.norm(p, v), flat.norm(p, v)))
-                worst = max(worst, _rel(nested.dist(p, q), flat.dist(p, q)))
-                worst = max(
-                    worst,
-                    _rel_array(
-                        nested.euclidean_to_riemannian_gradient(p, ambient),
-                        flat.euclidean_to_riemannian_gradient(p, ambient),
-                    ),
+                yield _rel(nested.norm(p, v), flat.norm(p, v))
+                yield _rel(nested.dist(p, q), flat.dist(p, q))
+                yield _rel_array(
+                    nested.euclidean_to_riemannian_gradient(p, ambient),
+                    flat.euclidean_to_riemannian_gradient(p, ambient),
                 )
-    return worst
 
 
 def _run_unit_scale_identity(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         sm = ScaledManifold(m, 1.0)
         for _ in range(DELEGATION_CASES):
             p = m.random_point(rng)
             q = m.random_point(rng)
             v = m.random_tangent(p, rng)
-            if sm.norm(p, v) != m.norm(p, v):
-                worst = max(worst, abs(sm.norm(p, v) - m.norm(p, v)), 1e-30)
-            if sm.dist(p, q) != m.dist(p, q):
-                worst = max(worst, abs(sm.dist(p, q) - m.dist(p, q)), 1e-30)
-            for got, ref in (
+            yield from _bit_gaps((
+                (sm.norm(p, v), m.norm(p, v)),
+                (sm.dist(p, q), m.dist(p, q)),
                 (sm.rescale_gradient(v), m.rescale_gradient(v)),
                 (sm.exp(p, v), m.exp(p, v)),
                 (sm.log(p, q), m.log(p, q)),
-            ):
-                if not _same_bits(got, ref):
-                    worst = max(worst, float(np.max(np.abs(got - ref))), 1e-30)
-    return worst
+            ))
 
 
 def _run_gradient_direction(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         for _ in range(DELEGATION_CASES):
             p = m.random_point(rng)
             ambient = rng.standard_normal(m.ambient_shape)
@@ -276,14 +252,10 @@ def _run_gradient_direction(rng):
                 continue
             for lam in VARIANT_LAMBDAS:
                 sm = ScaledManifold(m, lam)
-                worst = max(
-                    worst, _angle_between(m, p, sm.rescale_gradient(grad), grad)
-                )
-    return worst
+                yield _angle_between(m, p, sm.rescale_gradient(grad), grad)
 
 
 def _run_connection_invariance(rng):
-    worst = 0.0
     for chart in builtin_charts():
         points = _interior_points(chart, rng, 20)
         for lam in INVARIANT_LAMBDAS:
@@ -291,8 +263,7 @@ def _run_connection_invariance(rng):
             for x in points:
                 base = christoffel_at(chart, x).symbols
                 got = christoffel_at(scaled, x).symbols
-                worst = max(worst, float(np.max(np.abs(got - base))))
-    return worst
+                yield float(np.max(np.abs(got - base)))
 
 
 def _run_geodesic_invariance(rng):
@@ -304,16 +275,13 @@ def _run_geodesic_invariance(rng):
         starts += [GEODESIC_STARTS[chart.name]] * per_chart
     x0, v0 = np.array(starts).transpose(1, 0, 2)
     paths = geodesic_integrate_many(arms, x0, v0, steps=1000)
-    worst = 0.0
     for i in range(0, len(paths), per_chart):
         base, *scaled = paths[i : i + per_chart]
         for path in scaled:
-            worst = max(worst, float(np.max(np.abs(path.positions - base.positions))))
-    return worst
+            yield float(np.max(np.abs(path.positions - base.positions)))
 
 
 def _run_volume_law(rng):
-    worst = 0.0
     for chart in builtin_charts():
         points = _interior_points(chart, rng, 20)
         n = chart.dimension
@@ -322,12 +290,10 @@ def _run_volume_law(rng):
             factor = volume_scale_factor(lam, n)
             for x in points:
                 ratio = volume_density(scaled, x) / volume_density(chart, x)
-                worst = max(worst, _rel(ratio, factor))
-    return worst
+                yield _rel(ratio, factor)
 
 
 def _run_length_law(rng):
-    worst = 0.0
     times = np.linspace(0.0, 1.0, 101)
     for chart in builtin_charts():
         for _ in range(3):
@@ -337,8 +303,7 @@ def _run_length_law(rng):
             for lam in VARIANT_LAMBDAS:
                 scaled = scale_chart_constant(chart, lam)
                 got = chart_curve_length(scaled, times, points)
-                worst = max(worst, _rel(got, math.sqrt(lam) * base))
-    return worst
+                yield _rel(got, math.sqrt(lam) * base)
 
 
 def _run_nonconstant_scaling(rng):
@@ -348,7 +313,7 @@ def _run_nonconstant_scaling(rng):
     origin = np.zeros(2)
     base = christoffel_at(chart, origin).symbols
     got = christoffel_at(scaled, origin).symbols
-    return float(np.max(np.abs(got - base)))
+    yield float(np.max(np.abs(got - base)))
 
 
 def _run_chart_matches_closed_form(rng):
@@ -357,18 +322,14 @@ def _run_chart_matches_closed_form(rng):
     sphere = Sphere(2)
     start = spherical_to_ambient(path.positions[0])
     velocity = np.array([0.0, 1.0, 0.0])
-    worst = 0.0
     for t, x in zip(path.times, path.positions):
         ambient = spherical_to_ambient(x)
         reference = sphere.exp(start, t * velocity)
-        worst = max(worst, float(np.max(np.abs(ambient - reference))))
-    return worst
+        yield float(np.max(np.abs(ambient - reference)))
 
 
 def _run_update_rule_identity(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         for _ in range(DELEGATION_CASES):
             p = m.random_point(rng)
             ambient = rng.standard_normal(m.ambient_shape)
@@ -378,26 +339,18 @@ def _run_update_rule_identity(rng):
                 for eta in (0.1, 0.5):
                     step_scaled = -eta * sm.rescale_gradient(grad)
                     step_base = -(eta / lam) * grad
-                    worst = max(worst, _rel_array(step_scaled, step_base))
-    return worst
+                    yield _rel_array(step_scaled, step_base)
 
 
 def _run_trajectory_equivalence(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         _, objective, x0 = random_frechet_problem(m, 4, rng)
         for lam in INVARIANT_LAMBDAS:
-            worst = max(
-                worst, equivalence_check(m, objective, x0, eta=0.1, lam=lam, iters=200)
-            )
-    return worst
+            yield equivalence_check(m, objective, x0, eta=0.1, lam=lam, iters=200)
 
 
 def _run_iterate_gradient_direction(rng):
-    worst = 0.0
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         _, objective, x0 = random_frechet_problem(m, 4, rng)
         sm = ScaledManifold(m, 4.0)
         config = OptimizerConfig(step_size=0.1, max_iters=50, grad_tol=0.0)
@@ -407,17 +360,12 @@ def _run_iterate_gradient_direction(rng):
             if m.norm(point.coordinates, grad) < 1e-12:
                 continue
             scaled_grad = sm.rescale_gradient(grad)
-            worst = max(
-                worst, _angle_between(m, point.coordinates, scaled_grad, grad)
-            )
-    return worst
+            yield _angle_between(m, point.coordinates, scaled_grad, grad)
 
 
 def _run_frechet_gradient(rng):
-    worst = 0.0
     h = 1e-5
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    for m in MANIFOLDS:
         _, objective, _ = random_frechet_problem(m, 4, rng)
         for _ in range(10):
             x = ManifoldPoint(m, m.random_point(rng))
@@ -432,14 +380,12 @@ def _run_frechet_gradient(rng):
             grad = objective.gradient_fn(x).components
             ip = m.inner(x.coordinates, grad, v)
             denom = max(abs(ip), 1e-3 * m.norm(x.coordinates, grad), 1e-12)
-            worst = max(worst, abs(fd - ip) / denom)
-    return worst
+            yield abs(fd - ip) / denom
 
 
 def _run_calibration_optimality(rng):
-    worst = -np.inf
-    for spec in MANIFOLD_SPECS:
-        m = manifold_from_string(spec)
+    # the fitted loss minus the loss 0.1% to either side: positive if not optimal
+    for m in MANIFOLDS:
         for _ in range(5):
             points, _, _ = random_frechet_problem(m, 4, rng)
             base = pairwise_distances(points)
@@ -449,17 +395,17 @@ def _run_calibration_optimality(rng):
             scale, best = calibrate_scale(points, targets)
             iu = np.triu_indices(len(points), k=1)
             d, t = base[iu], targets[iu]
+            for step in (1.0 + 1e-3, 1.0 - 1e-3):
+                yield best - float(np.sum((math.sqrt(scale.value * step) * d - t) ** 2))
 
-            def loss(lam):
-                return float(np.sum((math.sqrt(lam) * d - t) ** 2))
 
-            lam_star = scale.value
-            worst = max(
-                worst,
-                best - loss(lam_star * (1.0 + 1e-3)),
-                best - loss(lam_star * (1.0 - 1e-3)),
-            )
-    return float(worst)
+def _worst(runner):
+    """A check's ``run``: the largest deviation ``runner`` yields, or 0
+    if it yields none."""
+    def run(rng):
+        return max(runner(rng), default=0.0)
+
+    return run
 
 
 @dataclass(frozen=True)
@@ -478,47 +424,49 @@ _ALL_CHARTS = "euclidean:2|polar|sphere-chart"
 _VARIANT_LAMS = "|".join(f"{v:g}" for v in VARIANT_LAMBDAS)
 _INVARIANT_LAMS = "|".join(f"{v:g}" for v in INVARIANT_LAMBDAS)
 
-PROPERTY_CHECKS: tuple[PropertyCheck, ...] = (
-    PropertyCheck("variant.norm", "variant", _ALL_MANIFOLDS, _VARIANT_LAMS,
-                  1e-12, "<=", _run_variant_norm),
-    PropertyCheck("variant.distance", "variant", _ALL_MANIFOLDS, _VARIANT_LAMS,
-                  1e-12, "<=", _run_variant_distance),
-    PropertyCheck("variant.curve-length", "variant", _ALL_MANIFOLDS, _VARIANT_LAMS,
-                  1e-12, "<=", _run_variant_curve_length),
-    PropertyCheck("variant.gradient", "variant", _ALL_MANIFOLDS, _VARIANT_LAMS,
-                  1e-12, "<=", _run_variant_gradient),
-    PropertyCheck("variant.volume-factor", "variant", "n=1..8", _VARIANT_LAMS,
-                  1e-14, "<=", _run_variant_volume_factor),
-    PropertyCheck("invariant.delegation", "invariant", _ALL_MANIFOLDS, _VARIANT_LAMS,
-                  0.0, "<=", _run_delegation),
-    PropertyCheck("invariant.composition", "invariant", _ALL_MANIFOLDS,
-                  "0.25*4|4*10|10*0.25", 1e-12, "<=", _run_composition),
-    PropertyCheck("invariant.unit-scale-identity", "invariant", _ALL_MANIFOLDS, "1",
-                  0.0, "<=", _run_unit_scale_identity),
-    PropertyCheck("invariant.gradient-direction", "invariant", _ALL_MANIFOLDS,
-                  _VARIANT_LAMS, 1e-12, "<=", _run_gradient_direction),
-    PropertyCheck("chart.connection-invariance", "chart", _ALL_CHARTS, _INVARIANT_LAMS,
-                  1e-6, "<=", _run_connection_invariance),
-    PropertyCheck("chart.geodesic-invariance", "chart", _ALL_CHARTS, _INVARIANT_LAMS,
-                  1e-8, "<=", _run_geodesic_invariance),
-    PropertyCheck("chart.volume-law", "chart", _ALL_CHARTS, _VARIANT_LAMS,
-                  1e-10, "<=", _run_volume_law),
-    PropertyCheck("chart.length-law", "chart", _ALL_CHARTS, _VARIANT_LAMS,
-                  1e-10, "<=", _run_length_law),
-    PropertyCheck("chart.nonconstant-scaling-breaks-connection", "negative-check",
-                  "euclidean:2", "exp(2*x0)", 0.5, ">=", _run_nonconstant_scaling),
-    PropertyCheck("chart.matches-closed-form-geodesic", "cross-check",
-                  "sphere-chart", "1", 1e-6, "<=", _run_chart_matches_closed_form),
-    PropertyCheck("optimizer.update-rule-identity", "optimizer", _ALL_MANIFOLDS,
-                  _VARIANT_LAMS, 1e-14, "<=", _run_update_rule_identity),
-    PropertyCheck("optimizer.trajectory-equivalence", "optimizer", _ALL_MANIFOLDS,
-                  _INVARIANT_LAMS, 1e-8, "<=", _run_trajectory_equivalence),
-    PropertyCheck("optimizer.iterate-gradient-direction", "optimizer", _ALL_MANIFOLDS,
-                  "4", 1e-12, "<=", _run_iterate_gradient_direction),
-    PropertyCheck("optimizer.frechet-gradient", "optimizer", _ALL_MANIFOLDS, "1",
-                  1e-5, "<=", _run_frechet_gradient),
-    PropertyCheck("optimizer.calibration-optimality", "optimizer", _ALL_MANIFOLDS,
-                  "fitted", 0.0, "<=", _run_calibration_optimality),
+PROPERTY_CHECKS: tuple[PropertyCheck, ...] = tuple(
+    PropertyCheck(*fields, run=_worst(runner)) for *fields, runner in (
+        ("variant.norm", "variant", _ALL_MANIFOLDS, _VARIANT_LAMS,
+         1e-12, "<=", _run_variant_norm),
+        ("variant.distance", "variant", _ALL_MANIFOLDS, _VARIANT_LAMS,
+         1e-12, "<=", _run_variant_distance),
+        ("variant.curve-length", "variant", _ALL_MANIFOLDS, _VARIANT_LAMS,
+         1e-12, "<=", _run_variant_curve_length),
+        ("variant.gradient", "variant", _ALL_MANIFOLDS, _VARIANT_LAMS,
+         1e-12, "<=", _run_variant_gradient),
+        ("variant.volume-factor", "variant", "n=1..8", _VARIANT_LAMS,
+         1e-14, "<=", _run_variant_volume_factor),
+        ("invariant.delegation", "invariant", _ALL_MANIFOLDS, _VARIANT_LAMS,
+         0.0, "<=", _run_delegation),
+        ("invariant.composition", "invariant", _ALL_MANIFOLDS,
+         "0.25*4|4*10|10*0.25", 1e-12, "<=", _run_composition),
+        ("invariant.unit-scale-identity", "invariant", _ALL_MANIFOLDS, "1",
+         0.0, "<=", _run_unit_scale_identity),
+        ("invariant.gradient-direction", "invariant", _ALL_MANIFOLDS,
+         _VARIANT_LAMS, 1e-12, "<=", _run_gradient_direction),
+        ("chart.connection-invariance", "chart", _ALL_CHARTS, _INVARIANT_LAMS,
+         1e-6, "<=", _run_connection_invariance),
+        ("chart.geodesic-invariance", "chart", _ALL_CHARTS, _INVARIANT_LAMS,
+         1e-8, "<=", _run_geodesic_invariance),
+        ("chart.volume-law", "chart", _ALL_CHARTS, _VARIANT_LAMS,
+         1e-10, "<=", _run_volume_law),
+        ("chart.length-law", "chart", _ALL_CHARTS, _VARIANT_LAMS,
+         1e-10, "<=", _run_length_law),
+        ("chart.nonconstant-scaling-breaks-connection", "negative-check",
+         "euclidean:2", "exp(2*x0)", 0.5, ">=", _run_nonconstant_scaling),
+        ("chart.matches-closed-form-geodesic", "cross-check",
+         "sphere-chart", "1", 1e-6, "<=", _run_chart_matches_closed_form),
+        ("optimizer.update-rule-identity", "optimizer", _ALL_MANIFOLDS,
+         _VARIANT_LAMS, 1e-14, "<=", _run_update_rule_identity),
+        ("optimizer.trajectory-equivalence", "optimizer", _ALL_MANIFOLDS,
+         _INVARIANT_LAMS, 1e-8, "<=", _run_trajectory_equivalence),
+        ("optimizer.iterate-gradient-direction", "optimizer", _ALL_MANIFOLDS,
+         "4", 1e-12, "<=", _run_iterate_gradient_direction),
+        ("optimizer.frechet-gradient", "optimizer", _ALL_MANIFOLDS, "1",
+         1e-5, "<=", _run_frechet_gradient),
+        ("optimizer.calibration-optimality", "optimizer", _ALL_MANIFOLDS,
+         "fitted", 0.0, "<=", _run_calibration_optimality),
+    )
 )
 
 EXPECTED_PROPERTY_COUNT = 20

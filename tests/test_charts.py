@@ -378,13 +378,18 @@ START = ([3.0, 0.0], [0.5, 0.2])
                                                              [[math.nan, 0.0]] * 3)),
                  id="residual-nan-velocities"),
     pytest.param(lambda c: metric_at(c, "ab"), id="metric-text-point"),
+    pytest.param(lambda c: metric_at(c, [math.nan, 0.0]), id="metric-nan-point"),
+    pytest.param(lambda c: christoffel_at(c, [3.0, math.inf]), id="christoffel-inf-point"),
     pytest.param(lambda c: geodesic_integrate(c, [[3.0, 0.0], [3.0]], START[1]), id="x0-ragged"),
     pytest.param(lambda c: coordinate_speed(c, START[0], ["x", 1.0]), id="speed-text-velocity"),
     pytest.param(lambda c: chart_curve_length(c, [0.0, 1.0], [[3.0, 0.0], [4.0]]),
                  id="curve-ragged-points"),
     pytest.param(lambda c: chart_curve_length(c, ["a", "b"], [[3.0, 0.0], [4.0, 0.0]]),
                  id="curve-text-times"),
+    pytest.param(lambda c: chart_curve_length(c, [0.0, 1.0], [[3.0, 0.0], [math.nan, 0.0]]),
+                 id="curve-nan-points"),
     pytest.param(lambda c: spherical_to_ambient([1.0, 2.0, 3.0]), id="spherical-three-coords"),
+    pytest.param(lambda c: spherical_to_ambient([math.nan, 0.0]), id="spherical-nan-coords"),
     pytest.param(lambda c: euclidean_chart(-1), id="euclidean-chart-negative"),
     pytest.param(lambda c: euclidean_chart(2.5), id="euclidean-chart-float"),
     pytest.param(lambda c: ChristoffelField([3.0, 0.0], np.zeros((2, 2))),

@@ -121,6 +121,17 @@ def test_exp_spd_overflow_raises_instead_of_returning_nan():
             SPD2.exp(np.eye(2), np.diag([800.0, 1.0]))
 
 
+def test_exp_sphere_overflow_raises_instead_of_a_math_error():
+    # the tangent norm overflows to inf, where cos and sin are undefined
+    e0 = np.array([1.0, 0.0, 0.0])
+    v = np.array([0.0, 1e300, 0.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="not finite"):
+            S2.exp(e0, v)
+        with pytest.raises(DomainError, match="not finite"):
+            exp_map(TangentVector(_point(S2, e0), v))
+
+
 def test_spd_symmetry_guard_scales_with_an_ill_conditioned_base():
     # p = A diag(1, c) A^T with c up to 1e8 and q near the identity: the
     # log's rounding asymmetry grows with c, past any absolute budget
