@@ -55,6 +55,7 @@ CLI_COMMANDS = [
     ["--command", "geodesic", "--chart", "polar", "--lambda", "4", "--iters", "1000"],
     ["--command", "geodesic", "--chart", "euclidean:3", "--lambda", "0.25", "--iters", "7"],
     ["--command", "geodesic", "--chart", "sphere-chart", "--lambda", "10", "--iters", "1"],
+    ["--command", "geodesic", "--chart", "sphere-chart", "--lambda", "0.25", "--iters", "1000"],
     # argument errors: usage message on stderr, exit status 2
     ["--command", "scale-table", "--lambda", "nan"],
     ["--command", "frechet", "--iters", "0"],

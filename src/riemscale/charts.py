@@ -17,18 +17,21 @@ each row of a batch of points.  A single point is the batch of one.
 
 Geodesics of several charts, typically base charts and their rescaled
 versions, each arm from a shared or its own start state, are integrated
-in lockstep by ``geodesic_integrate_many``: each RK4 stage makes one
-metric call per arm, covering its center point and its 2n difference
-stencil points, and computes the connection of every arm in one stacked
-pass (one matrix inverse, bracket and contraction for all arms), with
-every check of a single-point call kept per arm.  A single chart is the
-one-arm case of the same engine, and every path is bit-identical to a
-run of its chart on its own.
+in lockstep by ``geodesic_integrate_many``.  Each RK4 stage makes one
+metric call per distinct base metric function, covering the center
+point and the 2n difference stencil points of every arm on that base; a
+constant-scaled arm (``scale_chart_constant``) reuses its base's values
+times its factors.  The connection of every arm is computed in one
+stacked pass (one matrix inverse, bracket and contraction for all
+arms), with every check of a single-point call kept per arm.  A single
+chart is the one-arm case of the same engine, and every path is
+bit-identical to a run of its chart on its own.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -172,64 +175,135 @@ def _as_coords(x, n: int, name: str = "coordinates") -> np.ndarray:
     return out
 
 
-def _evaluate(charts, P: np.ndarray) -> np.ndarray:
-    """Metric matrices of ``charts[a]`` at every point of ``P[a]``,
+class _ConstantScale:
+    """The metric function of a constant-scaled chart: ``lam`` times the
+    values of ``base``.  ``_plan`` looks through it, so arms on one base
+    share that base's call."""
+
+    __slots__ = ("base", "lam")
+
+    def __init__(self, base: MetricFunction, lam: float):
+        self.base = base
+        self.lam = lam
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return self.lam * np.asarray(self.base(X), dtype=float)
+
+
+def _plan(charts) -> tuple:
+    """The metric calls for arms ``charts``: one ``(chart, fn, arms,
+    layers)`` group per distinct innermost metric function ``fn`` under
+    the constant factors of ``_ConstantScale``, in order of first use.
+
+    ``chart`` is the group's first arm, which names its errors; ``arms``
+    selects the group's arms (a slice when they are adjacent, and every
+    arm when there is one group, so one chart's plan serves any number
+    of arms of it); ``layers`` are the factors that multiply the base
+    values, innermost first: scalars when every arm of the group has
+    the same factors, else one ``(k, 1, 1, 1)`` column per layer, padded
+    with the exact factor 1.
+    """
+    groups: dict[int, tuple] = {}
+    for a, chart in enumerate(charts):
+        fn, chain = chart.metric_fn, ()
+        while isinstance(fn, _ConstantScale):
+            fn, chain = fn.base, (fn.lam, *chain)
+        _, _, arms, chains = groups.setdefault(id(fn), (chart, fn, [], []))
+        arms.append(a)
+        chains.append(chain)
+    plan = []
+    for chart, fn, arms, chains in groups.values():
+        if len(groups) == 1:
+            index = slice(None)
+        elif arms[-1] - arms[0] == len(arms) - 1:
+            index = slice(arms[0], arms[-1] + 1)
+        else:
+            index = np.array(arms)
+        if len(set(chains)) == 1:
+            layers = chains[0]
+        else:
+            depth = max(map(len, chains))
+            padded = np.array([c + (1.0,) * (depth - len(c)) for c in chains])
+            layers = tuple(padded[:, d, None, None, None] for d in range(depth))
+        plan.append((chart, fn, index, layers))
+    return tuple(plan)
+
+
+def _evaluate(plan, P: np.ndarray) -> np.ndarray:
+    """Metric matrices of each arm at every point of its row of ``P``,
     stacked ``(K, m, n, n)`` from ``(K, m, n)`` points.
 
-    Consecutive blocks of one chart share one call of its metric
-    function, so a single chart is a single call.  A result of the wrong
-    shape raises ``InvalidChartError`` naming the chart.
+    Each group of ``plan`` (from ``_plan``) makes one call of its base
+    metric function over the rows of all its arms and multiplies each
+    arm's block by its factors, innermost first.  Row ``b`` of a metric
+    function's result depends only on row ``b`` of its input, so every
+    arm gets the bits a call on its own rows gives.  A result of the
+    wrong shape raises ``InvalidChartError`` naming the group's chart.
     """
     K, m, n = P.shape
-    points = P.reshape(K * m, n)
-    parts, start = [], 0
-    for chart, run in itertools.groupby(charts):
-        stop = start + m * len(tuple(run))
-        rows, start = points[start:stop], stop
-        g = np.asarray(chart.metric_fn(rows), dtype=float)
+    out = np.empty((K, m, n, n)) if len(plan) > 1 else None
+    for chart, fn, arms, layers in plan:
+        rows = P[arms].reshape(-1, n)
+        g = np.asarray(fn(rows), dtype=float)
         if g.shape != (len(rows), n, n):
             raise InvalidChartError(
                 f"metric of {chart.name} on {len(rows)} points has shape {g.shape}, "
                 f"expected {(len(rows), n, n)}"
             )
-        parts.append(g)
-    return np.concatenate(parts).reshape(K, m, n, n)
+        g = g.reshape(-1, m, n, n)
+        for factor in layers:
+            g = factor * g
+        if out is None:
+            return g  # the one group covers every arm
+        out[arms] = g
+    return out
 
 
 def _validated(charts, X: np.ndarray, G: np.ndarray) -> np.ndarray:
     """``G``, the stacked metrics of ``charts[a]`` at ``X[a]``, once each
     check (finiteness, symmetry, positive definiteness) has run over all
     rows in turn; the first row that fails one raises
-    ``InvalidChartError`` naming its chart and point."""
+    ``InvalidChartError`` naming its chart and point.
 
-    def reject(bad: np.ndarray, what: str) -> None:
-        if bad.any():
-            a = int(np.argmax(bad))
+    Positive definiteness is one stacked Cholesky factorization; only
+    when it fails are the eigenvalues computed, to name the first row
+    with one ``<= 0``."""
+
+    def reject(ok: np.ndarray, what: str) -> None:
+        a = _first_failed(ok)
+        if a is not None:
             raise InvalidChartError(f"metric of {charts[a].name} at {X[a]} {what}")
 
-    reject(~np.isfinite(G).all(axis=(1, 2)), "has non-finite entries")
+    reject(np.isfinite(G).all(axis=(1, 2)), "has non-finite entries")
     asym = np.abs(G - G.transpose(0, 2, 1)).max(axis=(1, 2))
-    reject(asym > METRIC_SYMMETRY_TOL, "is not symmetric")
-    reject(np.linalg.eigvalsh(G)[:, 0] <= 0.0, "is not positive definite")
+    reject(asym <= METRIC_SYMMETRY_TOL, "is not symmetric")
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        reject(np.linalg.eigvalsh(G)[:, 0] > 0.0, "is not positive definite")
     return G
 
 
-def _outside(box, X: np.ndarray) -> np.ndarray:
-    """Rows of ``X`` outside their row of ``box``, a pair of lower and
-    upper bounds that broadcast against ``X``."""
+def _first_failed(ok: np.ndarray) -> int | None:
+    """The index of the first false entry of ``ok``, or ``None``."""
+    a = int(ok.argmin())
+    return None if ok[a] else a
+
+
+def _inside(box, X: np.ndarray) -> np.ndarray:
+    """Whether each row of ``X`` lies in its row of ``box``, a pair of
+    lower and upper bounds that broadcast against ``X``."""
     lower, upper = box
-    return ~np.all((X >= lower) & (X <= upper), axis=1)
+    return ((X >= lower) & (X <= upper)).all(axis=1)
 
 
 def _metrics_inside(chart: Chart, X: np.ndarray) -> np.ndarray:
     """Validated metrics of ``chart`` at each row of ``X``, from one call
     of its metric function; every row must lie in the chart's box."""
-    outside = _outside((chart.lower, chart.upper), X)
-    if outside.any():
-        x = X[np.argmax(outside)]
-        raise DomainError(f"{x} is outside the domain of {chart.name}")
-    charts = (chart,) * len(X)
-    return _validated(charts, X, _evaluate(charts, X[:, None])[:, 0])
+    a = _first_failed(_inside((chart.lower, chart.upper), X))
+    if a is not None:
+        raise DomainError(f"{X[a]} is outside the domain of {chart.name}")
+    return _validated((chart,) * len(X), X, _evaluate(_plan((chart,)), X[None])[0])
 
 
 def metric_at(chart: Chart, x) -> np.ndarray:
@@ -243,9 +317,23 @@ def metric_at(chart: Chart, x) -> np.ndarray:
     return _metrics_inside(chart, _as_coords(x, chart.dimension)[None])[0]
 
 
+def _finite(value, what: str, *args) -> float:
+    """``value`` as a float; ``DomainError`` if it is not finite, as when
+    the arithmetic that gave it overflowed.  The message is ``what``
+    formatted with ``args``, only when it is raised."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{what.format(*args)} is {value}, not finite")
+    return value
+
+
 def volume_density(chart: Chart, x) -> float:
-    """Volume density sqrt(det g) at ``x``."""
-    return float(np.sqrt(np.linalg.det(metric_at(chart, x))))
+    """Volume density sqrt(det g) at ``x``; ``DomainError`` if it
+    overflows."""
+    g = metric_at(chart, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = np.sqrt(np.linalg.det(g))
+    return _finite(density, "volume density of {} at {}", chart.name, x)
 
 
 def _stencil_box(charts) -> tuple[np.ndarray, np.ndarray]:
@@ -259,12 +347,26 @@ def _stencil_box(charts) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _connection(charts, X: np.ndarray, box) -> np.ndarray:
+@functools.cache
+def _stencil_offsets(n: int) -> np.ndarray:
+    """The ``(2n + 1, n)`` offsets of a point's center and its 2n
+    difference stencil points: ``-0.0`` (adding it leaves every
+    coordinate's bits, a zero's sign included), then ``+h e_l``, then
+    ``-h e_l``."""
+    step = FD_STEP * np.eye(n)
+    offsets = np.concatenate((np.full((1, n), -0.0), step, -step))
+    offsets.setflags(write=False)
+    return offsets
+
+
+def _connection(charts, plan, box, X: np.ndarray) -> np.ndarray:
     """Connection coefficients ``gamma[a, k, i, j]`` of ``charts[a]`` at
     ``X[a]`` by central finite differences, stacked ``(K, n, n, n)``.
 
-    Each row's center and its 2n stencil points are evaluated together,
-    one metric call per run of rows on one chart (``_evaluate``).  Every
+    Each row's center and its 2n stencil points are evaluated together
+    by ``_evaluate``: one call per distinct base metric function of
+    ``plan`` (from ``_plan``) over the rows of every arm on it, with a
+    constant-scaled arm's block multiplied by its factors.  Every
     row gets the checks of a single-point call: its stencil must stay
     inside its row of ``box`` (from ``_stencil_box``; a ``DomainError``
     names the first row that does not), its center metric is validated
@@ -272,18 +374,15 @@ def _connection(charts, X: np.ndarray, box) -> np.ndarray:
     lower index pair.  The stencil evaluations trust the chart within
     that neighborhood.
     """
-    outside = _outside(box, X)
-    if outside.any():
-        a = int(np.argmax(outside))
+    a = _first_failed(_inside(box, X))
+    if a is not None:
         raise DomainError(
             f"{X[a]} is within {FD_STEP} of the boundary of {charts[a].name}; "
             "the difference stencil would leave the domain"
         )
     n = X.shape[1]
-    center = X[:, None, :]
-    offsets = FD_STEP * np.eye(n)
     # G[a] holds the metric at X[a], then at X[a] + h e_l, then at X[a] - h e_l
-    G = _evaluate(charts, np.concatenate((center, center + offsets, center - offsets), axis=1))
+    G = _evaluate(plan, X[:, None, :] + _stencil_offsets(n))
     ginv = np.linalg.inv(_validated(charts, X, G[:, 0]))
     g_plus, g_minus = G[:, 1 : n + 1], G[:, n + 1 :]
     dg = (g_plus - g_minus) / (2.0 * FD_STEP)  # dg[a, l] = d_l g at X[a]
@@ -291,9 +390,8 @@ def _connection(charts, X: np.ndarray, box) -> np.ndarray:
     bracket = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     gamma = 0.5 * np.einsum("akl,aijl->akij", ginv, bracket)
     asym = np.abs(gamma - gamma.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
-    bad = ~(asym <= CHRISTOFFEL_SYMMETRY_TOL)
-    if bad.any():
-        a = int(np.argmax(bad))
+    a = _first_failed(asym <= CHRISTOFFEL_SYMMETRY_TOL)
+    if a is not None:
         raise InternalConsistencyError(
             f"connection coefficients of {charts[a].name} at {X[a]} "
             f"asymmetric by {asym[a]:.3e}"
@@ -301,9 +399,9 @@ def _connection(charts, X: np.ndarray, box) -> np.ndarray:
     return gamma
 
 
-def _forcing(charts, X: np.ndarray, V: np.ndarray, box) -> np.ndarray:
+def _forcing(charts, plan, box, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """The geodesic equation's acceleration -Gamma^k_ij v^i v^j, row by row."""
-    return -np.einsum("akij,ai,aj->ak", _connection(charts, X, box), V, V)
+    return -np.einsum("akij,ai,aj->ak", _connection(charts, plan, box, X), V, V)
 
 
 def christoffel_at(chart: Chart, x) -> ChristoffelField:
@@ -316,13 +414,16 @@ def christoffel_at(chart: Chart, x) -> ChristoffelField:
     """
     x = _as_coords(x, chart.dimension)
     charts = (chart,)
-    return ChristoffelField(x, _connection(charts, x[None], _stencil_box(charts))[0])
+    return ChristoffelField(
+        x, _connection(charts, _plan(charts), _stencil_box(charts), x[None])[0]
+    )
 
 
 def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, steps: int):
     """Advance arm ``a`` from ``(X[a], V[a])`` by up to ``steps`` classical
     RK4 steps of size ``1 / steps``, with one stacked connection call per
-    stage.
+    stage; the metric-call plan, the stencil box and the arrays of the
+    path are built once.
 
     Returns the times, the stacked ``(k + 1, K, n)`` positions and
     velocities of the ``k`` steps made, and why the run stopped early,
@@ -330,31 +431,32 @@ def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, steps: int):
     left an arm's box, or a metric function raised it), or a step ended
     within ``FD_STEP`` of an arm's boundary.  Other errors propagate.
     """
-    box = _stencil_box(charts)
+    plan, box = _plan(charts), _stencil_box(charts)
     dt = 1.0 / steps
-    times, positions, velocities = [0.0], [X], [V]
-    stop = None
+    positions, velocities = np.empty((2, steps + 1, *X.shape))
+    positions[0], velocities[0] = X, V
+    made, stop = 0, None
     for k in range(steps):
         try:
-            k1x, k1v = V, _forcing(charts, X, V, box)
+            k1x, k1v = V, _forcing(charts, plan, box, X, V)
             k2x = V + 0.5 * dt * k1v
-            k2v = _forcing(charts, X + 0.5 * dt * k1x, k2x, box)
+            k2v = _forcing(charts, plan, box, X + 0.5 * dt * k1x, k2x)
             k3x = V + 0.5 * dt * k2v
-            k3v = _forcing(charts, X + 0.5 * dt * k2x, k3x, box)
+            k3v = _forcing(charts, plan, box, X + 0.5 * dt * k2x, k3x)
             k4x = V + dt * k3v
-            k4v = _forcing(charts, X + dt * k3x, k4x, box)
+            k4v = _forcing(charts, plan, box, X + dt * k3x, k4x)
         except DomainError as exc:
             stop = f"near t={k * dt:.6g}: {exc}"
             break
         X = X + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         V = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if _outside(box, X).any():
+        if _first_failed(_inside(box, X)) is not None:
             stop = f"at t={(k + 1) * dt:.6g}"
             break
-        times.append((k + 1) * dt)
-        positions.append(X)
-        velocities.append(V)
-    return np.array(times), np.array(positions), np.array(velocities), stop
+        made = k + 1
+        positions[made], velocities[made] = X, V
+    times = np.arange(made + 1) * dt  # node k at k * dt, as a float product
+    return times, positions[: made + 1], velocities[: made + 1], stop
 
 
 def _start_rows(charts, x, name: str) -> np.ndarray:
@@ -384,10 +486,12 @@ def geodesic_integrate_many(
     Arm ``a`` follows ``charts[a]``; the charts must share a dimension.
     ``x0`` and ``v0`` are each either one ``(n,)`` start shared by every
     arm or a ``(K, n)`` array with one row per arm.  Each RK4 stage
-    makes one metric call per arm (adjacent arms of one chart object
-    share it) and evaluates the connection of every arm in one stacked
-    pass, with the checks and the arithmetic of a run on its own, so
-    path ``a`` is bit-identical to
+    makes one metric call per distinct base metric function, over the
+    stencil rows of every arm on it: arms of one chart object share it,
+    and so do the charts ``scale_chart_constant`` makes of it, which
+    multiply its values by their factors.  The connection of every arm
+    is evaluated in one stacked pass, with the checks and the arithmetic
+    of a run on its own, so path ``a`` is bit-identical to
     ``geodesic_integrate(charts[a], x0[a], v0[a], steps)``.
 
     If any arm fails (leaves its domain, or meets an invalid metric or
@@ -459,17 +563,21 @@ def geodesic_residual(chart: Chart, path: GeodesicPath) -> float:
     if len(times) < 3:
         return 0.0
     interior = pos[1:-1]
-    charts = (chart,) * len(interior)
-    forcing = _forcing(charts, interior, vel[1:-1], _stencil_box((chart,)))
+    forcing = _forcing(
+        (chart,) * len(interior), _plan((chart,)), _stencil_box((chart,)), interior, vel[1:-1]
+    )
     accel = (vel[2:] - vel[:-2]) / (times[2:] - times[:-2])[:, None]
     return float(np.max(np.abs(accel - forcing)))
 
 
 def coordinate_speed(chart: Chart, x, v) -> float:
-    """Metric speed sqrt(v^T g(x) v) of a coordinate velocity."""
+    """Metric speed sqrt(v^T g(x) v) of a coordinate velocity;
+    ``DomainError`` if it overflows."""
     v = _as_coords(v, chart.dimension, "velocity coordinates")
     g = metric_at(chart, x)
-    return float(np.sqrt(max(v @ g @ v, 0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed = np.sqrt(max(v @ g @ v, 0.0))
+    return _finite(speed, "speed of {} at {} on {}", v, x, chart.name)
 
 
 def chart_curve_length(chart: Chart, times, points) -> float:
@@ -477,7 +585,7 @@ def chart_curve_length(chart: Chart, times, points) -> float:
 
     Velocities come from finite differences of the samples
     (second-order interior and edges), speeds from the metric at each
-    sample.
+    sample.  ``DomainError`` if the length overflows.
     """
     times = _floats(times, "times")
     points = _floats(points, "points")
@@ -493,30 +601,29 @@ def chart_curve_length(chart: Chart, times, points) -> float:
         raise ContractViolationError("times must be strictly increasing")
     edge_order = 2 if points.shape[0] >= 3 else 1
     velocities = np.gradient(points, times, axis=0, edge_order=edge_order)
+    metrics = _metrics_inside(chart, points)
     speeds = np.empty(points.shape[0])
-    for i, (v, g) in enumerate(zip(velocities, _metrics_inside(chart, points))):
-        speeds[i] = np.sqrt(max(v @ g @ v, 0.0))
-    return float(np.trapezoid(speeds, times))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (v, g) in enumerate(zip(velocities, metrics)):
+            speeds[i] = np.sqrt(max(v @ g @ v, 0.0))
+        length = np.trapezoid(speeds, times)
+    return _finite(length, "length of the curve on {}", chart.name)
 
 
 def scale_chart_constant(chart: Chart, scale: ScaleFactor | float) -> Chart:
     """Chart with the metric multiplied by a constant factor.
 
     The scaling wraps the batched metric function lazily, so the product
-    is exact at every evaluation point.
+    is exact at every evaluation point; lockstep runs evaluate the base
+    once for every chart scaled from it.
     """
     lam = scale.value if isinstance(scale, ScaleFactor) else float(ScaleFactor(scale))
-    base_fn = chart.metric_fn
-
-    def scaled_fn(X: np.ndarray) -> np.ndarray:
-        return lam * np.asarray(base_fn(X), dtype=float)
-
     return Chart(
         name=f"{chart.name}|scale={lam:g}",
         dimension=chart.dimension,
         lower=chart.lower,
         upper=chart.upper,
-        metric_fn=scaled_fn,
+        metric_fn=_ConstantScale(chart.metric_fn, lam),
     )
 
 

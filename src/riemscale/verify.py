@@ -22,6 +22,7 @@ per-check records table; both use the library's single output format
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -36,7 +37,6 @@ from .charts import (
     builtin_charts,
     chart_from_string,
     christoffel_at,
-    geodesic_integrate,
     geodesic_integrate_many,
     scale_chart_constant,
     scale_chart_pointwise,
@@ -71,6 +71,9 @@ GEODESIC_STARTS = {
     "polar": ((3.0, 0.0), (0.5, 0.2)),
     "sphere-chart": ((1.2, 0.3), (0.2, 0.5)),
 }
+# The start of the sphere-chart geodesic compared with the closed form:
+# the equator, eastward at unit speed.
+EQUATOR_START = ((np.pi / 2, 0.0), (0.0, 1.0))
 
 
 def derive_seed(root_seed: int, check_id: str) -> int:
@@ -266,17 +269,30 @@ def _run_connection_invariance(rng):
                 yield float(np.max(np.abs(got - base)))
 
 
-def _run_geodesic_invariance(rng):
-    # every chart's base arm and its scaled arms, from that chart's start, in one run
+@functools.cache
+def _suite_geodesics():
+    """Every chart geodesic the suite checks, from one lockstep run of
+    1000 steps: per built-in chart its base arm and its scaled arms from
+    that chart's start, then the sphere-chart equator arm.  Returns the
+    paths grouped per chart, and the equator path.  ``run_suite`` clears
+    the cache on entry and on exit."""
+    charts = {chart.name: chart for chart in builtin_charts()}
     per_chart = 1 + len(INVARIANT_LAMBDAS)
     arms, starts = [], []
-    for chart in builtin_charts():
+    for name, chart in charts.items():
         arms += [chart, *(scale_chart_constant(chart, lam) for lam in INVARIANT_LAMBDAS)]
-        starts += [GEODESIC_STARTS[chart.name]] * per_chart
+        starts += [GEODESIC_STARTS[name]] * per_chart
+    # the same chart object, so the equator arm shares the sphere's metric calls
+    arms.append(charts["sphere-chart"])
+    starts.append(EQUATOR_START)
     x0, v0 = np.array(starts).transpose(1, 0, 2)
-    paths = geodesic_integrate_many(arms, x0, v0, steps=1000)
-    for i in range(0, len(paths), per_chart):
-        base, *scaled = paths[i : i + per_chart]
+    *paths, equator = geodesic_integrate_many(arms, x0, v0, steps=1000)
+    grouped = [paths[i : i + per_chart] for i in range(0, len(paths), per_chart)]
+    return grouped, equator
+
+
+def _run_geodesic_invariance(rng):
+    for base, *scaled in _suite_geodesics()[0]:
         for path in scaled:
             yield float(np.max(np.abs(path.positions - base.positions)))
 
@@ -317,8 +333,7 @@ def _run_nonconstant_scaling(rng):
 
 
 def _run_chart_matches_closed_form(rng):
-    chart = chart_from_string("sphere-chart")
-    path = geodesic_integrate(chart, (np.pi / 2, 0.0), (0.0, 1.0), steps=1000)
+    path = _suite_geodesics()[1]
     sphere = Sphere(2)
     start = spherical_to_ambient(path.positions[0])
     velocity = np.array([0.0, 1.0, 0.0])
@@ -400,10 +415,13 @@ def _run_calibration_optimality(rng):
 
 
 def _worst(runner):
-    """A check's ``run``: the largest deviation ``runner`` yields, or 0
-    if it yields none."""
+    """A check's ``run``: the largest deviation ``runner`` yields, 0 if
+    it yields none, or NaN if any is NaN, so that the check fails."""
     def run(rng):
-        return max(runner(rng), default=0.0)
+        deviations = list(runner(rng))
+        if any(map(math.isnan, deviations)):
+            return math.nan
+        return max(deviations, default=0.0)
 
     return run
 
@@ -472,29 +490,35 @@ PROPERTY_CHECKS: tuple[PropertyCheck, ...] = tuple(
 EXPECTED_PROPERTY_COUNT = 20
 
 
+def _record(check: PropertyCheck, seed: int) -> dict:
+    """Run ``check`` on its stream derived from ``seed``; its report record."""
+    rng = np.random.default_rng(derive_seed(seed, check.check_id))
+    deviation = float(check.run(rng))
+    if check.criterion == "<=":
+        passed = deviation <= check.tolerance
+    else:
+        passed = deviation >= check.tolerance
+    return {
+        "id": check.check_id,
+        "category": check.category,
+        "target": check.target,
+        "lambda": check.lam,
+        "deviation": deviation,
+        "tolerance": check.tolerance,
+        "criterion": check.criterion,
+        "passed": passed,
+    }
+
+
 def run_suite(seed: int) -> dict:
     """Run every check with streams derived from ``seed`` and assemble the
-    report, ordered by check id."""
-    records = []
-    for check in PROPERTY_CHECKS:
-        rng = np.random.default_rng(derive_seed(seed, check.check_id))
-        deviation = float(check.run(rng))
-        if check.criterion == "<=":
-            passed = deviation <= check.tolerance
-        else:
-            passed = deviation >= check.tolerance
-        records.append(
-            {
-                "id": check.check_id,
-                "category": check.category,
-                "target": check.target,
-                "lambda": check.lam,
-                "deviation": deviation,
-                "tolerance": check.tolerance,
-                "criterion": check.criterion,
-                "passed": passed,
-            }
-        )
+    report, ordered by check id.  The chart geodesics are integrated
+    afresh for each run and released when it ends."""
+    _suite_geodesics.cache_clear()
+    try:
+        records = [_record(check, seed) for check in PROPERTY_CHECKS]
+    finally:
+        _suite_geodesics.cache_clear()
     records.append(
         {
             "id": "report.coverage",

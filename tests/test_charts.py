@@ -2,6 +2,7 @@
 geodesic integration, and the scaling comparisons built on them."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +326,69 @@ def test_lockstep_makes_one_stencil_of_metric_evaluations_per_stage(dim):
         assert sum(calls) == 4 * (2 * dim + 1) * steps
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_constant_scaled_arms_share_one_base_call_per_stage(dim):
+    base, calls = counted_chart("base", dim)
+    arms = (base, scale_chart_constant(base, 0.25), scale_chart_constant(base, 4.0),
+            scale_chart_constant(scale_chart_constant(base, 4.0), 10.0))
+    steps = 20
+    geodesic_integrate_many(arms, np.zeros(dim), np.full(dim, 0.3), steps=steps)
+    # one call per RK4 stage over the stencils of all K arms
+    assert calls == [len(arms) * (2 * dim + 1)] * (4 * steps)
+    # an arm on another base keeps a call of its own
+    other, other_calls = counted_chart("other", dim)
+    calls.clear()
+    geodesic_integrate_many((base, other, scale_chart_constant(base, 2.0)),
+                            np.zeros(dim), np.full(dim, 0.3), steps=steps)
+    assert calls == [2 * (2 * dim + 1)] * (4 * steps)
+    assert other_calls == [2 * dim + 1] * (4 * steps)
+
+
+def test_lockstep_interleaved_bases_and_scales_are_bit_identical_to_single_runs():
+    polar, sphere = polar_chart(), sphere_chart()
+    scaled = scale_chart_constant(polar, 3.0)  # not a power of 2, so no factor is exact
+    arms = (polar, sphere, scaled, scale_chart_constant(scaled, 0.7),
+            scale_chart_pointwise(polar, lambda x: 1.0 + 0.1 * x[1] ** 2))
+    x0, v0 = [1.2, 0.3], [0.2, 0.5]
+    together = geodesic_integrate_many(arms, x0, v0, steps=100)
+    for arm, path in zip(arms, together):
+        assert _same_bytes(path, geodesic_integrate(arm, x0, v0, steps=100))
+    # the scale of a scale is b * (a * g), as an opaque metric function computes it
+    opaque = Chart("opaque", 2, polar.lower, polar.upper,
+                   lambda X: 0.7 * (3.0 * polar.metric_fn(X)))
+    assert _same_bytes(together[3], geodesic_integrate(opaque, x0, v0, steps=100))
+
+
+def test_metric_sees_each_center_point_bit_for_bit():
+    seen = []
+
+    def metric(X):
+        seen.append(X.copy())
+        return np.tile(np.eye(2), (len(X), 1, 1))
+
+    x = np.array([-0.0, 0.5])  # the sign of the zero survives the stencil
+    christoffel_at(Chart("flat", 2, [-1.0, -1.0], [1.0, 1.0], metric), x)
+    assert seen[0][0].tobytes() == x.tobytes()
+
+
+def test_semidefinite_metric_is_rejected_naming_its_chart_and_row():
+    semidefinite = Chart("semidef", 2, [-1.0, -1.0], [1.0, 1.0], constant_metric(np.diag([1.0, 0.0])))
+    with pytest.raises(InvalidChartError, match=r"semidef at \[0.5 0. \] is not positive definite"):
+        metric_at(semidefinite, [0.5, 0.0])
+    with pytest.raises(InvalidChartError, match="semidef at .* is not positive definite"):
+        geodesic_integrate_many((polar_chart(), semidefinite), [0.5, 0.0], [0.1, 0.1], steps=5)
+
+    def flat_at_zero(X):  # g = diag(1, x0^2): semidefinite where x0 = 0
+        G = np.zeros((len(X), 2, 2))
+        G[:, 0, 0] = 1.0
+        G[:, 1, 1] = X[:, 0] ** 2
+        return G
+
+    degenerate = Chart("degenerate", 2, [-1.0, -1.0], [1.0, 1.0], flat_at_zero)
+    with pytest.raises(InvalidChartError, match=r"degenerate at \[0\. +0\.5\] is not positive definite"):
+        chart_curve_length(degenerate, [0.0, 0.5, 1.0], [[-0.5, 0.5], [0.0, 0.5], [0.5, 0.5]])
+
+
 def test_lockstep_with_per_arm_starts_matches_single_runs():
     # the 12 arms of the verify suite: each built-in chart, base and scaled, from its own start
     arms, starts = [], []
@@ -417,6 +481,23 @@ def test_volume_density_examples():
     assert volume_density(sphere_chart(), [math.pi / 6, 0.0]) == pytest.approx(
         0.5, rel=1e-14
     )
+
+
+def test_overflowing_chart_results_raise_a_domain_error_without_a_warning():
+    huge = scale_chart_constant(euclidean_chart(2), 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="speed of .* on polar is inf, not finite"):
+            coordinate_speed(polar_chart(), [3.0, 0.0], [1e200, 0.0])
+        with pytest.raises(DomainError, match="volume density of .* is inf, not finite"):
+            volume_density(huge, [0.0, 0.0])
+        with pytest.raises(DomainError, match="length of the curve .* is inf, not finite"):
+            chart_curve_length(huge, [0.0, 1e-10], [[0.0, 0.0], [5.0, 0.0]])
+        # finite results keep their arithmetic
+        large = scale_chart_constant(euclidean_chart(2), 1e150)
+        g = metric_at(large, [0.0, 0.0])
+        assert volume_density(large, [0.0, 0.0]) == float(np.sqrt(np.linalg.det(g)))
+        assert coordinate_speed(polar_chart(), [3.0, 0.0], [1e100, 0.0]) == 1e100
 
 
 # ---------------------------------------------------------------------------

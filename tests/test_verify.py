@@ -1,15 +1,20 @@
 """The property suite: coverage, determinism, and rendering."""
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
-from riemscale import render_csv, render_json, run_suite
+from riemscale import render_csv, render_json, run_suite, verify
 from riemscale.verify import (
     EXPECTED_PROPERTY_COUNT,
     PROPERTY_CHECKS,
+    _worst,
     derive_seed,
 )
+
+GEODESIC_CHECKS = ("chart.geodesic-invariance", "chart.matches-closed-form-geodesic")
 
 
 @pytest.fixture(scope="module")
@@ -89,3 +94,43 @@ def test_alternate_seed_also_passes():
     other = run_suite(20250808)
     assert other["summary"]["failed"] == 0
     assert other["environment"]["seed"] == 20250808
+
+
+def test_suite_geodesics_are_one_lockstep_call_per_run(report, monkeypatch):
+    calls = []
+    integrate = verify.geodesic_integrate_many
+
+    def counted(charts, *args, **kwargs):
+        calls.append(len(charts))
+        return integrate(charts, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "geodesic_integrate_many", counted)
+    monkeypatch.setattr(verify, "PROPERTY_CHECKS", tuple(
+        c for c in PROPERTY_CHECKS if c.check_id in GEODESIC_CHECKS
+    ))
+    expected = {r["id"]: r["deviation"] for r in report["records"] if r["id"] in GEODESIC_CHECKS}
+    for run in (1, 2):
+        got = {r["id"]: r["deviation"] for r in run_suite(0)["records"] if r["id"] in expected}
+        assert got == expected
+        # 12 invariance arms and the closed-form equator arm, integrated afresh each run
+        assert calls == [13] * run
+
+
+def test_worst_deviation_is_nan_if_any_deviation_is_nan():
+    for deviations in ([1e-20, math.nan], [math.nan, 1e-20], [0.0, math.nan, 2.0]):
+        assert math.isnan(_worst(lambda rng: iter(deviations))(None))
+    assert _worst(lambda rng: iter([-2.0, -1.0]))(None) == -1.0
+    assert _worst(lambda rng: iter([]))(None) == 0.0
+
+
+def test_a_nan_deviation_fails_either_criterion(monkeypatch):
+    nan_run = _worst(lambda rng: iter([1e-20, math.nan]))
+    checks = tuple(
+        replace(PROPERTY_CHECKS[0], check_id=f"nan{criterion}", criterion=criterion, run=nan_run)
+        for criterion in ("<=", ">=")
+    )
+    monkeypatch.setattr(verify, "PROPERTY_CHECKS", checks)
+    records = {r["id"]: r for r in run_suite(0)["records"]}
+    for check in checks:
+        assert math.isnan(records[check.check_id]["deviation"])
+        assert records[check.check_id]["passed"] is False
