@@ -602,11 +602,10 @@ def chart_curve_length(chart: Chart, times, points) -> float:
     edge_order = 2 if points.shape[0] >= 3 else 1
     velocities = np.gradient(points, times, axis=0, edge_order=edge_order)
     metrics = _metrics_inside(chart, points)
-    speeds = np.empty(points.shape[0])
+    rows = velocities[:, np.newaxis, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (v, g) in enumerate(zip(velocities, metrics)):
-            speeds[i] = np.sqrt(max(v @ g @ v, 0.0))
-        length = np.trapezoid(speeds, times)
+        squares = (rows @ metrics @ velocities[..., np.newaxis])[:, 0, 0]
+        length = np.trapezoid(np.sqrt(np.maximum(squares, 0.0)), times)
     return _finite(length, "length of the curve on {}", chart.name)
 
 

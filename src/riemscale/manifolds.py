@@ -9,7 +9,8 @@ connecting geodesic), tangent projection, conversion of ambient
 gradients to metric gradients, and chordal curve length.
 
 Everything here is closed form: sphere operations use trigonometric
-formulas, matrix operations go through symmetric eigendecompositions.
+formulas, and every SPD operation factors its base point once, as
+``p = L L^T`` by Cholesky, and whitens with ``L^-1 · L^-T``.
 All values are immutable and all operations are pure functions, so the
 module is safe for unrestricted concurrent use.
 
@@ -21,11 +22,9 @@ that row.  ``log(p, q)`` takes the batch axis on ``q`` only and returns
 ``(N, *ambient_shape)`` tangent vectors.  A single point is the
 batch-of-one case of the same code and gives an ambient array or a
 Python float.  This lets a barycenter iterate measure all data points in
-one call, with the SPD square root or Cholesky factor of the base point
-computed once.  SPD distance is the congruence form of the
-affine-invariant distance: the eigenvalues of ``L^-1 q L^-T`` with
-``p = L L^T``, one stacked ``eigvalsh`` for the whole batch.  The other
-operations are pointwise.
+one call, with the Cholesky factor of the base point computed once.
+SPD distance reads the eigenvalues of ``L^-1 q L^-T``, one stacked
+``eigvalsh`` for the whole batch.  The other operations are pointwise.
 """
 
 from __future__ import annotations
@@ -116,13 +115,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _swap(a: np.ndarray) -> np.ndarray:
-    """Transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(a, -1, -2)
-
-
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + _swap(a))
+    return 0.5 * (a + a.mT)
 
 
 def _paired(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -137,10 +131,10 @@ def _size(a: np.ndarray) -> np.ndarray:
 
 
 def _sym_apply(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix (or a stack of them)
-    through its eigenvalues."""
-    w, v = np.linalg.eigh(a)
-    return (v * fn(w)[..., np.newaxis, :]) @ _swap(v)
+    """Apply a scalar function to the symmetric part of a matrix (or of
+    each matrix in a stack) through its eigenvalues."""
+    w, v = np.linalg.eigh(_sym(a))
+    return (v * fn(w)[..., np.newaxis, :]) @ v.mT
 
 
 class Manifold(ABC):
@@ -365,7 +359,8 @@ class Sphere(Manifold):
         return float(d[0]) if single else d
 
     def exp(self, p, v):
-        theta = float(np.linalg.norm(v))
+        with np.errstate(over="ignore"):
+            theta = float(np.linalg.norm(v))
         if theta == 0.0:
             return p.copy()
         if not math.isfinite(theta):
@@ -455,9 +450,9 @@ class SymmetricPositiveDefinite(Manifold):
     """SPD matrices of a fixed side with the affine-invariant metric
     <U, V>_P = trace(P^-1 U P^-1 V).
 
-    Exponential, logarithm, transport and distance all reduce to
-    symmetric eigendecompositions, which keeps them exact enough to
-    serve as references for chart-level integration.
+    Every operation factors its base point once, ``p = L L^T``, and works
+    on matrices whitened to ``L^-1 x L^-T``, which the congruence-invariant
+    metric measures as it does their originals (Pennec et al., IJCV 2006).
     """
 
     side: int
@@ -475,51 +470,44 @@ class SymmetricPositiveDefinite(Manifold):
         return (self.side, self.side)
 
     def inner(self, p, u, v) -> float:
-        pu = np.linalg.solve(p, u)
-        pv = np.linalg.solve(p, v)
-        return float(np.einsum("ij,ji->", pu, pv))
+        _, _, (wu, wv) = self._whiten(p, np.stack((u, v)))
+        return float(np.vdot(wu, wv))
 
     def dist(self, p, q):
         ps, qs, single = self._pair(p, q)
         other = ~(qs == ps).all(axis=(-2, -1))
-        # eigenvalues of p^-1 q through the congruence L^-1 q L^-T with
-        # p = L L^T, the Cholesky reduction of the generalized eigenproblem
-        # done for the whole stack at once; rows equal to p read as ones
-        # so that their distance is exactly zero
+        # eigenvalues of p^-1 q, those of the whitened q, for the whole stack;
+        # rows equal to p read as ones so that their distance is exactly zero
         w = np.ones(other.shape + (self.side,))
         if other.any():
-            try:
-                linv = np.linalg.inv(np.linalg.cholesky(_paired(ps, other)))
-                w[other] = np.linalg.eigvalsh(linv @ _paired(qs, other) @ _swap(linv))
-            except np.linalg.LinAlgError:
-                raise DomainError("matrix is not positive definite") from None
-            if not np.all(w[other] > 0.0):
+            _, _, white = self._whiten(_paired(ps, other), _paired(qs, other))
+            w[other] = vals = np.linalg.eigvalsh(white)
+            if not np.all(vals > 0.0):
                 raise DomainError("matrix is not positive definite")
         d = np.sqrt(np.sum(np.log(w) ** 2, axis=1))
         return float(d[0]) if single else d
 
     def exp(self, p, v):
-        half, inv_half = self._sqrt_and_inv_sqrt(p)
-        f = _sym_apply(_sym(inv_half @ v @ inv_half), np.exp)
-        return self._resymmetrize(half @ f @ half, _size(half) ** 2 * _size(f))
+        low, _, white = self._whiten(p, v)
+        f = _sym_apply(white, np.exp)
+        return self._resymmetrize(low @ f @ low.T, _size(low) ** 2 * _size(f))
 
     def log(self, p, q):
         rows, single = self._rows(q)
         out = np.zeros_like(rows)
         other = ~(rows == p).all(axis=(-2, -1))
         if other.any():
-            half, inv_half = self._sqrt_and_inv_sqrt(p)
-            f = _sym_apply(_sym(inv_half @ rows[other] @ inv_half), np.log)
-            out[other] = self._resymmetrize(half @ f @ half, _size(half) ** 2 * _size(f))
+            low, _, white = self._whiten(p, rows[other])
+            f = _sym_apply(white, np.log)
+            out[other] = self._resymmetrize(low @ f @ low.T, _size(low) ** 2 * _size(f))
         return out[0] if single else out
 
     def transport(self, p, q, v):
         if np.array_equal(p, q):
             return v.copy()
-        half, inv_half = self._sqrt_and_inv_sqrt(p)
-        inner = _sym(inv_half @ q @ inv_half)
-        # principal square root of q p^-1, written with symmetric factors
-        e = half @ _sym_apply(inner, np.sqrt) @ inv_half
+        low, inv_low, white = self._whiten(p, q)
+        # principal square root of q p^-1 = L W L^-1, with W the whitened q
+        e = low @ _sym_apply(white, np.sqrt) @ inv_low
         return self._resymmetrize(e @ v @ e.T, _size(e) ** 2 * _size(v))
 
     def to_tangent(self, p, w):
@@ -535,8 +523,7 @@ class SymmetricPositiveDefinite(Manifold):
             raise ContractViolationError(
                 f"matrix is asymmetric by {asym:.3e} (tolerance {POINT_TOL})"
             )
-        if float(np.linalg.eigvalsh(out).min()) <= 0.0:
-            raise DomainError("matrix is not positive definite")
+        self._whiten(out)  # raises unless out has a Cholesky factor
         return out
 
     def validate_tangent(self, p, components) -> np.ndarray:
@@ -549,16 +536,26 @@ class SymmetricPositiveDefinite(Manifold):
         return out
 
     def random_point(self, rng):
-        a = _sym(rng.uniform(-1.0, 1.0, (self.side, self.side)))
-        return _sym_apply(a, np.exp)
+        return _sym_apply(rng.uniform(-1.0, 1.0, (self.side, self.side)), np.exp)
 
     @staticmethod
-    def _sqrt_and_inv_sqrt(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        w, v = np.linalg.eigh(p)
-        if w.min() <= 0.0:
-            raise DomainError("matrix is not positive definite")
-        rw = np.sqrt(w)
-        return (v * rw) @ v.T, (v / rw) @ v.T
+    def _whiten(p: np.ndarray, x: np.ndarray | None = None):
+        """``L``, ``L^-1`` and ``x`` whitened to ``L^-1 x L^-T``, with ``p = L L^T``
+        for a matrix or each matrix in a stack, or ``L`` alone without ``x``;
+        ``DomainError`` if ``p`` is not positive definite or the whitened
+        ``x`` is not finite."""
+        try:
+            low = np.linalg.cholesky(p)
+        except np.linalg.LinAlgError:
+            raise DomainError("matrix is not positive definite") from None
+        if x is None:
+            return low
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_low = np.linalg.inv(low)
+            white = inv_low @ x @ inv_low.mT
+        if not np.isfinite(white).all():
+            raise DomainError("whitened matrix L^-1 x L^-T overflowed, with p = L L^T")
+        return low, inv_low, white
 
     @staticmethod
     def _resymmetrize(out: np.ndarray, size=1.0) -> np.ndarray:
@@ -570,7 +567,7 @@ class SymmetricPositiveDefinite(Manifold):
         so the budget is ``RENORM_TOL`` times ``size``, never less than
         ``RENORM_TOL`` itself.  A non-finite entry always fails.
         """
-        drift = np.atleast_1d(np.abs(out - _swap(out)).max(axis=(-2, -1)))
+        drift = np.atleast_1d(np.abs(out - out.mT).max(axis=(-2, -1)))
         ok = np.isfinite(drift) & (drift <= RENORM_TOL * np.maximum(size, 1.0))
         bad = drift[~ok]
         if bad.size:

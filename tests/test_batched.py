@@ -97,14 +97,14 @@ def _reference_log(m, p, q):
         if nu == 0.0:
             return np.zeros_like(p)
         return (float(np.arctan2(nu, c)) / nu) * u
-    w, v = np.linalg.eigh(p)
-    half, inv_half = (v * np.sqrt(w)) @ v.T, (v / np.sqrt(w)) @ v.T
-    a = inv_half @ q @ inv_half
+    low = np.linalg.cholesky(p)
+    linv = np.linalg.inv(low)
+    a = linv @ q @ linv.T
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     f = (v * np.log(w)) @ v.T
-    out = half @ f @ half
+    out = low @ f @ low.T
     drift = float(np.max(np.abs(out - out.T)))
-    size = float(np.max(np.abs(half))) ** 2 * float(np.max(np.abs(f)))
+    size = float(np.max(np.abs(low))) ** 2 * float(np.max(np.abs(f)))
     if not drift <= RENORM_TOL * max(size, 1.0):
         raise InternalConsistencyError(f"matrix result drifted {drift:.3e} from symmetry")
     return 0.5 * (out + out.T)

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from riemscale import (
@@ -33,6 +35,7 @@ from riemscale import (
     riemannian_gradient,
     tangent_projection,
 )
+from test_batched import _spd
 
 
 def _point(m, coords):
@@ -125,11 +128,25 @@ def test_exp_sphere_overflow_raises_instead_of_a_math_error():
     # the tangent norm overflows to inf, where cos and sin are undefined
     e0 = np.array([1.0, 0.0, 0.0])
     v = np.array([0.0, 1e300, 0.0])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(DomainError, match="not finite"):
             S2.exp(e0, v)
         with pytest.raises(DomainError, match="not finite"):
             exp_map(TangentVector(_point(S2, e0), v))
+
+
+def test_spd_whitening_overflow_is_a_domain_error_without_a_warning():
+    # L^-1 x L^-T with p = 1e-300 I scales x by 1e300: past the double range
+    p = _point(SPD2, 1e-300 * np.eye(2))
+    q = _point(SPD2, 1e300 * np.eye(2))
+    v = _vector(p, 1e10 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op, args in ((norm, (v,)), (inner_product, (v, v)), (distance, (p, q)),
+                         (log_map, (p, q))):
+            with pytest.raises(DomainError, match="L\\^-1 x L\\^-T overflowed"):
+                op(*args)
 
 
 def test_spd_symmetry_guard_scales_with_an_ill_conditioned_base():
@@ -253,6 +270,39 @@ def test_transport_spd_against_congruence_oracle():
     q = _point(SPD2, q_mat)
     v = _vector(p, v_mat)
     assert_allclose(parallel_transport(v, q).components, oracle, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:logm result may be inaccurate")  # the oracle's own estimate
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.sampled_from([1, 2, 3, 8]), st.integers(0, 2**32 - 1), st.floats(0.0, 6.0))
+def test_spd_operations_match_scipy_oracles_at_non_identity_base_points(side, seed, log_cond):
+    # p has eigenvalues from 1 to cond in a random basis; the tangents are
+    # a h a and q is a expm(h) a for Gaussian symmetric h, with a = p^(1/2),
+    # so that they stay within a few units of p in the metric
+    m = SymmetricPositiveDefinite(side)
+    rng = np.random.default_rng(seed)
+    cond = 10.0**log_cond
+    p = _spd(rng, side, cond)
+    a = scipy.linalg.sqrtm(p).real
+    g = rng.standard_normal((4, side, side))
+    h = (g + np.swapaxes(g, 1, 2)) / 2
+    u, v, s = a @ h[:3] @ a
+    q = a @ scipy.linalg.expm(h[3]) @ a
+
+    def close(out, oracle, scale):
+        assert np.max(np.abs(out - oracle)) <= 1e-12 * cond * scale
+
+    def inner(x, y):
+        return np.trace(np.linalg.solve(p, x) @ np.linalg.solve(p, y))
+
+    close(m.inner(p, u, v), inner(u, v), math.sqrt(inner(u, u) * inner(v, v)))
+    exp = p @ scipy.linalg.expm(np.linalg.solve(p, s))
+    close(m.exp(p, s), exp, np.max(np.abs(exp)))
+    log = (p @ scipy.linalg.logm(np.linalg.solve(p, q))).real
+    close(m.log(p, q), log, np.max(np.abs(log)))
+    e = scipy.linalg.sqrtm(q @ np.linalg.inv(p)).real
+    transported = e @ v @ e.T
+    close(m.transport(p, q, v), transported, np.max(np.abs(transported)))
 
 
 def test_transport_sphere_antipode_raises():
