@@ -46,6 +46,10 @@ CLI_COMMANDS = [
     ["--command", "frechet", "--manifold", "spd:2", "--eta", "50", "--check-equivalence"],
     ["--command", "frechet", "--manifold", "euclidean:3", "--eta", "5"],
     ["--command", "frechet", "--manifold", "spd:8", "--points", "12", "--check-equivalence"],
+    ["--command", "frechet", "--manifold", "euclidean:3", "--points", "100",
+     "--check-equivalence"],
+    ["--command", "frechet", "--manifold", "spd:8", "--points", "32", "--lambda", "4",
+     "--check-equivalence"],
     ["--command", "calibrate"],
     ["--command", "calibrate", "--manifold", "spd:2", "--scale-target", "3", "--seed", "5"],
     ["--command", "calibrate", "--points", "1"],

@@ -21,10 +21,19 @@ shape ``(N, *ambient_shape)``, or one point against a stack, give the
 that row.  ``log(p, q)`` takes the batch axis on ``q`` only and returns
 ``(N, *ambient_shape)`` tangent vectors.  A single point is the
 batch-of-one case of the same code and gives an ambient array or a
-Python float.  This lets a barycenter iterate measure all data points in
-one call, with the Cholesky factor of the base point computed once.
-SPD distance reads the eigenvalues of ``L^-1 q L^-T``, one stacked
-``eigvalsh`` for the whole batch.  The other operations are pointwise.
+Python float.  SPD distance reads the eigenvalues of ``L^-1 q L^-T``,
+one stacked ``eigvalsh`` for the whole batch.  ``exp``, ``transport``
+and ``inner`` take one point.
+
+A barycenter iterate measures all data points in one pass: the private
+``_dist_log(p, rows)`` gives ``dist(p, rows)`` and ``log(p, rows)``
+together, bit for bit, sharing the row set-up, the sphere chords and
+the SPD whitening.  The SPD cone also remembers the Cholesky factor
+(and, once needed, its inverse) of the last single base matrix it
+factored, keyed on the matrix's exact bytes, so validating a descent
+iterate, measuring from it, taking its norm and stepping from it factor
+it once.  The memo is one tuple, replaced whole, so concurrent callers
+stay safe; stacks of base points (``dist``) are always factored afresh.
 """
 
 from __future__ import annotations
@@ -196,6 +205,13 @@ class Manifold(ABC):
         row would raise on its own.
         """
 
+    def _dist_log(self, p: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``dist(p, rows)`` and ``log(p, rows)`` for a point and an
+        ``(N, *ambient_shape)`` stack, bit for bit, raising what calling
+        ``dist`` and then ``log`` raises.  Families override it to share
+        the work of the two calls."""
+        return self.dist(p, rows), self.log(p, rows)
+
     @abstractmethod
     def transport(self, p: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Parallel transport of ``v`` along the minimizing geodesic p -> q."""
@@ -268,7 +284,7 @@ class Manifold(ABC):
             raise ContractViolationError(
                 f"{what} has shape {out.shape}, expected {self.ambient_shape} on {self}"
             )
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise ContractViolationError(f"{what} contains non-finite entries")
         return out
 
@@ -306,6 +322,10 @@ class Euclidean(Manifold):
 
     def log(self, p, q):
         return q - p
+
+    def _dist_log(self, p, rows):
+        diff = self.log(p, rows)
+        return np.sqrt(np.vecdot(diff, diff)), diff
 
     def transport(self, p, q, v):
         return v.copy()
@@ -370,6 +390,10 @@ class Sphere(Manifold):
 
     def log(self, p, q):
         rows, single = self._rows(q)
+        out = self._dist_log(p, rows)[1]
+        return out[0] if single else out
+
+    def _dist_log(self, p, rows):
         same, c, u, nu = self._chords(p, rows)
         if (~same & (c <= -1.0 + ANTIPODE_MARGIN)).any():
             raise DomainError(
@@ -380,7 +404,7 @@ class Sphere(Manifold):
         ratio = np.divide(theta, nu, out=np.zeros_like(theta), where=~zero)
         out = ratio[:, np.newaxis] * u
         out[zero] = 0.0
-        return out[0] if single else out
+        return np.where(same, 0.0, theta), out
 
     @staticmethod
     def _chords(p, rows):
@@ -445,6 +469,11 @@ class Sphere(Manifold):
         return out / n
 
 
+# The last single SPD base matrix factored: (its bytes, L, L^-1 or None
+# until a caller needs it).  Replaced whole, never changed in place.
+_last_factor: tuple = (None, None, None)
+
+
 @dataclass(frozen=True)
 class SymmetricPositiveDefinite(Manifold):
     """SPD matrices of a fixed side with the affine-invariant metric
@@ -471,36 +500,40 @@ class SymmetricPositiveDefinite(Manifold):
 
     def inner(self, p, u, v) -> float:
         _, _, (wu, wv) = self._whiten(p, np.stack((u, v)))
-        return float(np.vdot(wu, wv))
+        out = float(np.vdot(wu, wv))
+        if not math.isfinite(out):
+            raise DomainError(f"inner product of the whitened tangents is {out}, not finite")
+        return out
 
     def dist(self, p, q):
         ps, qs, single = self._pair(p, q)
         other = ~(qs == ps).all(axis=(-2, -1))
-        # eigenvalues of p^-1 q, those of the whitened q, for the whole stack;
-        # rows equal to p read as ones so that their distance is exactly zero
-        w = np.ones(other.shape + (self.side,))
-        if other.any():
-            _, _, white = self._whiten(_paired(ps, other), _paired(qs, other))
-            w[other] = vals = np.linalg.eigvalsh(white)
-            if not np.all(vals > 0.0):
-                raise DomainError("matrix is not positive definite")
-        d = np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+        white = self._whiten(_paired(ps, other), _paired(qs, other))[2] if other.any() else None
+        d = self._distances(other, white)
         return float(d[0]) if single else d
 
     def exp(self, p, v):
         low, _, white = self._whiten(p, v)
-        f = _sym_apply(white, np.exp)
-        return self._resymmetrize(low @ f @ low.T, _size(low) ** 2 * _size(f))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _sym_apply(white, np.exp)
+        if not np.isfinite(f).all():
+            raise DomainError("exp of the whitened tangent L^-1 v L^-T overflowed, with p = L L^T")
+        return self._unwhiten(low, f)
 
     def log(self, p, q):
         rows, single = self._rows(q)
+        out = self._dist_log(p, rows)[1]
+        return out[0] if single else out
+
+    def _dist_log(self, p, rows):
         out = np.zeros_like(rows)
         other = ~(rows == p).all(axis=(-2, -1))
-        if other.any():
-            low, _, white = self._whiten(p, rows[other])
-            f = _sym_apply(white, np.log)
-            out[other] = self._resymmetrize(low @ f @ low.T, _size(low) ** 2 * _size(f))
-        return out[0] if single else out
+        if not other.any():
+            return self._distances(other, None), out
+        low, _, white = self._whiten(p, rows[other])
+        d = self._distances(other, white)  # raises dist's error before log's
+        out[other] = self._unwhiten(low, _sym_apply(white, np.log))
+        return d, out
 
     def transport(self, p, q, v):
         if np.array_equal(p, q):
@@ -543,19 +576,54 @@ class SymmetricPositiveDefinite(Manifold):
         """``L``, ``L^-1`` and ``x`` whitened to ``L^-1 x L^-T``, with ``p = L L^T``
         for a matrix or each matrix in a stack, or ``L`` alone without ``x``;
         ``DomainError`` if ``p`` is not positive definite or the whitened
-        ``x`` is not finite."""
-        try:
-            low = np.linalg.cholesky(p)
-        except np.linalg.LinAlgError:
-            raise DomainError("matrix is not positive definite") from None
+        ``x`` is not finite.
+
+        The factors of a single float64 matrix are remembered for the next
+        call on the same bytes (see the module docstring); stacks are not.
+        """
+        global _last_factor
+        key = p.tobytes() if p.ndim == 2 and p.dtype == np.float64 else None
+        memo = _last_factor
+        if key is None or memo[0] != key:
+            try:
+                low = np.linalg.cholesky(p)
+            except np.linalg.LinAlgError:
+                raise DomainError("matrix is not positive definite") from None
+            low.setflags(write=False)  # shared through the memo
+            memo = (key, low, None)
+        _, low, inv_low = memo
+        if x is not None and inv_low is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv_low = np.linalg.inv(low)
+            inv_low.setflags(write=False)
+            memo = (key, low, inv_low)
+        if key is not None:
+            _last_factor = memo
         if x is None:
             return low
         with np.errstate(over="ignore", invalid="ignore"):
-            inv_low = np.linalg.inv(low)
             white = inv_low @ x @ inv_low.mT
         if not np.isfinite(white).all():
             raise DomainError("whitened matrix L^-1 x L^-T overflowed, with p = L L^T")
         return low, inv_low, white
+
+    def _distances(self, other: np.ndarray, white: np.ndarray | None) -> np.ndarray:
+        """Distances of a stack of rows from their base points, given
+        which rows differ from their base (``other``) and those rows
+        whitened (``None`` when no row differs): the root sum of squared
+        logarithms of the eigenvalues of the whitened rows, which are
+        those of p^-1 q.  Rows equal to their base read eigenvalues of one,
+        so their distance is exactly zero."""
+        w = np.ones(other.shape + (self.side,))
+        if white is not None:
+            w[other] = vals = np.linalg.eigvalsh(white)
+            if not np.all(vals > 0.0):
+                raise DomainError("matrix is not positive definite")
+        return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+
+    def _unwhiten(self, low: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """``L f L^T``, the whitened result ``f`` mapped back, symmetrized."""
+        return self._resymmetrize(low @ f @ low.mT, _size(low) ** 2 * _size(f))
 
     @staticmethod
     def _resymmetrize(out: np.ndarray, size=1.0) -> np.ndarray:

@@ -16,6 +16,7 @@ form because rescaling multiplies every distance by the same root.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -112,9 +113,12 @@ def riemannian_gd(
     ``manifold`` selects the metric of the run.  For a scaled wrapper
     the update uses the rescaled gradient and the stopping norm is
     measured in the scaled metric; the exponential map is shared with
-    the base manifold either way.  A domain error mid-run (for example
-    a step past the sphere's antipode while evaluating the gradient)
-    truncates the trace with ``stop_reason == "error"``.
+    the base manifold either way.  Each iterate evaluates the gradient,
+    then the value (so an objective may reuse work of the gradient for
+    the value, as :func:`frechet_objective` does), then the norm of the
+    rescaled gradient, and then steps.  A domain error mid-run (for
+    example a step past the sphere's antipode while evaluating the
+    gradient) truncates the trace with ``stop_reason == "error"``.
     """
     base = manifold.root if isinstance(manifold, ScaledManifold) else manifold
     _require(ManifoldPoint, x0)
@@ -128,8 +132,8 @@ def riemannian_gd(
     stop_reason = STOP_MAX_ITERS
     for k in range(config.max_iters + 1):
         try:
-            value = float(objective.value_fn(x))
             gradient = objective.gradient_fn(x)
+            value = float(objective.value_fn(x))
             used = manifold.rescale_gradient(gradient.components)
             grad_norm = manifold.norm(x.coordinates, used)
         except DomainError:
@@ -167,24 +171,35 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
 
     The gradient at ``x`` is the negated average of the logarithm maps
     toward the data points, which vanishes exactly at the barycenter.
-    Each evaluation makes one batched ``dist`` or ``log`` call over all
-    data points.
+    ``gradient_fn`` measures the distances and the logarithms to all
+    data points in one batched pass and keeps the distances of its last
+    point; ``value_fn`` reuses them when called with that same point
+    object, as :func:`riemannian_gd` does, and otherwise makes one
+    batched ``dist`` call, so it is defined wherever the distance is.
     """
     points = tuple(points)
     if not points:
         raise ContractViolationError("at least one point is required")
     manifold, coords = _on_one_manifold(points)
     n = len(coords)
+    # (point, its distances) from the last gradient; one tuple, replaced whole
+    measured = (None, None)
 
     def value_fn(x: ManifoldPoint) -> float:
+        point, d = measured
+        if point is not x:
+            d = manifold.dist(x.coordinates, coords)
         # Python-float squares summed left to right: numpy's vectorised
         # square and pairwise sum would round differently
-        return sum(float(d) ** 2 for d in manifold.dist(x.coordinates, coords)) / (2.0 * n)
+        return sum(map(pow, d.tolist(), repeat(2))) / (2.0 * n)
 
     def gradient_fn(x: ManifoldPoint) -> TangentVector:
+        nonlocal measured
+        d, logs = manifold._dist_log(x.coordinates, coords)
+        measured = (x, d)
         # a running sum adds the rows strictly left to right (np.sum may
         # pair them up); + 0.0 gives the +0.0 a sum started at zero gives
-        total = np.cumsum(manifold.log(x.coordinates, coords), axis=0)[-1] + 0.0
+        total = np.cumsum(logs, axis=0)[-1] + 0.0
         return TangentVector(x, -total / n)
 
     return Objective(value_fn, gradient_fn)

@@ -1,8 +1,10 @@
 """The leading batch axis of ``Manifold.log`` and ``Manifold.dist`` (on
 ``q``, and for ``dist`` on ``p`` too): every row of a batched call is the
-single call on that row, bit for bit, and the batched Fréchet objective
-and pairwise distances keep the values of their per-point loops."""
+single call on that row, bit for bit, the fused ``_dist_log`` pass is the
+two calls, and the batched Fréchet objective and pairwise distances keep
+the values of their per-point loops."""
 
+import functools
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from riemscale import (
     Euclidean,
     GeometryError,
     InternalConsistencyError,
+    Manifold,
     ManifoldPoint,
     ScaledManifold,
     Sphere,
@@ -138,6 +141,29 @@ def test_each_batched_row_is_the_single_call_on_that_row(batch):
     assert all(type(m.dist(p, q)) is float for q in rows)
 
 
+def _joined(d, logs):
+    """Distances and logarithms of one batch as one flat array."""
+    assert d.shape == logs.shape[:1]
+    return np.concatenate([d, logs.ravel()])
+
+
+# a unit vector whose rounded p . p is below one: its own row has a
+# nonzero chord, and its distance must still read exactly zero
+_P122 = np.array([1.0, 2.0, 2.0]) / np.linalg.norm([1.0, 2.0, 2.0])
+
+
+@SETTINGS
+@given(batches(), st.floats(-3.0, 3.0))
+@example((Sphere(2), _P122, np.stack([_P122, np.array([0.0, 0.0, 1.0])])), 0.0)
+def test_fused_distances_and_logarithms_are_dist_and_log_bit_for_bit(batch, log_lam):
+    m, p, rows = batch
+    for man in (m, ScaledManifold(m, 10.0**log_lam)):
+        expected = _outcome(lambda p, q: _joined(man.dist(p, q), man.log(p, q)), p, rows)
+        # each family's pass, and the generic one of the base class
+        for fused in (man._dist_log, functools.partial(Manifold._dist_log, man)):
+            assert _outcome(lambda p, q: _joined(*fused(p, q)), p, rows) == expected
+
+
 @SETTINGS
 @given(batches(), st.floats(-3.0, 3.0))
 def test_dist_batches_the_base_point_row_by_row(batch, log_lam):
@@ -191,10 +217,29 @@ def test_frechet_value_and_gradient_match_the_per_point_loop(batch, start):
     m, p, rows = batch
     objective = frechet_objective([ManifoldPoint(m, q) for q in rows])
     x = ManifoldPoint(m, rows[start % len(rows)] if start % 2 else p)
-    assert _outcome(objective.value_fn, x) == _outcome(_loop_value, m, x.coordinates, rows)
+    y = ManifoldPoint(m, rows[start % len(rows)] if start % 2 == 0 else p)
+    value = _outcome(_loop_value, m, x.coordinates, rows)
+    assert _outcome(objective.value_fn, x) == value
     assert _outcome(lambda x: objective.gradient_fn(x).components, x) == _outcome(
         _loop_gradient, m, x.coordinates, rows
     )
+    # after the gradient, as a descent calls them: the same point reuses
+    # the gradient's distances, another point measures its own
+    assert _outcome(objective.value_fn, x) == value
+    assert _outcome(objective.value_fn, y) == _outcome(_loop_value, m, y.coordinates, rows)
+
+
+def test_frechet_value_alone_is_defined_where_the_gradient_is_not():
+    sphere = Sphere(2)
+    north, east = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    objective = frechet_objective([ManifoldPoint(sphere, north), ManifoldPoint(sphere, east)])
+    south = ManifoldPoint(sphere, -north)
+    value = _loop_value(sphere, south.coordinates, np.stack([north, east]))
+    assert value == pytest.approx((math.pi**2 + (math.pi / 2) ** 2) / 4, rel=1e-15)
+    assert objective.value_fn(south) == value
+    with pytest.raises(DomainError, match="antipode"):
+        objective.gradient_fn(south)
+    assert objective.value_fn(south) == value
 
 
 @SETTINGS
@@ -208,8 +253,9 @@ def test_sphere_batch_with_an_antipodal_row_raises(batch, index, angle):
     rows = rows.copy()
     # cos(pi - angle) <= -1 + 4.5e-10 lies within ANTIPODE_MARGIN of -1
     rows[index % len(rows)] = -math.cos(angle) * p + math.sin(angle) * normal
-    with pytest.raises(DomainError, match="antipode"):
-        m.log(p, rows)
+    for op in (m.log, m._dist_log, ScaledManifold(m, 4.0)._dist_log):
+        with pytest.raises(DomainError, match="antipode"):
+            op(p, rows)
 
 
 @SETTINGS

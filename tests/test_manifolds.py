@@ -16,7 +16,6 @@ from riemscale import (
     ContractViolationError,
     DomainError,
     Euclidean,
-    InternalConsistencyError,
     ManifoldPoint,
     SampledCurve,
     Sphere,
@@ -118,10 +117,14 @@ def test_exp_spd_at_identity_is_matrix_exponential():
 
 
 def test_exp_spd_overflow_raises_instead_of_returning_nan():
-    # exp(800) overflows, so the product holds inf * 0 = NaN entries
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InternalConsistencyError, match="drifted nan"):
+    # exp(800) overflows, and the product would hold inf * 0 = NaN entries
+    p = _point(SPD2, np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="exp of the whitened tangent"):
             SPD2.exp(np.eye(2), np.diag([800.0, 1.0]))
+        with pytest.raises(DomainError, match="exp of the whitened tangent"):
+            exp_map(_vector(p, 1e200 * np.eye(2)))
 
 
 def test_exp_sphere_overflow_raises_instead_of_a_math_error():
@@ -147,6 +150,84 @@ def test_spd_whitening_overflow_is_a_domain_error_without_a_warning():
                          (log_map, (p, q))):
             with pytest.raises(DomainError, match="L\\^-1 x L\\^-T overflowed"):
                 op(*args)
+
+
+def test_spd_inner_product_overflow_is_a_domain_error_without_a_warning():
+    # the whitened tangent is finite, its Frobenius product is not
+    v = _vector(_point(SPD2, np.eye(2)), 1e200 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op, args in ((norm, (v,)), (inner_product, (v, v))):
+            with pytest.raises(DomainError, match="inner product of the whitened tangents"):
+                op(*args)
+
+
+def test_spd_log_toward_a_rounded_singular_point_is_a_domain_error():
+    # Cholesky of this singular matrix succeeds by rounding; its whitened
+    # eigenvalue 0 has no logarithm, as distance already reports
+    p = _point(SPD2, np.eye(2))
+    q = _point(SPD2, [[0.5, 0.5], [0.5, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op in (distance, log_map):
+            with pytest.raises(DomainError, match="not positive definite"):
+                op(p, q)
+
+
+def test_spd_remembered_factor_gives_what_a_cold_call_gives():
+    # the factor of the last single base matrix is remembered by its bytes;
+    # a cold call is one made right after factoring an unrelated matrix
+    rng = np.random.default_rng(5)
+    m = SymmetricPositiveDefinite(3)
+    p1, p2, unrelated = (m.random_point(rng) for _ in range(3))
+    rows = np.stack([m.random_point(rng) for _ in range(4)])
+    u = m.random_tangent(p1, rng)
+    ops = [
+        lambda p: m.validate_point(p),
+        lambda p: m.exp(p, u),
+        lambda p: m.log(p, rows),
+        lambda p: np.concatenate([a.ravel() for a in m._dist_log(p, rows)]),
+        lambda p: m.dist(p, rows),
+        lambda p: m.inner(p, u, 2.0 * u),
+        lambda p: m.norm(p, u),
+        lambda p: m.transport(p, rows[0], u),
+    ]
+
+    def result(op, p):
+        return np.asarray(op(p), dtype=float).tobytes()
+
+    def cold(op, p):
+        m.validate_point(unrelated)
+        return result(op, p)
+
+    bases = (p1, p2)
+    expected = [[cold(op, p) for p in bases] for op in ops]
+    order = (0, 0, 1, 0, 1, 1, 0)
+    for i in order:
+        for k, op in enumerate(ops):
+            assert result(op, bases[i]) == expected[k][i]
+    for k, op in enumerate(ops):
+        for i in order:
+            assert result(op, bases[i]) == expected[k][i]
+    # one writable array changed in place between calls
+    a = p1.copy()
+    for i in order:
+        for k, op in enumerate(ops):
+            a[...] = bases[i]
+            assert result(op, a) == expected[k][i]
+    # a failure is not remembered, and raises again on the same bytes
+    a[...] = -p1
+    for _ in range(2):
+        with pytest.raises(DomainError, match="not positive definite"):
+            m.exp(a, u)
+    a[...] = p1
+    assert result(ops[1], a) == expected[1][0]
+    # the same bytes in another dtype are another matrix: the int64
+    # identity reads as a float64 diagonal of denormals
+    tiny = 5e-324 * np.eye(3)
+    assert tiny.tobytes() == np.eye(3, dtype=np.int64).tobytes()
+    m.validate_point(tiny)
+    assert result(ops[2], np.eye(3, dtype=np.int64)) == cold(ops[2], np.eye(3))
 
 
 def test_spd_symmetry_guard_scales_with_an_ill_conditioned_base():

@@ -2,6 +2,7 @@
 scale calibration."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from riemscale import (
     OptimizerConfig,
     ScaledManifold,
     Sphere,
+    SymmetricPositiveDefinite,
     TangentVector,
     calibrate_scale,
     equivalence_check,
@@ -28,6 +30,7 @@ from riemscale import (
     random_frechet_problem,
     riemannian_gd,
 )
+from riemscale import manifolds
 
 E2 = Euclidean(2)
 S2 = Sphere(2)
@@ -272,6 +275,48 @@ def test_equivalence_failing_arm_raises_typed_error_with_prefix_deviation():
         equivalence_check(S2, objective, _e(0), eta=0.1, lam=4.0, iters=10)
     assert isinstance(info.value, DomainError)
     assert info.value.partial_deviation == 0.0
+
+
+class _Counting:
+    """Stand-in for a module: the named functions count their calls in
+    ``counts``, every other attribute is the module's own."""
+
+    def __init__(self, target, counts, **overrides):
+        self._target, self.counts = target, counts
+        vars(self).update(overrides)
+
+    def __getattr__(self, name):
+        fn = getattr(self._target, name)
+        if name in ("cholesky", "inv", "eigh", "eigvalsh"):
+
+            def counted(*args, **kwargs):
+                self.counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+        return fn
+
+
+@pytest.mark.parametrize("side", [2, 3])
+def test_spd_descent_factors_each_iterate_once(monkeypatch, side):
+    manifold = SymmetricPositiveDefinite(side)
+    _, objective, x0 = random_frechet_problem(manifold, 5, np.random.default_rng(side))
+    config = OptimizerConfig(step_size=0.1, max_iters=12, grad_tol=0.0)
+    for arm in (manifold, ScaledManifold(manifold, 4.0)):
+        counts = Counter()
+        monkeypatch.setattr(manifolds, "np", _Counting(
+            np, counts, linalg=_Counting(np.linalg, counts),
+        ))
+        trace = riemannian_gd(arm, objective, x0, config)
+        monkeypatch.undo()
+        assert trace.stop_reason == "max_iters"
+        # per iterate one factor, one eigvalsh (distances) and one eigh
+        # (logarithms); per step one more eigh (exp)
+        iterates, steps = len(trace), len(trace) - 1
+        assert dict(counts) == {
+            "cholesky": iterates, "inv": iterates, "eigvalsh": iterates,
+            "eigh": iterates + steps,
+        }
 
 
 # ---------------------------------------------------------------------------
