@@ -55,6 +55,9 @@ CLI_COMMANDS = [
     ["--command", "calibrate", "--points", "1"],
     ["--command", "calibrate", "--manifold", "spd:8", "--points", "25"],
     ["--command", "calibrate", "--manifold", "sphere:2", "--points", "60"],
+    # pairwise distances over several blocks of pairs on each family
+    ["--command", "calibrate", "--manifold", "spd:2", "--points", "90"],
+    ["--command", "calibrate", "--manifold", "sphere:2", "--points", "130"],
     ["--command", "geodesic"],
     ["--command", "geodesic", "--chart", "polar", "--lambda", "4", "--iters", "1000"],
     ["--command", "geodesic", "--chart", "euclidean:3", "--lambda", "0.25", "--iters", "7"],

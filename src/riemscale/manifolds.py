@@ -33,7 +33,10 @@ the SPD whitening.  The SPD cone also remembers the Cholesky factor
 factored, keyed on the matrix's exact bytes, so validating a descent
 iterate, measuring from it, taking its norm and stepping from it factor
 it once.  The memo is one tuple, replaced whole, so concurrent callers
-stay safe; stacks of base points (``dist``) are always factored afresh.
+stay safe.  A stack of base points (``dist`` over pairs) is not
+remembered, but each run of equal consecutive base matrices in it is
+factored once: the base side of the pairs ``pairwise_distances`` walks
+repeats each point over a run of rows.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import math
 import numbers
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Sequence
@@ -132,6 +136,18 @@ def _paired(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The selected ``rows`` of a stack, or a stack of one as it is,
     which broadcasts against them."""
     return stack if len(stack) == 1 else stack[rows]
+
+
+def _runs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The first index and the length of each run of equal consecutive
+    matrices in a stack, or ``None`` when no two neighbours are equal."""
+    if len(stack) < 2:
+        return None
+    same = (stack[1:] == stack[:-1]).all(axis=(-2, -1))
+    if not same.any():
+        return None
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    return starts, np.diff(np.append(starts, len(stack)))
 
 
 def _size(a: np.ndarray) -> np.ndarray:
@@ -516,9 +532,13 @@ class SymmetricPositiveDefinite(Manifold):
         low, _, white = self._whiten(p, v)
         with np.errstate(over="ignore", invalid="ignore"):
             f = _sym_apply(white, np.exp)
+            out = low @ f @ low.mT
+            size = _size(low) ** 2 * _size(f)
         if not np.isfinite(f).all():
             raise DomainError("exp of the whitened tangent L^-1 v L^-T overflowed, with p = L L^T")
-        return self._unwhiten(low, f)
+        if not np.isfinite(out).all():
+            raise DomainError("exp mapped back to L f L^T overflowed, with p = L L^T")
+        return self._resymmetrize(out, size)
 
     def log(self, p, q):
         rows, single = self._rows(q)
@@ -556,7 +576,11 @@ class SymmetricPositiveDefinite(Manifold):
             raise ContractViolationError(
                 f"matrix is asymmetric by {asym:.3e} (tolerance {POINT_TOL})"
             )
-        self._whiten(out)  # raises unless out has a Cholesky factor
+        pivot = min(self._whiten(out).diagonal().tolist())  # raises unless out has a factor
+        # each squared pivot is at least the smallest eigenvalue: a factor
+        # found only by rounding has one within rounding of zero
+        if pivot * pivot <= self.side * sys.float_info.epsilon * max(out.diagonal().tolist()):
+            raise DomainError("matrix is not positive definite")
         return out
 
     def validate_tangent(self, p, components) -> np.ndarray:
@@ -579,14 +603,16 @@ class SymmetricPositiveDefinite(Manifold):
         ``x`` is not finite.
 
         The factors of a single float64 matrix are remembered for the next
-        call on the same bytes (see the module docstring); stacks are not.
+        call on the same bytes (see the module docstring); stacks are not,
+        but a stack factors each run of equal consecutive matrices once.
         """
         global _last_factor
         key = p.tobytes() if p.ndim == 2 and p.dtype == np.float64 else None
         memo = _last_factor
+        runs = _runs(p) if p.ndim > 2 else None
         if key is None or memo[0] != key:
             try:
-                low = np.linalg.cholesky(p)
+                low = np.linalg.cholesky(p if runs is None else p[runs[0]])
             except np.linalg.LinAlgError:
                 raise DomainError("matrix is not positive definite") from None
             low.setflags(write=False)  # shared through the memo
@@ -599,6 +625,10 @@ class SymmetricPositiveDefinite(Manifold):
             memo = (key, low, inv_low)
         if key is not None:
             _last_factor = memo
+        if runs is not None:
+            low = np.repeat(low, runs[1], axis=0)
+            if inv_low is not None:
+                inv_low = np.repeat(inv_low, runs[1], axis=0)
         if x is None:
             return low
         with np.errstate(over="ignore", invalid="ignore"):

@@ -6,6 +6,7 @@ the values of their per-point loops."""
 
 import functools
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -122,10 +123,10 @@ def _outcome(fn, *args):
     return "ok", np.asarray(out, dtype=float).tobytes()
 
 
-def _first_failure_or_rows(fn, p, rows):
-    """What a sequence of single calls gives: the first error, or the
-    concatenated bytes of every row's result."""
-    outcomes = [_outcome(fn, p, q) for q in rows]
+def _single_calls(fn, ps, qs):
+    """What a single call per pair of rows gives: the first error, or the
+    concatenated bytes of every pair's result."""
+    outcomes = [_outcome(fn, a, b) for a, b in zip(ps, qs)]
     failed = [o for o in outcomes if o[0] != "ok"]
     return failed[0] if failed else ("ok", b"".join(o[1] for o in outcomes))
 
@@ -135,9 +136,9 @@ def _first_failure_or_rows(fn, p, rows):
 def test_each_batched_row_is_the_single_call_on_that_row(batch):
     m, p, rows = batch
     for op, reference in ((m.dist, _reference_dist), (m.log, _reference_log)):
-        expected = _first_failure_or_rows(lambda p, q: reference(m, p, q), p, rows)
+        expected = _single_calls(lambda p, q: reference(m, p, q), repeat(p), rows)
         assert _outcome(op, p, rows) == expected
-        assert _first_failure_or_rows(op, p, rows) == expected
+        assert _single_calls(op, repeat(p), rows) == expected
     assert all(type(m.dist(p, q)) is float for q in rows)
 
 
@@ -165,18 +166,43 @@ def test_fused_distances_and_logarithms_are_dist_and_log_bit_for_bit(batch, log_
 
 
 @SETTINGS
-@given(batches(), st.floats(-3.0, 3.0))
-def test_dist_batches_the_base_point_row_by_row(batch, log_lam):
+@given(batches(), st.floats(-3.0, 3.0), st.integers(2, 4))
+def test_dist_batches_the_base_point_row_by_row(batch, log_lam, k):
     m, p, rows = batch
+    # a base stack of runs of k equal rows, paired with p and the rows in
+    # turn, so that a run holds a row equal to its base
+    runs = np.repeat(rows, k, axis=0)
+    partners = np.resize(np.concatenate([p[np.newaxis], rows]), runs.shape)
     for man in (m, ScaledManifold(m, 10.0**log_lam)):
         others = rows[::-1]
         for ps, qs, pairs in (
             (rows, others, zip(rows, others)),
             (rows, p, ((a, p) for a in rows)),
             (p, rows, ((p, b) for b in rows)),
+            (runs, partners, zip(runs, partners)),
         ):
             expected = np.array([man.dist(a, b) for a, b in pairs])
             assert man.dist(ps, qs).tobytes() == expected.tobytes()
+
+
+def test_spd_dist_over_runs_of_bases_gives_the_single_calls_results_and_errors():
+    rng = np.random.default_rng(3)
+    a, b, q = (_spd(rng, 2, 10.0) for _ in range(3))
+    diagonal = np.diag(np.diag(a))
+    signed = diagonal.copy()
+    signed[0, 1] = signed[1, 0] = -0.0  # == diagonal, with a factor of other bytes
+    indefinite = np.diag([1.0, -1.0])
+    m = SymmetricPositiveDefinite(2)
+    for ps, qs in (
+        ([a, a, a, b, b, a], [q, a, b, a, q, q]),
+        ([diagonal, signed, signed, diagonal], [q, q, a, b]),
+        # an indefinite base is 0 from itself, as alone, and fails otherwise
+        ([a, indefinite, indefinite, b], [q, indefinite, indefinite, q]),
+        ([a, a, indefinite, indefinite, b], [b, q, indefinite, q, a]),
+    ):
+        expected = _single_calls(m.dist, ps, qs)
+        assert _outcome(m.dist, np.stack(ps), np.stack(qs)) == expected
+    assert expected == ("DomainError", "matrix is not positive definite")
 
 
 @SETTINGS
@@ -268,8 +294,27 @@ def test_pairwise_distances_on_mixed_manifolds_is_a_contract_violation(batch, lo
         pairwise_distances(points)
 
 
+def _several_blocks(m, n):
+    """A pairwise-distances case whose ``n(n-1)/2`` pairs span several
+    blocks of ``pairwise_distances``, with duplicate points next to each
+    other and apart."""
+    base = m.base if isinstance(m, ScaledManifold) else m
+    rng = np.random.default_rng(n)
+    if isinstance(base, SymmetricPositiveDefinite):
+        rows = [_spd(rng, base.side, 10.0 ** rng.uniform(0.0, 6.0)) for _ in range(n)]
+    else:
+        rows = [base.random_point(rng) for _ in range(n)]
+    rows[4], rows[5], rows[11], rows[-1] = rows[3], rows[3], rows[0], rows[3]
+    return m, None, np.stack(rows)
+
+
 @SETTINGS
 @given(batches())
+@example(_several_blocks(SymmetricPositiveDefinite(8), 17))
+@example(_several_blocks(ScaledManifold(SymmetricPositiveDefinite(8), 2.5), 40))
+@example(_several_blocks(SymmetricPositiveDefinite(2), 65))
+@example(_several_blocks(Sphere(2), 75))
+@example(_several_blocks(ScaledManifold(Sphere(2), 2.5), 100))
 def test_pairwise_distances_fill_both_triangles_from_single_calls(batch):
     m, _, rows = batch
     points = [ManifoldPoint(m, q) for q in rows]

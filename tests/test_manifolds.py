@@ -127,6 +127,18 @@ def test_exp_spd_overflow_raises_instead_of_returning_nan():
             exp_map(_vector(p, 1e200 * np.eye(2)))
 
 
+def test_exp_spd_overflow_mapping_back_is_a_domain_error_without_a_warning():
+    # the whitened tangent is 20 I and exp(20) is finite, but L f L^T at
+    # p = 1e300 I is 4.9e308 I: past the double range
+    p = _point(SPD2, 1e300 * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for op, args in ((SPD2.exp, (p.coordinates, 2e301 * np.eye(2))),
+                         (exp_map, (_vector(p, 2e301 * np.eye(2)),))):
+            with pytest.raises(DomainError, match="L f L\\^T overflowed"):
+                op(*args)
+
+
 def test_exp_sphere_overflow_raises_instead_of_a_math_error():
     # the tangent norm overflows to inf, where cos and sin are undefined
     e0 = np.array([1.0, 0.0, 0.0])
@@ -163,15 +175,28 @@ def test_spd_inner_product_overflow_is_a_domain_error_without_a_warning():
 
 
 def test_spd_log_toward_a_rounded_singular_point_is_a_domain_error():
-    # Cholesky of this singular matrix succeeds by rounding; its whitened
-    # eigenvalue 0 has no logarithm, as distance already reports
-    p = _point(SPD2, np.eye(2))
-    q = _point(SPD2, [[0.5, 0.5], [0.5, 0.5]])
+    # Cholesky of this singular matrix succeeds by rounding (its last pivot
+    # is 1.05e-8); its whitened eigenvalue 0 has no logarithm, as distance
+    # already reports, and it is no point of the cone
+    p = np.eye(2)
+    q = np.array([[0.5, 0.5], [0.5, 0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for op in (distance, log_map):
+        for op in (SPD2.dist, SPD2.log):
             with pytest.raises(DomainError, match="not positive definite"):
                 op(p, q)
+        with pytest.raises(DomainError, match="not positive definite"):
+            ManifoldPoint(SPD2, q)
+
+
+@pytest.mark.parametrize("side", [2, 3, 8])
+def test_spd_points_with_condition_numbers_up_to_1e12_are_valid(side):
+    # the rounded-singular check rejects only a smallest eigenvalue below
+    # side * eps * max(diag(p)), at any overall scale
+    m = SymmetricPositiveDefinite(side)
+    for seed, scale in enumerate((1e-290, 1.0, 1e290)):
+        x = scale * _spd(np.random.default_rng([side, seed]), side, 1e12)
+        assert np.array_equal(ManifoldPoint(m, x).coordinates, x)
 
 
 def test_spd_remembered_factor_gives_what_a_cold_call_gives():

@@ -30,7 +30,7 @@ from riemscale import (
     random_frechet_problem,
     riemannian_gd,
 )
-from riemscale import manifolds
+from riemscale import manifolds, optimize
 
 E2 = Euclidean(2)
 S2 = Sphere(2)
@@ -317,6 +317,33 @@ def test_spd_descent_factors_each_iterate_once(monkeypatch, side):
             "cholesky": iterates, "inv": iterates, "eigvalsh": iterates,
             "eigh": iterates + steps,
         }
+
+
+@pytest.mark.parametrize("side, n", [(2, 70), (8, 40)])
+def test_spd_pairwise_distances_factor_each_base_once_per_block(monkeypatch, side, n):
+    manifold = SymmetricPositiveDefinite(side)
+    points, _, _ = random_frechet_problem(manifold, n, np.random.default_rng(side))
+    expected = pairwise_distances(points)
+    pairs = n * (n - 1) // 2
+    blocks = -(-pairs // max(1, optimize._PAIR_BLOCK_BYTES // (8 * side * side)))
+    assert blocks >= 2
+    counts, factored = Counter(), []
+
+    def cholesky(a):
+        counts["cholesky"] += 1
+        factored.append(len(a))
+        return np.linalg.cholesky(a)
+
+    monkeypatch.setattr(manifolds, "np", _Counting(
+        np, counts, linalg=_Counting(np.linalg, counts, cholesky=cholesky),
+    ))
+    out = pairwise_distances(points)
+    monkeypatch.undo()
+    assert out.tobytes() == expected.tobytes()
+    # per block one factor of its bases, its inverse and one eigvalsh; a
+    # base point split between two blocks is factored in each
+    assert dict(counts) == {"cholesky": blocks, "inv": blocks, "eigvalsh": blocks}
+    assert sum(factored) <= n - 1 + blocks - 1
 
 
 # ---------------------------------------------------------------------------
