@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI_COMMANDS = [
     ["--command", "verify", "--seed", "42"],
     ["--command", "verify", "--seed", "7"],
+    ["--command", "verify", "--seed", "1234"],
     ["--command", "scale-table"],
     ["--command", "scale-table", "--manifold", "spd:8", "--lambda", "4"],
     ["--command", "frechet"],
@@ -45,6 +46,8 @@ CLI_COMMANDS = [
     ["--command", "frechet", "--manifold", "spd:2", "--eta", "50"],
     ["--command", "frechet", "--manifold", "spd:2", "--eta", "50", "--check-equivalence"],
     ["--command", "frechet", "--manifold", "euclidean:3", "--eta", "5"],
+    # a descent whose value overflows: it stops as diverged
+    ["--command", "frechet", "--manifold", "euclidean:3", "--eta", "5", "--iters", "400"],
     ["--command", "frechet", "--manifold", "spd:8", "--points", "12", "--check-equivalence"],
     ["--command", "frechet", "--manifold", "euclidean:3", "--points", "100",
      "--check-equivalence"],

@@ -29,6 +29,7 @@ from .charts import chart_from_string, geodesic_integrate, scale_chart_constant
 from .errors import DegenerateInputError, GeometryError
 from .manifolds import _require_count, _require_real, manifold_from_string
 from .optimize import (
+    STOP_DIVERGED,
     STOP_ERROR,
     OptimizerConfig,
     equivalence_check,
@@ -189,7 +190,7 @@ def cmd_frechet(config: RunConfig) -> int:
     _output(config, summary, *trace.table())
     if config.fmt == "csv" and config.out is not None:
         sys.stdout.write(render_json(summary))
-    return 2 if trace.stop_reason == STOP_ERROR else 0
+    return 2 if trace.stop_reason in (STOP_ERROR, STOP_DIVERGED) else 0
 
 
 def cmd_calibrate(config: RunConfig) -> int:

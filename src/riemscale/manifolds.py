@@ -14,16 +14,19 @@ formulas, and every SPD operation factors its base point once, as
 All values are immutable and all operations are pure functions, so the
 module is safe for unrestricted concurrent use.
 
-``dist(p, q)`` takes a leading batch axis on ``p``, on ``q`` or on
-both, following the vectorisation convention of geomstats: stacks of
-shape ``(N, *ambient_shape)``, or one point against a stack, give the
-``(N,)`` distances row by row, each bit-identical to the single call on
-that row.  ``log(p, q)`` takes the batch axis on ``q`` only and returns
-``(N, *ambient_shape)`` tangent vectors.  A single point is the
-batch-of-one case of the same code and gives an ambient array or a
-Python float.  SPD distance reads the eigenvalues of ``L^-1 q L^-T``,
-one stacked ``eigvalsh`` for the whole batch.  ``exp``, ``transport``
-and ``inner`` take one point.
+The closed-form operations take a leading batch axis, following the
+vectorisation convention of geomstats: ``inner``, ``norm``, ``dist``,
+``exp``, ``log``, ``transport``, ``to_tangent`` and
+``euclidean_to_riemannian_gradient`` accept stacks of shape
+``(N, *ambient_shape)`` in any argument, and a single point or vector
+broadcasts against a stack.  They give the ``N`` results row by row,
+each bit-identical to the single call on that row, and a batch raises
+the error its first failing row would raise on its own (a failed batch
+replays its rows one at a time to find it).  ``curve_length`` takes a
+``(C, S, *ambient_shape)`` stack of C curves.  Single inputs keep their
+own code path and give a Python float or one ambient array.  SPD
+distance reads the eigenvalues of ``L^-1 q L^-T``, one stacked
+``eigvalsh`` for the whole batch.
 
 A barycenter iterate measures all data points in one pass: the private
 ``_dist_log(p, rows)`` gives ``dist(p, rows)`` and ``log(p, rows)``
@@ -33,10 +36,10 @@ the SPD whitening.  The SPD cone also remembers the Cholesky factor
 factored, keyed on the matrix's exact bytes, so validating a descent
 iterate, measuring from it, taking its norm and stepping from it factor
 it once.  The memo is one tuple, replaced whole, so concurrent callers
-stay safe.  A stack of base points (``dist`` over pairs) is not
-remembered, but each run of equal consecutive base matrices in it is
-factored once: the base side of the pairs ``pairwise_distances`` walks
-repeats each point over a run of rows.
+stay safe.  A stack of base points is not remembered, but each run of
+equal consecutive base matrices in it is factored once: the base side
+of the pairs ``pairwise_distances`` walks repeats each point over a run
+of rows, and a single base point broadcast against a stack is one run.
 """
 
 from __future__ import annotations
@@ -56,7 +59,12 @@ import numpy as np
 # hook (perfbench/instrument.py) replaces ``manifolds.scipy``.
 import scipy  # noqa: F401
 
-from .errors import ContractViolationError, DomainError, InternalConsistencyError
+from .errors import (
+    ContractViolationError,
+    DomainError,
+    GeometryError,
+    InternalConsistencyError,
+)
 
 # Tolerances: membership checks mirror double-precision headroom; the
 # renormalization budget bounds drift any single operation may repair.
@@ -155,6 +163,27 @@ def _size(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1))
 
 
+def _dot_inner(self: "Manifold", p, u, v) -> float | np.ndarray:
+    """The ``inner`` of Euclidean space and of the sphere (each class holds
+    it as its own method): the dot product of the ambient vectors.
+    ``np.vdot`` sets no overflow flag, and a stack's ``vecdot`` rounds
+    each row as ``vdot`` does."""
+    if p.ndim > 1 or u.ndim > 1 or v.ndim > 1:
+        return self._batched(self.inner, _stacked_dot, p, u, v)
+    out = float(np.vdot(u, v))
+    if not math.isfinite(out):
+        raise DomainError(f"inner product {out} is not finite")
+    return out
+
+
+def _stacked_dot(p, u, v) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.vecdot(u, v)
+    if not np.isfinite(out).all():
+        raise DomainError("inner product is not finite")
+    return out
+
+
 def _sym_apply(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply a scalar function to the symmetric part of a matrix (or of
     each matrix in a stack) through its eigenvalues."""
@@ -170,6 +199,13 @@ class Manifold(ABC):
     symmetric matrices for the SPD cone).  The wrapper types
     :class:`ManifoldPoint` and :class:`TangentVector` add membership
     validation on top of this engine.
+
+    Every metric and geodesic operation also takes stacks of shape
+    ``(N, *ambient_shape)`` in any argument; a single point or vector
+    is paired with every row of the others.  The result is then the
+    ``(N,)`` or ``(N, *ambient_shape)`` stack of row results, each the
+    single call on that row bit for bit, and an error is the one the
+    first failing row would raise on its own.
     """
 
     family: ClassVar[str]
@@ -187,23 +223,22 @@ class Manifold(ABC):
     # -- metric --------------------------------------------------------
 
     @abstractmethod
-    def inner(self, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-        """Metric inner product of tangent vectors ``u``, ``v`` at ``p``."""
+    def inner(self, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+        """Metric inner product of tangent vectors ``u``, ``v`` at ``p``:
+        a Python float, or one per row of a batch.  ``DomainError`` if it
+        is not finite."""
 
-    def norm(self, p: np.ndarray, v: np.ndarray) -> float:
-        """Metric norm of ``v`` at ``p``."""
-        return math.sqrt(max(self.inner(p, v, v), 0.0))
+    def norm(self, p: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+        """Metric norm of ``v`` at ``p``, or of each row of a batch."""
+        ip = self.inner(p, v, v)
+        if isinstance(ip, float):
+            return math.sqrt(max(ip, 0.0))
+        return np.sqrt(np.where(ip < 0.0, 0.0, ip))
 
     @abstractmethod
     def dist(self, p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
-        """Geodesic distance between ``p`` and ``q``.
-
-        Either argument, or both, may carry a leading batch axis,
-        ``(N, *ambient_shape)``; a single point on one side is paired
-        with every row of the other.  The result is then the ``(N,)``
-        array of row distances, each the single call on that row.  Two
-        single points give a Python float.
-        """
+        """Geodesic distance between ``p`` and ``q``: a Python float for
+        two single points, else the ``(N,)`` row distances."""
 
     # -- geodesic structure ---------------------------------------------
 
@@ -213,19 +248,13 @@ class Manifold(ABC):
 
     @abstractmethod
     def log(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Initial velocity of the geodesic from ``p`` reaching ``q`` at time 1.
-
-        ``q`` may carry a leading batch axis, ``(N, *ambient_shape)``;
-        the result is then the ``(N, *ambient_shape)`` stack of
-        logarithms at ``p``, and an error is the one the first failing
-        row would raise on its own.
-        """
+        """Initial velocity of the geodesic from ``p`` reaching ``q`` at time 1."""
 
     def _dist_log(self, p: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``dist(p, rows)`` and ``log(p, rows)`` for a point and an
-        ``(N, *ambient_shape)`` stack, bit for bit, raising what calling
-        ``dist`` and then ``log`` raises.  Families override it to share
-        the work of the two calls."""
+        """``dist(p, rows)`` and ``log(p, rows)`` for a point (or a stack
+        paired row by row) and an ``(N, *ambient_shape)`` stack, bit for
+        bit, raising what calling ``dist`` and then ``log`` raises.
+        Families override it to share the work of the two calls."""
         return self.dist(p, rows), self.log(p, rows)
 
     @abstractmethod
@@ -249,17 +278,26 @@ class Manifold(ABC):
         wrappers divide by their factor."""
         return gradient
 
-    def curve_length(self, points: Sequence[np.ndarray]) -> float:
+    def curve_length(self, points: Sequence[np.ndarray]) -> float | np.ndarray:
         """Length of a sampled curve as the sum of geodesic segment distances.
 
         Converges to the true length as the sampling refines, and is
-        exact when consecutive samples lie on a common geodesic.
+        exact when consecutive samples lie on a common geodesic.  A
+        ``(C, S, *ambient_shape)`` stack of C curves gives their ``(C,)``
+        lengths, each the single call on that curve.
         """
-        if len(points) < 2:
+        curves = np.asarray(points, dtype=float)
+        single = curves.ndim <= len(self.ambient_shape) + 1
+        if single:
+            curves = curves[np.newaxis]
+        count, samples = curves.shape[:2]
+        if samples < 2:
             raise ContractViolationError("a sampled curve needs at least 2 points")
-        stack = np.stack(points)
+        ends = (c.reshape(-1, *self.ambient_shape) for c in (curves[:, :-1], curves[:, 1:]))
+        d = self.dist(*ends).reshape(count, samples - 1)
         # Python floats summed left to right, as a segment-by-segment sum does
-        return float(sum(self.dist(stack[:-1], stack[1:]).tolist()))
+        lengths = [float(sum(row)) for row in d.tolist()]
+        return lengths[0] if single else np.array(lengths)
 
     # -- membership and sampling -----------------------------------------
 
@@ -294,6 +332,34 @@ class Manifold(ABC):
         qs, q_single = self._rows(q)
         return ps, qs, p_single and q_single
 
+    def _batched(self, op: Callable, rows_op: Callable, *args) -> np.ndarray:
+        """``rows_op`` on ``args`` broadcast to stacks of one length (a
+        single point is a stack of one); if it fails, the error the first
+        failing row raises on its own through ``op``."""
+        stacks = np.broadcast_arrays(*(self._rows(a)[0] for a in args))
+        try:
+            return rows_op(*stacks)
+        except GeometryError:
+            self._replay(op, *args)
+            raise
+
+    def _replay(self, op: Callable, *args) -> None:
+        """Call ``op`` on the rows of a batch one at a time, so that the
+        first failing row raises its own error; nothing for single points."""
+        stacks, singles = zip(*(self._rows(a) for a in args))
+        if all(singles):
+            return
+        for i in range(max(map(len, stacks))):
+            op(*(s[0] if len(s) == 1 else s[i] for s in stacks))
+
+    def _log_from_pass(self, p, q) -> np.ndarray:
+        """``log`` as the logarithm half of ``_dist_log``."""
+        if np.ndim(p) > len(self.ambient_shape):
+            return self._batched(self.log, lambda ps, qs: self._dist_log(ps, qs)[1], p, q)
+        rows, single = self._rows(q)
+        out = self._dist_log(p, rows)[1]
+        return out[0] if single else out
+
     def _check_shape(self, arr, what: str) -> np.ndarray:
         out = _floats(arr, what)
         if out.shape != self.ambient_shape:
@@ -323,8 +389,7 @@ class Euclidean(Manifold):
     def ambient_shape(self) -> tuple[int, ...]:
         return (self.dim,)
 
-    def inner(self, p, u, v) -> float:
-        return float(np.dot(u, v))
+    inner = _dot_inner
 
     def dist(self, p, q):
         ps, qs, single = self._pair(p, q)
@@ -344,13 +409,17 @@ class Euclidean(Manifold):
         return np.sqrt(np.vecdot(diff, diff)), diff
 
     def transport(self, p, q, v):
+        if p.ndim > 1 or q.ndim > 1 or v.ndim > 1:
+            return self._batched(self.transport, lambda p, q, v: v.copy(), p, q, v)
         return v.copy()
 
     def to_tangent(self, p, w):
+        if p.ndim > 1:
+            return self._batched(self.to_tangent, lambda p, w: w.copy(), p, w)
         return np.asarray(w, dtype=float).copy()
 
     def euclidean_to_riemannian_gradient(self, p, ambient_gradient):
-        return np.asarray(ambient_gradient, dtype=float).copy()
+        return self.to_tangent(p, ambient_gradient)
 
     def validate_point(self, coordinates) -> np.ndarray:
         return self._check_shape(coordinates, "point")
@@ -384,8 +453,7 @@ class Sphere(Manifold):
     def ambient_shape(self) -> tuple[int, ...]:
         return (self.dim + 1,)
 
-    def inner(self, p, u, v) -> float:
-        return float(np.dot(u, v))
+    inner = _dot_inner
 
     def dist(self, p, q):
         ps, qs, single = self._pair(p, q)
@@ -395,6 +463,8 @@ class Sphere(Manifold):
         return float(d[0]) if single else d
 
     def exp(self, p, v):
+        if p.ndim > 1 or v.ndim > 1:
+            return self._batched(self.exp, self._stacked_exp, p, v)
         with np.errstate(over="ignore"):
             theta = float(np.linalg.norm(v))
         if theta == 0.0:
@@ -404,10 +474,20 @@ class Sphere(Manifold):
         out = math.cos(theta) * p + math.sin(theta) * (v / theta)
         return self._renormalize(out)
 
+    def _stacked_exp(self, p, v):
+        with np.errstate(over="ignore"):
+            theta = np.sqrt(np.vecdot(v, v))
+        out = p.copy()
+        moving = theta != 0.0
+        theta = theta[moving, np.newaxis]
+        if not np.isfinite(theta).all():
+            raise DomainError("tangent norm is not finite")
+        step = np.cos(theta) * p[moving] + np.sin(theta) * (v[moving] / theta)
+        out[moving] = self._renormalize(step)
+        return out
+
     def log(self, p, q):
-        rows, single = self._rows(q)
-        out = self._dist_log(p, rows)[1]
-        return out[0] if single else out
+        return self._log_from_pass(p, q)
 
     def _dist_log(self, p, rows):
         same, c, u, nu = self._chords(p, rows)
@@ -433,6 +513,8 @@ class Sphere(Manifold):
         return same, c, u, np.sqrt(np.vecdot(u, u))
 
     def transport(self, p, q, v):
+        if p.ndim > 1 or q.ndim > 1 or v.ndim > 1:
+            return self._batched(self.transport, self._stacked_transport, p, q, v)
         w = self.log(p, q)
         theta = float(np.linalg.norm(w))
         if theta == 0.0:
@@ -443,7 +525,22 @@ class Sphere(Manifold):
         # the orthogonal complement rides along unchanged
         return v + a * ((math.cos(theta) - 1.0) * e - math.sin(theta) * p)
 
+    def _stacked_transport(self, p, q, v):
+        w = self._dist_log(p, q)[1]
+        theta = np.sqrt(np.vecdot(w, w))
+        out = v.copy()
+        moving = theta != 0.0
+        p, v, theta = p[moving], v[moving], theta[moving, np.newaxis]
+        e = w[moving] / theta
+        a = np.vecdot(e, v)[:, np.newaxis]
+        out[moving] = v + a * ((np.cos(theta) - 1.0) * e - np.sin(theta) * p)
+        return out
+
     def to_tangent(self, p, w):
+        if p.ndim > 1 or np.ndim(w) > 1:
+            return self._batched(
+                self.to_tangent, lambda p, w: w - np.vecdot(p, w)[:, np.newaxis] * p, p, w
+            )
         w = np.asarray(w, dtype=float)
         return w - np.dot(p, w) * p
 
@@ -477,6 +574,12 @@ class Sphere(Manifold):
                 return x / n
 
     def _renormalize(self, out: np.ndarray) -> np.ndarray:
+        """``out`` over its norm, or each row of a stack over its own."""
+        if out.ndim > 1:
+            n = np.sqrt(np.vecdot(out, out))[:, np.newaxis]
+            if not (np.abs(n - 1.0) <= RENORM_TOL).all():
+                raise InternalConsistencyError("sphere result drifted from unit norm")
+            return out / n
         n = float(np.linalg.norm(out))
         if not abs(n - 1.0) <= RENORM_TOL:
             raise InternalConsistencyError(
@@ -514,11 +617,21 @@ class SymmetricPositiveDefinite(Manifold):
     def ambient_shape(self) -> tuple[int, ...]:
         return (self.side, self.side)
 
-    def inner(self, p, u, v) -> float:
+    def inner(self, p, u, v):
+        if p.ndim > 2 or u.ndim > 2 or v.ndim > 2:
+            return self._batched(self.inner, self._stacked_inner, p, u, v)
         _, _, (wu, wv) = self._whiten(p, np.stack((u, v)))
         out = float(np.vdot(wu, wv))
         if not math.isfinite(out):
             raise DomainError(f"inner product of the whitened tangents is {out}, not finite")
+        return out
+
+    def _stacked_inner(self, p, u, v):
+        _, _, (wu, wv) = self._whiten(p, np.stack((u, v)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.vecdot(*(w.reshape(len(w), self.side * self.side) for w in (wu, wv)))
+        if not np.isfinite(out).all():
+            raise DomainError("inner product of the whitened tangents is not finite")
         return out
 
     def dist(self, p, q):
@@ -529,6 +642,12 @@ class SymmetricPositiveDefinite(Manifold):
         return float(d[0]) if single else d
 
     def exp(self, p, v):
+        if p.ndim > 2 or v.ndim > 2:
+            return self._batched(self.exp, self._exp, p, v)
+        return self._exp(p, v)
+
+    def _exp(self, p, v):
+        """``exp`` of a point or of stacks paired row by row."""
         low, _, white = self._whiten(p, v)
         with np.errstate(over="ignore", invalid="ignore"):
             f = _sym_apply(white, np.exp)
@@ -541,32 +660,47 @@ class SymmetricPositiveDefinite(Manifold):
         return self._resymmetrize(out, size)
 
     def log(self, p, q):
-        rows, single = self._rows(q)
-        out = self._dist_log(p, rows)[1]
-        return out[0] if single else out
+        return self._log_from_pass(p, q)
 
     def _dist_log(self, p, rows):
         out = np.zeros_like(rows)
         other = ~(rows == p).all(axis=(-2, -1))
         if not other.any():
             return self._distances(other, None), out
-        low, _, white = self._whiten(p, rows[other])
+        low, _, white = self._whiten(p if p.ndim == 2 else p[other], rows[other])
         d = self._distances(other, white)  # raises dist's error before log's
         out[other] = self._unwhiten(low, _sym_apply(white, np.log))
         return d, out
 
     def transport(self, p, q, v):
+        if p.ndim > 2 or q.ndim > 2 or v.ndim > 2:
+            return self._batched(self.transport, self._stacked_transport, p, q, v)
         if np.array_equal(p, q):
             return v.copy()
+        return self._transport(p, q, v)
+
+    def _stacked_transport(self, p, q, v):
+        out = v.copy()
+        moving = ~(p == q).all(axis=(-2, -1))
+        if moving.any():
+            out[moving] = self._transport(p[moving], q[moving], v[moving])
+        return out
+
+    def _transport(self, p, q, v):
+        """Transport of ``v`` from ``p`` to a ``q`` other than ``p``, for
+        single matrices or stacks paired row by row."""
         low, inv_low, white = self._whiten(p, q)
         # principal square root of q p^-1 = L W L^-1, with W the whitened q
         e = low @ _sym_apply(white, np.sqrt) @ inv_low
-        return self._resymmetrize(e @ v @ e.T, _size(e) ** 2 * _size(v))
+        return self._resymmetrize(e @ v @ e.mT, _size(e) ** 2 * _size(v))
 
     def to_tangent(self, p, w):
+        if p.ndim > 2:
+            return self._batched(self.to_tangent, lambda p, w: _sym(w), p, w)
         return _sym(np.asarray(w, dtype=float))
 
     def euclidean_to_riemannian_gradient(self, p, ambient_gradient):
+        # matmul and _sym pair stacks row by row as they are
         return _sym(p @ _sym(np.asarray(ambient_gradient, dtype=float)) @ p)
 
     def validate_point(self, coordinates) -> np.ndarray:

@@ -15,6 +15,7 @@ form because rescaling multiplies every distance by the same root.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
@@ -36,6 +37,7 @@ from .scaling import ScaledManifold, ScaleFactor
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERS = "max_iters"
 STOP_ERROR = "error"
+STOP_DIVERGED = "diverged"
 
 # Bytes of coordinates on each side of one batched ``dist`` call in
 # pairwise_distances: 128 pairs on spd:8, 2048 on spd:2, 2730 on sphere:2.
@@ -123,7 +125,11 @@ def riemannian_gd(
     the value, as :func:`frechet_objective` does), then the norm of the
     rescaled gradient, and then steps.  A domain error mid-run (for
     example a step past the sphere's antipode while evaluating the
-    gradient) truncates the trace with ``stop_reason == "error"``.
+    gradient) truncates the trace with ``stop_reason == "error"``.  An
+    iterate whose value or gradient norm is not finite (the norm raises
+    ``DomainError`` when its inner product overflows) ends the run with
+    ``stop_reason == "diverged"``; the trace keeps the finite iterates
+    before it.
     """
     base = manifold.root if isinstance(manifold, ScaledManifold) else manifold
     _require(ManifoldPoint, x0)
@@ -139,10 +145,16 @@ def riemannian_gd(
         try:
             gradient = objective.gradient_fn(x)
             value = float(objective.value_fn(x))
-            used = manifold.rescale_gradient(gradient.components)
-            grad_norm = manifold.norm(x.coordinates, used)
         except DomainError:
             stop_reason = STOP_ERROR
+            break
+        used = manifold.rescale_gradient(gradient.components)
+        try:
+            grad_norm = manifold.norm(x.coordinates, used)
+        except DomainError:  # the inner product of the gradient overflowed
+            grad_norm = math.inf
+        if not (math.isfinite(value) and math.isfinite(grad_norm)):
+            stop_reason = STOP_DIVERGED
             break
         iterates.append(x)
         values.append(value)
@@ -225,9 +237,9 @@ def equivalence_check(
     ``eta / lam``, from the same start, and returns the maximum
     base-metric distance between matching iterates.  Both arms run for
     the full iteration count (no early convergence stop) so the
-    comparison is step-by-step.  If either arm stops on a domain error,
-    :class:`PartialEquivalenceError` carries the deviation over the
-    common prefix.
+    comparison is step-by-step.  If either arm stops on a domain error
+    or diverges, :class:`PartialEquivalenceError` carries the deviation
+    over the common prefix.
     """
     scaled = ScaledManifold(manifold, ScaleFactor(lam))
     cfg_scaled = OptimizerConfig(step_size=eta, max_iters=iters, grad_tol=0.0)
@@ -241,7 +253,7 @@ def equivalence_check(
         b = np.stack([pt.coordinates for pt in run_base.iterates[:common]])
         # Python's max from 0.0, row by row, as one max call per pair takes it
         deviation = max(deviation, *manifold.dist(a, b).tolist())
-    if STOP_ERROR in (run_scaled.stop_reason, run_base.stop_reason):
+    if {run_scaled.stop_reason, run_base.stop_reason} & {STOP_ERROR, STOP_DIVERGED}:
         raise PartialEquivalenceError(
             "an arm of the equivalence run failed; deviation over the "
             f"common prefix of {min(len(run_scaled), len(run_base))} iterates "

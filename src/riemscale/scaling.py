@@ -12,6 +12,9 @@ A :class:`ScaledManifold` wraps any base manifold with a fixed factor
   forwarded to the base manifold untouched, so their outputs are
   representation-identical to the unscaled ones by construction.
 
+Every operation takes the base manifold's batch axis: the factors apply
+elementwise, innermost first, as they do to a single value.
+
 A scaled manifold is an ordinary :class:`~riemscale.manifolds.Manifold`,
 so the typed operations of :mod:`riemscale.manifolds` measure in the
 scaled metric once the points are built over the wrapper::
@@ -32,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GeometryError
 from .manifolds import Manifold, _require, _require_count, _require_real
 
 
@@ -102,8 +105,23 @@ class ScaledManifold(Manifold):
 
     # -- quantities that change -------------------------------------------
 
-    def inner(self, p, u, v) -> float:
-        return self.lam * self.base.inner(p, u, v)
+    def inner(self, p, u, v):
+        try:
+            ip = self.base.inner(p, u, v)
+        except GeometryError:
+            self._replay(self.inner, p, u, v)  # a later row's base error must not win
+            raise
+        if isinstance(ip, float):
+            out = self.lam * ip
+            if not math.isfinite(out):
+                raise DomainError(f"scaled inner product {out} is not finite")
+            return out
+        with np.errstate(over="ignore"):
+            out = self.lam * ip
+        bad = ~np.isfinite(out)
+        if bad.any():  # the base passed every row: the first one scaled past the range fails
+            raise DomainError(f"scaled inner product {float(out[bad][0])} is not finite")
+        return out
 
     def dist(self, p, q) -> float | np.ndarray:
         return math.sqrt(self.lam) * self.base.dist(p, q)

@@ -5,7 +5,10 @@ the invariance of the geodesic machinery, and the optimizer step-size
 equivalence -- appears here as one named check.  Its runner sweeps
 seeded cases and yields every deviation it measures; :func:`_worst`
 reduces them to the largest, which is compared against a pinned
-tolerance.  One deliberately inverted check demonstrates that a
+tolerance.  A closed-form sweep draws its cases one after another, as
+single points, stacks the draws, and measures the whole stack with one
+batched call per operation and scale; it yields per case, then per
+scale, then per operation.  One deliberately inverted check demonstrates that a
 position-dependent factor breaks connection invariance, so its
 criterion is a lower bound instead of an upper bound.
 
@@ -82,52 +85,107 @@ def derive_seed(root_seed: int, check_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _rel(value: float, reference: float) -> float:
-    return abs(value - reference) / max(abs(reference), 1e-300)
+def _rel(value, reference):
+    """Relative deviation of ``value`` from ``reference``, whose size is
+    taken as at least 1e-300; elementwise on arrays."""
+    return abs(value - reference) / np.maximum(abs(reference), 1e-300)
 
 
-def _rel_array(value: np.ndarray, reference: np.ndarray) -> float:
-    scale = max(float(np.max(np.abs(reference))), 1e-300)
-    return float(np.max(np.abs(value - reference))) / scale
+def _rel_rows(value: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per row of two stacks: the largest entrywise gap over the largest
+    reference entry (at least 1e-300)."""
+    axes = tuple(range(1, reference.ndim))
+    scale = np.maximum(np.max(np.abs(reference), axis=axes), 1e-300)
+    return np.max(np.abs(value - reference), axis=axes) / scale
 
 
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+def _bit_gaps(got: np.ndarray, ref: np.ndarray) -> list:
+    """Per row of two stacks: ``None`` where the rows have the same bits,
+    else their largest entrywise gap, at least 1e-30 so that it fails a
+    zero tolerance."""
+    a, b = (np.ascontiguousarray(x, dtype=float).reshape(len(ref), -1) for x in (got, ref))
+    differ = (a.view(np.uint64) != b.view(np.uint64)).any(axis=1)
+    with np.errstate(invalid="ignore"):
+        gaps = np.maximum(np.max(np.abs(a - b), axis=1), 1e-30)
+    return [gap if d else None for d, gap in zip(differ.tolist(), gaps.tolist())]
 
 
-def _bit_gaps(pairs):
-    """For each ``(got, ref)`` pair that differs in any bit, the largest
-    entrywise gap, at least 1e-30 so that it fails a zero tolerance."""
-    for got, ref in pairs:
-        if not _same_bits(got, ref):
-            yield max(float(np.max(np.abs(got - ref))), 1e-30)
+def _case_major(per_scale):
+    """Yield ``per_scale[scale][operation][case]`` per case, then scale,
+    then operation, skipping ``None``."""
+    for case in zip(*(zip(*ops) for ops in per_scale)):
+        for ops in case:
+            yield from (value for value in ops if value is not None)
 
 
-def _angle_between(m: Manifold, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
-    """Angle between tangent vectors, stable for nearly parallel inputs."""
+def _angles_between(m: Manifold, p: np.ndarray, u: np.ndarray, v: np.ndarray) -> list:
+    """Per row of the stacks: the angle between tangent vectors ``u`` and
+    ``v`` at ``p``, stable for nearly parallel inputs, and 0.0 where
+    either vector is zero."""
     nu = m.norm(p, u)
     nv = m.norm(p, v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    c = m.inner(p, u, v) / (nu * nv)
-    residual = u / nu - c * (v / nv)
-    s = min(1.0, m.norm(p, residual))
-    angle = math.asin(s)
-    return math.pi - angle if c < 0.0 else angle
+    angles = [0.0] * len(nu)
+    moving = (nu != 0.0) & (nv != 0.0)
+    if moving.any():
+        p, u, v, nu, nv = p[moving], u[moving], v[moving], nu[moving], nv[moving]
+        c = m.inner(p, u, v) / (nu * nv)
+        column = (...,) + (np.newaxis,) * (u.ndim - 1)
+        s = m.norm(p, u / nu[column] - c[column] * (v / nv[column]))
+        # math.asin, not np.arcsin: their roundings differ on some inputs
+        for i, si, ci in zip(np.flatnonzero(moving).tolist(), s.tolist(), c.tolist()):
+            angle = math.asin(min(1.0, si))
+            angles[i] = math.pi - angle if ci < 0.0 else angle
+    return angles
 
 
-def _random_curve(m: Manifold, rng: np.random.Generator):
-    """A four-point sampled curve built from successive moderate geodesic steps."""
-    pts = [m.random_point(rng)]
-    for _ in range(3):
-        v = m.random_tangent(pts[-1], rng)
+def _draw(draw, m: Manifold, rng: np.random.Generator, count: int) -> list[np.ndarray]:
+    """``count`` cases of ``draw(m, rng)``, drawn one after another and
+    stacked per argument."""
+    return [np.stack(column) for column in zip(*(draw(m, rng) for _ in range(count)))]
+
+
+def _point_and_tangent(m, rng):
+    p = m.random_point(rng)
+    return p, m.random_tangent(p, rng)
+
+
+def _point_and_ambient(m, rng):
+    return m.random_point(rng), rng.standard_normal(m.ambient_shape)
+
+
+def _two_points(m, rng):
+    return m.random_point(rng), m.random_point(rng)
+
+
+def _two_points_and_tangent(m, rng):
+    p, q = _two_points(m, rng)
+    return p, q, m.random_tangent(p, rng)
+
+
+def _two_points_tangent_and_ambient(m, rng):
+    return *_two_points_and_tangent(m, rng), rng.standard_normal(m.ambient_shape)
+
+
+def _random_curves(m: Manifold, rng: np.random.Generator) -> tuple[np.ndarray]:
+    """A sweep of four-point sampled curves, each built from successive
+    moderate geodesic steps, as one ``(count, 4, *ambient_shape)`` stack.
+
+    Each curve draws its start and then the ambient vectors of its three
+    steps, in the order ``random_tangent`` draws them; every step is then
+    projected, shortened to length 0.3 and taken for all curves at once.
+    """
+    starts, raw = [], []
+    for _ in range(CASES_PER_SWEEP):
+        starts.append(m.random_point(rng))
+        raw.append([rng.standard_normal(m.ambient_shape) for _ in range(3)])
+    pts = [np.stack(starts)]
+    column = (...,) + (np.newaxis,) * len(m.ambient_shape)
+    for w in np.stack(raw, axis=1):
+        v = m.to_tangent(pts[-1], w)
         nv = m.norm(pts[-1], v)
-        if nv > 0.0:
-            v = v * (0.3 / nv)
-        pts.append(m.exp(pts[-1], v))
-    return pts
+        shrink = np.divide(0.3, nv, out=np.ones_like(nv), where=nv > 0.0)
+        pts.append(m.exp(pts[-1], v * shrink[column]))
+    return (np.stack(pts, axis=1),)
 
 
 def _interior_points(chart, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -143,47 +201,44 @@ def _interior_points(chart, rng: np.random.Generator, count: int) -> np.ndarray:
 
 def _sqrt_law(rng, draw, measure):
     """Relative deviations of ``measure`` on each scaled manifold from
-    sqrt(lam) times its base value, at ``draw``'s arguments."""
+    sqrt(lam) times its base value, at the stacked arguments ``draw``
+    gives for a sweep of cases."""
     for m in MANIFOLDS:
-        for _ in range(CASES_PER_SWEEP):
-            args = draw(m, rng)
-            base = measure(m, *args)
-            for lam in VARIANT_LAMBDAS:
-                yield _rel(measure(ScaledManifold(m, lam), *args), math.sqrt(lam) * base)
+        args = draw(m, rng)
+        base = measure(m, *args)
+        yield from _case_major([
+            [_rel(measure(ScaledManifold(m, lam), *args), math.sqrt(lam) * base).tolist()]
+            for lam in VARIANT_LAMBDAS
+        ])
 
 
-def _point_and_tangent(m, rng):
-    p = m.random_point(rng)
-    return p, m.random_tangent(p, rng)
+def _sweep(draw):
+    """The stacked arguments of ``CASES_PER_SWEEP`` cases of ``draw``."""
+    return lambda m, rng: _draw(draw, m, rng, CASES_PER_SWEEP)
 
 
 def _run_variant_norm(rng):
-    return _sqrt_law(rng, _point_and_tangent, lambda m, p, v: m.norm(p, v))
+    return _sqrt_law(rng, _sweep(_point_and_tangent), lambda m, p, v: m.norm(p, v))
 
 
 def _run_variant_distance(rng):
-    return _sqrt_law(
-        rng, lambda m, rng: (m.random_point(rng), m.random_point(rng)),
-        lambda m, p, q: m.dist(p, q),
-    )
+    return _sqrt_law(rng, _sweep(_two_points), lambda m, p, q: m.dist(p, q))
 
 
 def _run_variant_curve_length(rng):
-    return _sqrt_law(
-        rng, lambda m, rng: (_random_curve(m, rng),), lambda m, pts: m.curve_length(pts)
-    )
+    return _sqrt_law(rng, _random_curves, lambda m, curves: m.curve_length(curves))
 
 
 def _run_variant_gradient(rng):
     for m in MANIFOLDS:
-        for _ in range(CASES_PER_SWEEP):
-            p = m.random_point(rng)
-            ambient = rng.standard_normal(m.ambient_shape)
-            base = m.euclidean_to_riemannian_gradient(p, ambient)
-            for lam in VARIANT_LAMBDAS:
-                sm = ScaledManifold(m, lam)
-                got = sm.euclidean_to_riemannian_gradient(p, ambient)
-                yield _rel_array(got, base / lam)
+        p, ambient = _draw(_point_and_ambient, m, rng, CASES_PER_SWEEP)
+        base = m.euclidean_to_riemannian_gradient(p, ambient)
+        yield from _case_major([
+            [_rel_rows(
+                ScaledManifold(m, lam).euclidean_to_riemannian_gradient(p, ambient), base / lam
+            ).tolist()]
+            for lam in VARIANT_LAMBDAS
+        ])
 
 
 def _run_variant_volume_factor(rng):
@@ -193,21 +248,18 @@ def _run_variant_volume_factor(rng):
             yield _rel(volume_scale_factor(lam, n), reference)
 
 
+def _geodesic_ops(m: Manifold, p, q, v, w) -> tuple:
+    return m.exp(p, v), m.log(p, q), m.transport(p, q, v), m.to_tangent(p, w)
+
+
 def _run_delegation(rng):
     for m in MANIFOLDS:
-        for _ in range(DELEGATION_CASES):
-            p = m.random_point(rng)
-            q = m.random_point(rng)
-            v = m.random_tangent(p, rng)
-            w = rng.standard_normal(m.ambient_shape)
-            for lam in VARIANT_LAMBDAS:
-                sm = ScaledManifold(m, lam)
-                yield from _bit_gaps((
-                    (sm.exp(p, v), m.exp(p, v)),
-                    (sm.log(p, q), m.log(p, q)),
-                    (sm.transport(p, q, v), m.transport(p, q, v)),
-                    (sm.to_tangent(p, w), m.to_tangent(p, w)),
-                ))
+        args = _draw(_two_points_tangent_and_ambient, m, rng, DELEGATION_CASES)
+        base = _geodesic_ops(m, *args)
+        yield from _case_major([
+            list(map(_bit_gaps, _geodesic_ops(ScaledManifold(m, lam), *args), base))
+            for lam in VARIANT_LAMBDAS
+        ])
 
 
 def _run_composition(rng):
@@ -216,46 +268,40 @@ def _run_composition(rng):
         for lam1, lam2 in pairs:
             nested = ScaledManifold(ScaledManifold(m, lam1), lam2)
             flat = ScaledManifold(m, lam1 * lam2)
-            for _ in range(DELEGATION_CASES):
-                p = m.random_point(rng)
-                q = m.random_point(rng)
-                v = m.random_tangent(p, rng)
-                ambient = rng.standard_normal(m.ambient_shape)
-                yield _rel(nested.norm(p, v), flat.norm(p, v))
-                yield _rel(nested.dist(p, q), flat.dist(p, q))
-                yield _rel_array(
+            p, q, v, ambient = _draw(_two_points_tangent_and_ambient, m, rng, DELEGATION_CASES)
+            yield from _case_major([[
+                _rel(nested.norm(p, v), flat.norm(p, v)).tolist(),
+                _rel(nested.dist(p, q), flat.dist(p, q)).tolist(),
+                _rel_rows(
                     nested.euclidean_to_riemannian_gradient(p, ambient),
                     flat.euclidean_to_riemannian_gradient(p, ambient),
-                )
+                ).tolist(),
+            ]])
 
 
 def _run_unit_scale_identity(rng):
     for m in MANIFOLDS:
         sm = ScaledManifold(m, 1.0)
-        for _ in range(DELEGATION_CASES):
-            p = m.random_point(rng)
-            q = m.random_point(rng)
-            v = m.random_tangent(p, rng)
-            yield from _bit_gaps((
-                (sm.norm(p, v), m.norm(p, v)),
-                (sm.dist(p, q), m.dist(p, q)),
-                (sm.rescale_gradient(v), m.rescale_gradient(v)),
-                (sm.exp(p, v), m.exp(p, v)),
-                (sm.log(p, q), m.log(p, q)),
-            ))
+        p, q, v = _draw(_two_points_and_tangent, m, rng, DELEGATION_CASES)
+        yield from _case_major([[
+            _bit_gaps(sm.norm(p, v), m.norm(p, v)),
+            _bit_gaps(sm.dist(p, q), m.dist(p, q)),
+            _bit_gaps(sm.rescale_gradient(v), m.rescale_gradient(v)),
+            _bit_gaps(sm.exp(p, v), m.exp(p, v)),
+            _bit_gaps(sm.log(p, q), m.log(p, q)),
+        ]])
 
 
 def _run_gradient_direction(rng):
     for m in MANIFOLDS:
-        for _ in range(DELEGATION_CASES):
-            p = m.random_point(rng)
-            ambient = rng.standard_normal(m.ambient_shape)
-            grad = m.euclidean_to_riemannian_gradient(p, ambient)
-            if m.norm(p, grad) < 1e-12:
-                continue
-            for lam in VARIANT_LAMBDAS:
-                sm = ScaledManifold(m, lam)
-                yield _angle_between(m, p, sm.rescale_gradient(grad), grad)
+        p, ambient = _draw(_point_and_ambient, m, rng, DELEGATION_CASES)
+        grad = m.euclidean_to_riemannian_gradient(p, ambient)
+        kept = ~(m.norm(p, grad) < 1e-12)
+        p, grad = p[kept], grad[kept]
+        yield from _case_major([
+            [_angles_between(m, p, ScaledManifold(m, lam).rescale_gradient(grad), grad)]
+            for lam in VARIANT_LAMBDAS
+        ])
 
 
 def _run_connection_invariance(rng):
@@ -334,27 +380,25 @@ def _run_nonconstant_scaling(rng):
 
 def _run_chart_matches_closed_form(rng):
     path = _suite_geodesics()[1]
-    sphere = Sphere(2)
     start = spherical_to_ambient(path.positions[0])
-    velocity = np.array([0.0, 1.0, 0.0])
-    for t, x in zip(path.times, path.positions):
-        ambient = spherical_to_ambient(x)
-        reference = sphere.exp(start, t * velocity)
-        yield float(np.max(np.abs(ambient - reference)))
+    # one exp from the start, broadcast over the tangents t * (0, 1, 0)
+    references = Sphere(2).exp(start, path.times[:, np.newaxis] * np.array([0.0, 1.0, 0.0]))
+    ambient = np.array([spherical_to_ambient(x) for x in path.positions])
+    yield from np.max(np.abs(ambient - references), axis=1).tolist()
 
 
 def _run_update_rule_identity(rng):
     for m in MANIFOLDS:
-        for _ in range(DELEGATION_CASES):
-            p = m.random_point(rng)
-            ambient = rng.standard_normal(m.ambient_shape)
-            grad = m.euclidean_to_riemannian_gradient(p, ambient)
-            for lam in VARIANT_LAMBDAS:
-                sm = ScaledManifold(m, lam)
-                for eta in (0.1, 0.5):
-                    step_scaled = -eta * sm.rescale_gradient(grad)
-                    step_base = -(eta / lam) * grad
-                    yield _rel_array(step_scaled, step_base)
+        p, ambient = _draw(_point_and_ambient, m, rng, DELEGATION_CASES)
+        grad = m.euclidean_to_riemannian_gradient(p, ambient)
+        yield from _case_major([
+            [
+                _rel_rows(-eta * ScaledManifold(m, lam).rescale_gradient(grad),
+                          -(eta / lam) * grad).tolist()
+                for eta in (0.1, 0.5)
+            ]
+            for lam in VARIANT_LAMBDAS
+        ])
 
 
 def _run_trajectory_equivalence(rng):
@@ -370,12 +414,11 @@ def _run_iterate_gradient_direction(rng):
         sm = ScaledManifold(m, 4.0)
         config = OptimizerConfig(step_size=0.1, max_iters=50, grad_tol=0.0)
         trace = riemannian_gd(sm, objective, x0, config)
-        for point in trace.iterates:
-            grad = objective.gradient_fn(point).components
-            if m.norm(point.coordinates, grad) < 1e-12:
-                continue
-            scaled_grad = sm.rescale_gradient(grad)
-            yield _angle_between(m, point.coordinates, scaled_grad, grad)
+        points = np.stack([point.coordinates for point in trace.iterates])
+        grad = np.stack([objective.gradient_fn(point).components for point in trace.iterates])
+        kept = ~(m.norm(points, grad) < 1e-12)
+        points, grad = points[kept], grad[kept]
+        yield from _angles_between(m, points, sm.rescale_gradient(grad), grad)
 
 
 def _run_frechet_gradient(rng):

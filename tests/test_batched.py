@@ -1,11 +1,16 @@
-"""The leading batch axis of ``Manifold.log`` and ``Manifold.dist`` (on
-``q``, and for ``dist`` on ``p`` too): every row of a batched call is the
-single call on that row, bit for bit, the fused ``_dist_log`` pass is the
-two calls, and the batched Fréchet objective and pairwise distances keep
-the values of their per-point loops."""
+"""The leading batch axis of the closed-form operations (``inner``,
+``norm``, ``dist``, ``exp``, ``log``, ``transport``, ``to_tangent``, the
+gradient maps and ``curve_length``): every row of a batched call is the
+single call on that row, bit for bit, a batch raises its first failing
+row's error, the fused ``_dist_log`` pass is ``dist`` and ``log``, the
+batched Fréchet objective and pairwise distances keep the values of
+their per-point loops, and the suite's sweeps make one call per
+operation and scale."""
 
 import functools
 import math
+import warnings
+from collections import Counter
 from itertools import repeat
 
 import numpy as np
@@ -25,9 +30,12 @@ from riemscale import (
     ScaledManifold,
     Sphere,
     SymmetricPositiveDefinite,
+    TangentVector,
     frechet_objective,
+    norm,
     pairwise_distances,
 )
+from riemscale import verify
 from riemscale.manifolds import ANTIPODE_MARGIN, RENORM_TOL
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
@@ -123,10 +131,10 @@ def _outcome(fn, *args):
     return "ok", np.asarray(out, dtype=float).tobytes()
 
 
-def _single_calls(fn, ps, qs):
-    """What a single call per pair of rows gives: the first error, or the
-    concatenated bytes of every pair's result."""
-    outcomes = [_outcome(fn, a, b) for a, b in zip(ps, qs)]
+def _single_calls(fn, *columns):
+    """What a single call per row of the argument columns gives: the first
+    error, or the concatenated bytes of every row's result."""
+    outcomes = [_outcome(fn, *row) for row in zip(*columns)]
     failed = [o for o in outcomes if o[0] != "ok"]
     return failed[0] if failed else ("ok", b"".join(o[1] for o in outcomes))
 
@@ -323,3 +331,204 @@ def test_pairwise_distances_fill_both_triangles_from_single_calls(batch):
         for j in range(i + 1, len(rows)):
             expected[i, j] = expected[j, i] = m.dist(rows[i], rows[j])
     assert pairwise_distances(points).tobytes() == expected.tobytes()
+
+
+def _tangent(m, p, rng):
+    """A tangent vector at ``p`` of moderate size in ``p``'s own metric."""
+    if isinstance(m, SymmetricPositiveDefinite):
+        low = np.linalg.cholesky(p)
+        s = rng.standard_normal(p.shape)
+        return 0.25 * (low @ (s + s.T) @ low.T)
+    return m.to_tangent(p, rng.standard_normal(p.shape))
+
+
+def _calls(man, p, rows, rng, zeros):
+    """(operation, arguments) for every batched operation on ``man`` at a
+    base point ``p`` and a stack of ``rows``: every argument stacked, a
+    single base point against stacks, a base stack against a single last
+    argument, and a base stack made of runs.  The rows listed in ``zeros``
+    carry zero tangents."""
+    base = man.root if isinstance(man, ScaledManifold) else man
+
+    def tangents(points):
+        out = np.stack([_tangent(base, x, rng) for x in points])
+        out[sorted(zeros)] = 0.0
+        return out
+
+    at_rows, at_p = tangents(rows), tangents(repeat(p, len(rows)))
+    at_rows2, at_p2 = tangents(rows), tangents(repeat(p, len(rows)))
+    ambient = rng.standard_normal(rows.shape)
+    others = rows[::-1]
+    runs, run_tangents = np.repeat(rows, 2, axis=0), np.repeat(at_rows, 2, axis=0)
+    forms = {
+        "inner": [(rows, at_rows, at_rows2), (p, at_p, at_p2), (rows, at_rows, at_rows2[0]),
+                  (runs, run_tangents, run_tangents[::-1])],
+        "norm": [(rows, at_rows), (p, at_p), (rows, at_rows[0]), (runs, run_tangents)],
+        "exp": [(rows, at_rows), (p, at_p), (rows, at_rows[0]), (runs, run_tangents)],
+        "log": [(rows, others), (p, rows), (rows, p), (runs, np.repeat(others, 2, axis=0))],
+        "transport": [(rows, others, at_rows), (p, rows, at_p), (rows, others, at_rows[0]),
+                      (runs, np.repeat(others, 2, axis=0), run_tangents)],
+        "to_tangent": [(rows, ambient), (p, ambient), (rows, ambient[0])],
+        "euclidean_to_riemannian_gradient": [(rows, ambient), (p, ambient), (rows, ambient[0])],
+    }
+    return [(getattr(man, name), args) for name, arglist in forms.items() for args in arglist]
+
+
+@SETTINGS
+@given(batches(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.sets(st.integers(0, 39)))
+def test_every_batched_operation_row_is_the_single_call_on_that_row(batch, la, lb, zeros):
+    m, p, rows = batch
+    zeros = {i for i in zeros if i < len(rows)}
+    rng = np.random.default_rng(len(rows))
+    for man in (m, ScaledManifold(ScaledManifold(m, 10.0**la), 10.0**lb)):
+        for op, args in _calls(man, p, rows, rng, zeros):
+            # a stack's rows, or a single argument paired with every row
+            n = max(len(a) for a in args if a.ndim > p.ndim)
+            columns = [a if a.ndim > p.ndim else repeat(a, n) for a in args]
+            assert _outcome(op, *args) == _single_calls(op, *columns), op.__name__
+        u = _tangent(m, p, rng)
+        assert type(man.inner(p, u, u)) is float and type(man.norm(p, u)) is float
+
+
+@pytest.mark.parametrize("m", [Euclidean(3), Sphere(2), SymmetricPositiveDefinite(2)])
+def test_an_empty_batch_gives_empty_results(m):
+    p = m.random_point(np.random.default_rng(0))
+    e = np.zeros((0, *m.ambient_shape))
+    for man in (m, ScaledManifold(m, 4.0)):
+        for out in (man.inner(e, e, e), man.norm(p, e), man.dist(p, e),
+                    man.curve_length(np.zeros((0, 3, *m.ambient_shape)))):
+            assert out.shape == (0,)
+        for out in (man.exp(e, e), man.log(p, e), man.transport(e, e, e), man.to_tangent(e, e),
+                    man.euclidean_to_riemannian_gradient(p, e)):
+            assert out.shape == e.shape
+    for points in ([], [p]):
+        with pytest.raises(ContractViolationError, match="at least 2 points"):
+            m.curve_length(points)
+
+
+def _first_error(op, *args):
+    """The batched call's error, which must be the first failing row's."""
+    n = max(len(a) for a in args)
+    expected = _single_calls(op, *(a if len(a) == n else repeat(a[0], n) for a in args))
+    assert expected[0] != "ok"
+    assert _outcome(op, *args) == expected
+    return expected
+
+
+def test_a_sphere_batch_with_an_antipodal_row_raises_the_single_calls_error():
+    m = Sphere(2)
+    e = np.eye(3)
+    bases = np.stack([e[0], e[1], e[2]])
+    targets = np.stack([e[1], -e[1], e[0]])
+    tangents = np.stack([e[2], e[2], e[1]])
+    for op, args in ((m.log, (bases, targets)), (m.transport, (bases, targets, tangents))):
+        assert _first_error(op, *args) == (
+            "DomainError", "logarithm is undefined at the antipode: no canonical direction"
+        )
+
+
+def test_a_batch_raises_the_error_of_its_first_failing_row():
+    spd = SymmetricPositiveDefinite(2)
+    eye, indefinite = np.eye(2), np.diag([1.0, -1.0])
+    tiny, huge = 1e-300 * eye, 1e300 * eye
+    # a base that is not positive definite fails in every operation
+    bases = np.stack([eye, indefinite, eye])
+    for op, args in (
+        (spd.exp, (bases, 0.1 * bases)),
+        (spd.log, (bases, np.stack([2.0 * eye] * 3))),
+        (spd.transport, (bases, np.stack([2.0 * eye] * 3), np.stack([eye] * 3))),
+        (spd.inner, (bases, np.stack([eye] * 3), np.stack([eye] * 3))),
+    ):
+        assert _first_error(op, *args) == ("DomainError", "matrix is not positive definite")
+    # an earlier row that overflows wins over a later row's failed factorization
+    _, message = _first_error(spd.exp, np.stack([tiny, indefinite]), np.stack([huge, eye]))
+    assert "overflowed" in message
+    # an earlier row scaled past the range wins over a later row's base overflow
+    scaled = ScaledManifold(Euclidean(2), 1e300)
+    u = np.array([[1e10, 0.0], [1e200, 0.0]])
+    assert _first_error(scaled.inner, np.zeros((2, 2)), u, u) == (
+        "DomainError", "scaled inner product inf is not finite"
+    )
+    assert _first_error(scaled.inner, np.zeros((2, 2)), u[::-1], u[::-1]) == (
+        "DomainError", "inner product inf is not finite"
+    )
+
+
+def test_flat_and_sphere_inner_overflow_is_a_domain_error_without_a_warning():
+    e0 = np.array([1.0, 0.0, 0.0])
+    big = np.array([[0.0, 1e200, 0.0], [0.0, 1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (
+            TangentVector(ManifoldPoint(Euclidean(2), [0.0, 0.0]), [1e200, 0.0]),
+            TangentVector(ManifoldPoint(Sphere(2), e0), big[0]),
+        ):
+            with pytest.raises(DomainError, match="inner product inf is not finite"):
+                norm(v)
+        with pytest.raises(DomainError, match="scaled inner product inf is not finite"):
+            ScaledManifold(Sphere(2), 1e300).norm(e0, np.array([0.0, 1e10, 0.0]))
+        for m in (Sphere(2), ScaledManifold(Sphere(2), 4.0)):
+            with pytest.raises(DomainError, match="inner product inf is not finite"):
+                m.norm(e0, big)
+            with pytest.raises(DomainError, match="inner product inf is not finite"):
+                m.inner(e0, big[::-1], big[::-1])
+        assert ScaledManifold(Sphere(2), 1e300).norm(e0, big[1:]).tolist() == [1e150]
+        # every base row is finite, and only the scaled product overflows
+        with pytest.raises(DomainError, match="scaled inner product inf is not finite"):
+            ScaledManifold(Sphere(2), 1e300).norm(e0, np.array([[0.0, 1.0, 0.0], [0.0, 1e10, 0.0]]))
+
+
+def _counting(monkeypatch, ops):
+    """Count the calls each family makes of ``ops``, as single calls or
+    batched ones."""
+    calls = Counter()
+    for cls, rank in ((Euclidean, 1), (Sphere, 1), (SymmetricPositiveDefinite, 2)):
+        for op in ops:
+            def counted(self, *args, _cls=cls, _op=op, _rank=rank, _fn=vars(cls)[op]):
+                kind = "batch" if any(np.ndim(a) > _rank for a in args) else "single"
+                calls[_cls.__name__, _op, kind] += 1
+                return _fn(self, *args)
+
+            monkeypatch.setattr(cls, op, counted)
+    return calls
+
+
+def test_sweeps_make_one_call_per_operation_per_manifold_and_scale(monkeypatch):
+    ops = ("dist", "exp", "log", "transport", "to_tangent")
+    families = ("Euclidean", "Sphere", "SymmetricPositiveDefinite")
+    per_manifold = 1 + len(verify.VARIANT_LAMBDAS)  # the base and each scale
+    rng = np.random.default_rng(5)
+
+    calls = _counting(monkeypatch, ops)
+    list(verify._run_variant_distance(rng))
+    assert calls == {(f, "dist", "batch"): per_manifold for f in families}
+
+    calls = _counting(monkeypatch, ops)
+    list(verify._run_delegation(rng))
+    expected = {(f, op, "batch"): per_manifold for f in families for op in ops[1:]}
+    # the draws: random_tangent projects one ambient draw per case
+    expected |= {(f, "to_tangent", "single"): verify.DELEGATION_CASES for f in families}
+    assert calls == expected
+
+
+@SETTINGS
+@given(batches(), st.floats(-3.0, 3.0), st.integers(2, 20))
+# curves of 19 segments: numpy would sum 8 or more terms pairwise, not left to right
+@example(_several_blocks(Sphere(2), 40), 0.0, 20)
+@example(_several_blocks(SymmetricPositiveDefinite(3), 40), 0.5, 20)
+def test_curve_length_of_a_stack_of_curves_is_each_curves_length(batch, log_lam, samples):
+    m, _, rows = batch
+    count = len(rows) // samples
+    if count == 0:
+        return
+    curves = rows[: count * samples].reshape(count, samples, *m.ambient_shape)
+    # the segment distances summed left to right, one single dist call each
+    segments = [sum(m.dist(a, b) for a, b in zip(c[:-1], c[1:])) for c in curves]
+    lam = 10.0**log_lam
+    for man, factor in ((m, 1.0), (ScaledManifold(m, lam), math.sqrt(lam))):
+        expected = [man.curve_length(list(curve)) for curve in curves]
+        assert expected == [factor * x for x in segments]
+        assert all(type(x) is float for x in expected)
+        assert man.curve_length(curves).tobytes() == np.array(expected).tobytes()
+    with pytest.raises(ContractViolationError, match="at least 2 points"):
+        m.curve_length(rows[:, np.newaxis])

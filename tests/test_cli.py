@@ -137,6 +137,25 @@ def test_frechet_equivalence_flag_reports_deviation(capsys):
     assert summary["max_deviation"] <= 1e-8
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_frechet_diverging_descent_exits_2_with_its_finite_prefix(capsys, fmt):
+    # eta 5 multiplies the distance to the barycenter by -4 per step: the
+    # value overflows at iterate 256
+    code, out = run_cli_capture(
+        capsys, "--command", "frechet", "--manifold", "euclidean:3", "--eta", "5",
+        "--iters", "400", "--format", fmt,
+    )
+    assert code == 2
+    if fmt == "json":
+        summary = json.loads(out)
+        assert summary["stop_reason"] == "diverged"
+        assert summary["iterations"] == 255
+        assert summary["final_value"] == pytest.approx(1.76e306, rel=1e-2)
+    else:
+        rows = out.splitlines()
+        assert len(rows) == 1 + 256 and "inf" not in out
+
+
 def test_frechet_csv_trace_to_file(tmp_path, capsys):
     out_file = tmp_path / "trace.csv"
     code, out = run_cli_capture(

@@ -2,6 +2,7 @@
 scale calibration."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -149,6 +150,41 @@ def test_domain_error_truncates_with_error_status():
     )
     assert trace.stop_reason == "error"
     assert len(trace) == 2
+
+
+def _blowing_up(value, gradient):
+    """The quadratic objective, except that inside the unit disc its value
+    is ``value`` and its gradient is multiplied by ``gradient``."""
+    quadratic = _quadratic_objective(E2)
+
+    def inside(x):
+        return float(np.linalg.norm(x.coordinates)) < 1.0
+
+    def value_fn(x):
+        return value if inside(x) else quadratic.value_fn(x)
+
+    def gradient_fn(x):
+        g = quadratic.gradient_fn(x).components
+        return TangentVector(x, g * gradient if inside(x) else g)
+
+    return Objective(value_fn, gradient_fn)
+
+
+@pytest.mark.parametrize("value, gradient", [(math.inf, 1.0), (math.nan, 1.0), (1.0, 1e200)])
+def test_a_non_finite_value_or_gradient_norm_stops_as_diverged(value, gradient):
+    # each step halves the point: iterates 5, 2.5, 1.25, then 0.625 inside the disc
+    objective = _blowing_up(value, gradient)
+    x0 = ManifoldPoint(E2, [3.0, -4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for manifold, eta in ((E2, 0.5), (ScaledManifold(E2, 4.0), 2.0)):
+            config = OptimizerConfig(step_size=eta, max_iters=10, grad_tol=0.0)
+            trace = riemannian_gd(manifold, objective, x0, config)
+            assert trace.stop_reason == "diverged"
+            assert len(trace) == 3
+            assert all(map(math.isfinite, trace.values + trace.grad_norms))
+        with pytest.raises(PartialEquivalenceError, match="common prefix of 3 iterates"):
+            equivalence_check(E2, objective, x0, eta=2.0, lam=4.0, iters=10)
 
 
 def test_scaled_run_uses_rescaled_gradient_and_scaled_norm():

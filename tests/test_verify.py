@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from riemscale import render_csv, render_json, run_suite, verify
@@ -134,3 +135,85 @@ def test_a_nan_deviation_fails_either_criterion(monkeypatch):
     for check in checks:
         assert math.isnan(records[check.check_id]["deviation"])
         assert records[check.check_id]["passed"] is False
+
+
+# Per-case loops, one single call per operation: the references the batched
+# sweeps must reproduce, deviation for deviation and in the same order.
+
+
+def _loop_angle(m, p, u, v):
+    nu = m.norm(p, u)
+    nv = m.norm(p, v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    c = m.inner(p, u, v) / (nu * nv)
+    s = min(1.0, m.norm(p, u / nu - c * (v / nv)))
+    angle = math.asin(s)
+    return math.pi - angle if c < 0.0 else angle
+
+
+def _loop_curve(m, rng):
+    pts = [m.random_point(rng)]
+    for _ in range(3):
+        v = m.random_tangent(pts[-1], rng)
+        nv = m.norm(pts[-1], v)
+        if nv > 0.0:
+            v = v * (0.3 / nv)
+        pts.append(m.exp(pts[-1], v))
+    return pts
+
+
+def _loop_norm_and_curve_length(rng):
+    for measure, draw in (
+        (lambda m, p, v: m.norm(p, v), verify._point_and_tangent),
+        (lambda m, pts: m.curve_length(pts), lambda m, rng: (_loop_curve(m, rng),)),
+    ):
+        for m in verify.MANIFOLDS:
+            for _ in range(verify.CASES_PER_SWEEP):
+                args = draw(m, rng)
+                base = measure(m, *args)
+                for lam in verify.VARIANT_LAMBDAS:
+                    ref = math.sqrt(lam) * base
+                    got = measure(verify.ScaledManifold(m, lam), *args)
+                    yield abs(got - ref) / max(abs(ref), 1e-300)
+
+
+def _batched_norm_and_curve_length(rng):
+    yield from verify._run_variant_norm(rng)
+    yield from verify._run_variant_curve_length(rng)
+
+
+def _loop_gradient_direction(rng):
+    for m in verify.MANIFOLDS:
+        for _ in range(verify.DELEGATION_CASES):
+            p = m.random_point(rng)
+            grad = m.euclidean_to_riemannian_gradient(p, rng.standard_normal(m.ambient_shape))
+            if m.norm(p, grad) < 1e-12:
+                continue
+            for lam in verify.VARIANT_LAMBDAS:
+                scaled = verify.ScaledManifold(m, lam).rescale_gradient(grad)
+                yield _loop_angle(m, p, scaled, grad)
+
+
+def _loop_update_rule_identity(rng):
+    for m in verify.MANIFOLDS:
+        for _ in range(verify.DELEGATION_CASES):
+            p = m.random_point(rng)
+            grad = m.euclidean_to_riemannian_gradient(p, rng.standard_normal(m.ambient_shape))
+            for lam in verify.VARIANT_LAMBDAS:
+                for eta in (0.1, 0.5):
+                    got = -eta * verify.ScaledManifold(m, lam).rescale_gradient(grad)
+                    ref = -(eta / lam) * grad
+                    yield float(np.max(np.abs(got - ref))) / max(float(np.max(np.abs(ref))), 1e-300)
+
+
+@pytest.mark.parametrize("batched, loop", [
+    (_batched_norm_and_curve_length, _loop_norm_and_curve_length),
+    (verify._run_gradient_direction, _loop_gradient_direction),
+    (verify._run_update_rule_identity, _loop_update_rule_identity),
+])
+def test_batched_sweeps_yield_what_per_case_loops_yield(batched, loop):
+    for seed in (42, 7):
+        got = [float(x) for x in batched(np.random.default_rng(seed))]
+        expected = [float(x) for x in loop(np.random.default_rng(seed))]
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
