@@ -43,8 +43,6 @@ from .verify import REPORT_COLUMNS, report_rows, run_suite
 
 OUTPUT_DIR_ENV = "RIEMSCALE_OUTPUT_DIR"
 
-COMMANDS = ("verify", "frechet", "scale-table", "calibrate", "geodesic")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -68,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Metric-scaling ledger: verification suite, optimizer "
         "demos, and geodesic comparisons.",
     )
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=HANDLERS)
     parser.add_argument("--manifold", default="sphere:2",
                         help="family:size, e.g. euclidean:3, sphere:2, spd:2")
     parser.add_argument("--chart", default="sphere-chart",
@@ -261,10 +259,11 @@ def cmd_geodesic(config: RunConfig) -> int:
     return 0
 
 
+# The ``--command`` choices, in the order the usage text lists them.
 HANDLERS = {
     "verify": cmd_verify,
-    "scale-table": cmd_scale_table,
     "frechet": cmd_frechet,
+    "scale-table": cmd_scale_table,
     "calibrate": cmd_calibrate,
     "geodesic": cmd_geodesic,
 }

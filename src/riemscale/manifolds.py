@@ -21,11 +21,18 @@ vectorisation convention of geomstats: ``inner``, ``norm``, ``dist``,
 ``(N, *ambient_shape)`` in any argument, and a single point or vector
 broadcasts against a stack.  They give the ``N`` results row by row,
 each bit-identical to the single call on that row, and a batch raises
-the error its first failing row would raise on its own (a failed batch
-replays its rows one at a time to find it).  ``curve_length`` takes a
-``(C, S, *ambient_shape)`` stack of C curves.  Single inputs keep their
-own code path and give a Python float or one ambient array.  SPD
-distance reads the eigenvalues of ``L^-1 q L^-T``, one stacked
+the error its first failing row would raise on its own.  One dispatcher,
+``Manifold._batched``, serves every operation but the plain numpy
+expressions that cannot fail (Euclidean ``exp`` and ``log``, the SPD
+gradient map): it runs the family's one stacked body, a single input as
+a stack of one, replays a failed batch row by row to find its first
+failing row (``dist`` included), and gives a Python float or one ambient
+array when every argument was single.  Only ``inner`` and ``exp`` keep a
+second body for single inputs, because every descent iterate calls each
+of them once on one point, where a stack of one costs several times as
+much.
+``curve_length`` takes a ``(C, S, *ambient_shape)`` stack of C curves.
+SPD distance reads the eigenvalues of ``L^-1 q L^-T``, one stacked
 ``eigvalsh`` for the whole batch.
 
 A barycenter iterate measures all data points in one pass: the private
@@ -140,12 +147,6 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.mT)
 
 
-def _paired(stack: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The selected ``rows`` of a stack, or a stack of one as it is,
-    which broadcasts against them."""
-    return stack if len(stack) == 1 else stack[rows]
-
-
 def _runs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """The first index and the length of each run of equal consecutive
     matrices in a stack, or ``None`` when no two neighbours are equal."""
@@ -205,7 +206,10 @@ class Manifold(ABC):
     is paired with every row of the others.  The result is then the
     ``(N,)`` or ``(N, *ambient_shape)`` stack of row results, each the
     single call on that row bit for bit, and an error is the one the
-    first failing row would raise on its own.
+    first failing row would raise on its own.  Each family writes one
+    stacked body per operation and hands it to :meth:`_batched`; only
+    ``inner`` and ``exp``, which a descent iterate calls on single
+    inputs, also keep a single-input body.
     """
 
     family: ClassVar[str]
@@ -325,23 +329,26 @@ class Manifold(ABC):
         single = q.ndim == len(self.ambient_shape)
         return (q[np.newaxis] if single else q), single
 
-    def _pair(self, p, q) -> tuple[np.ndarray, np.ndarray, bool]:
-        """``p`` and ``q`` as stacks that broadcast row by row (a single
-        point is a stack of one), and whether both were single points."""
-        ps, p_single = self._rows(p)
-        qs, q_single = self._rows(q)
-        return ps, qs, p_single and q_single
-
-    def _batched(self, op: Callable, rows_op: Callable, *args) -> np.ndarray:
-        """``rows_op`` on ``args`` broadcast to stacks of one length (a
-        single point is a stack of one); if it fails, the error the first
-        failing row raises on its own through ``op``."""
-        stacks = np.broadcast_arrays(*(self._rows(a)[0] for a in args))
+    def _batched(self, op: Callable, rows_op: Callable, *args):
+        """The one dispatcher of the batch axis: ``rows_op``, the stacked
+        body of the public operation ``op``, on ``args`` broadcast to
+        stacks of one length (a single point is a stack of one).  If it
+        fails, the error the first failing row raises on its own through
+        ``op``.  When every argument was single, the one result: a Python
+        float for a scalar operation, else one ambient array."""
+        stacks, singles = zip(*(self._rows(a) for a in args))
+        # stacks of one length need no broadcast, which costs as much as
+        # a small body even when it changes nothing
+        if len({len(s) for s in stacks}) > 1:
+            stacks = np.broadcast_arrays(*stacks)
         try:
-            return rows_op(*stacks)
+            out = rows_op(*stacks)
         except GeometryError:
             self._replay(op, *args)
             raise
+        if not all(singles):
+            return out
+        return float(out[0]) if out.ndim == 1 else out[0]
 
     def _replay(self, op: Callable, *args) -> None:
         """Call ``op`` on the rows of a batch one at a time, so that the
@@ -351,14 +358,6 @@ class Manifold(ABC):
             return
         for i in range(max(map(len, stacks))):
             op(*(s[0] if len(s) == 1 else s[i] for s in stacks))
-
-    def _log_from_pass(self, p, q) -> np.ndarray:
-        """``log`` as the logarithm half of ``_dist_log``."""
-        if np.ndim(p) > len(self.ambient_shape):
-            return self._batched(self.log, lambda ps, qs: self._dist_log(ps, qs)[1], p, q)
-        rows, single = self._rows(q)
-        out = self._dist_log(p, rows)[1]
-        return out[0] if single else out
 
     def _check_shape(self, arr, what: str) -> np.ndarray:
         out = _floats(arr, what)
@@ -392,11 +391,13 @@ class Euclidean(Manifold):
     inner = _dot_inner
 
     def dist(self, p, q):
-        ps, qs, single = self._pair(p, q)
-        diff = qs - ps
+        return self._batched(self.dist, self._stacked_dist, p, q)
+
+    @staticmethod
+    def _stacked_dist(p, q):
+        diff = q - p
         # vecdot rounds each row like np.linalg.norm does a single vector
-        d = np.sqrt(np.vecdot(diff, diff))
-        return float(d[0]) if single else d
+        return np.sqrt(np.vecdot(diff, diff))
 
     def exp(self, p, v):
         return p + v
@@ -409,14 +410,10 @@ class Euclidean(Manifold):
         return np.sqrt(np.vecdot(diff, diff)), diff
 
     def transport(self, p, q, v):
-        if p.ndim > 1 or q.ndim > 1 or v.ndim > 1:
-            return self._batched(self.transport, lambda p, q, v: v.copy(), p, q, v)
-        return v.copy()
+        return self._batched(self.transport, lambda p, q, v: v.copy(), p, q, v)
 
     def to_tangent(self, p, w):
-        if p.ndim > 1:
-            return self._batched(self.to_tangent, lambda p, w: w.copy(), p, w)
-        return np.asarray(w, dtype=float).copy()
+        return self._batched(self.to_tangent, lambda p, w: w.copy(), p, w)
 
     def euclidean_to_riemannian_gradient(self, p, ambient_gradient):
         return self.to_tangent(p, ambient_gradient)
@@ -456,11 +453,12 @@ class Sphere(Manifold):
     inner = _dot_inner
 
     def dist(self, p, q):
-        ps, qs, single = self._pair(p, q)
-        same, c, u, nu = self._chords(ps, qs)
+        return self._batched(self.dist, self._stacked_dist, p, q)
+
+    def _stacked_dist(self, p, q):
+        same, c, u, nu = self._chords(p, q)
         # atan2 keeps full accuracy near both coincident and antipodal pairs
-        d = np.where(same, 0.0, np.arctan2(nu, c))
-        return float(d[0]) if single else d
+        return np.where(same, 0.0, np.arctan2(nu, c))
 
     def exp(self, p, v):
         if p.ndim > 1 or v.ndim > 1:
@@ -487,7 +485,7 @@ class Sphere(Manifold):
         return out
 
     def log(self, p, q):
-        return self._log_from_pass(p, q)
+        return self._batched(self.log, lambda p, q: self._dist_log(p, q)[1], p, q)
 
     def _dist_log(self, p, rows):
         same, c, u, nu = self._chords(p, rows)
@@ -513,17 +511,7 @@ class Sphere(Manifold):
         return same, c, u, np.sqrt(np.vecdot(u, u))
 
     def transport(self, p, q, v):
-        if p.ndim > 1 or q.ndim > 1 or v.ndim > 1:
-            return self._batched(self.transport, self._stacked_transport, p, q, v)
-        w = self.log(p, q)
-        theta = float(np.linalg.norm(w))
-        if theta == 0.0:
-            return v.copy()
-        e = w / theta
-        a = float(np.dot(e, v))
-        # component along the geodesic rotates in the (p, e) plane,
-        # the orthogonal complement rides along unchanged
-        return v + a * ((math.cos(theta) - 1.0) * e - math.sin(theta) * p)
+        return self._batched(self.transport, self._stacked_transport, p, q, v)
 
     def _stacked_transport(self, p, q, v):
         w = self._dist_log(p, q)[1]
@@ -533,16 +521,15 @@ class Sphere(Manifold):
         p, v, theta = p[moving], v[moving], theta[moving, np.newaxis]
         e = w[moving] / theta
         a = np.vecdot(e, v)[:, np.newaxis]
+        # component along the geodesic rotates in the (p, e) plane,
+        # the orthogonal complement rides along unchanged
         out[moving] = v + a * ((np.cos(theta) - 1.0) * e - np.sin(theta) * p)
         return out
 
     def to_tangent(self, p, w):
-        if p.ndim > 1 or np.ndim(w) > 1:
-            return self._batched(
-                self.to_tangent, lambda p, w: w - np.vecdot(p, w)[:, np.newaxis] * p, p, w
-            )
-        w = np.asarray(w, dtype=float)
-        return w - np.dot(p, w) * p
+        return self._batched(
+            self.to_tangent, lambda p, w: w - np.vecdot(p, w)[:, np.newaxis] * p, p, w
+        )
 
     def euclidean_to_riemannian_gradient(self, p, ambient_gradient):
         return self.to_tangent(p, ambient_gradient)
@@ -635,11 +622,12 @@ class SymmetricPositiveDefinite(Manifold):
         return out
 
     def dist(self, p, q):
-        ps, qs, single = self._pair(p, q)
-        other = ~(qs == ps).all(axis=(-2, -1))
-        white = self._whiten(_paired(ps, other), _paired(qs, other))[2] if other.any() else None
-        d = self._distances(other, white)
-        return float(d[0]) if single else d
+        return self._batched(self.dist, self._stacked_dist, p, q)
+
+    def _stacked_dist(self, p, q):
+        other = ~(q == p).all(axis=(-2, -1))
+        white = self._whiten(p[other], q[other])[2] if other.any() else None
+        return self._distances(other, white)
 
     def exp(self, p, v):
         if p.ndim > 2 or v.ndim > 2:
@@ -660,7 +648,7 @@ class SymmetricPositiveDefinite(Manifold):
         return self._resymmetrize(out, size)
 
     def log(self, p, q):
-        return self._log_from_pass(p, q)
+        return self._batched(self.log, lambda p, q: self._dist_log(p, q)[1], p, q)
 
     def _dist_log(self, p, rows):
         out = np.zeros_like(rows)
@@ -673,31 +661,21 @@ class SymmetricPositiveDefinite(Manifold):
         return d, out
 
     def transport(self, p, q, v):
-        if p.ndim > 2 or q.ndim > 2 or v.ndim > 2:
-            return self._batched(self.transport, self._stacked_transport, p, q, v)
-        if np.array_equal(p, q):
-            return v.copy()
-        return self._transport(p, q, v)
+        return self._batched(self.transport, self._stacked_transport, p, q, v)
 
     def _stacked_transport(self, p, q, v):
         out = v.copy()
         moving = ~(p == q).all(axis=(-2, -1))
         if moving.any():
-            out[moving] = self._transport(p[moving], q[moving], v[moving])
+            p, v = p[moving], v[moving]
+            low, inv_low, white = self._whiten(p, q[moving])
+            # principal square root of q p^-1 = L W L^-1, with W the whitened q
+            e = low @ _sym_apply(white, np.sqrt) @ inv_low
+            out[moving] = self._resymmetrize(e @ v @ e.mT, _size(e) ** 2 * _size(v))
         return out
 
-    def _transport(self, p, q, v):
-        """Transport of ``v`` from ``p`` to a ``q`` other than ``p``, for
-        single matrices or stacks paired row by row."""
-        low, inv_low, white = self._whiten(p, q)
-        # principal square root of q p^-1 = L W L^-1, with W the whitened q
-        e = low @ _sym_apply(white, np.sqrt) @ inv_low
-        return self._resymmetrize(e @ v @ e.mT, _size(e) ** 2 * _size(v))
-
     def to_tangent(self, p, w):
-        if p.ndim > 2:
-            return self._batched(self.to_tangent, lambda p, w: _sym(w), p, w)
-        return _sym(np.asarray(w, dtype=float))
+        return self._batched(self.to_tangent, lambda p, w: _sym(w), p, w)
 
     def euclidean_to_riemannian_gradient(self, p, ambient_gradient):
         # matmul and _sym pair stacks row by row as they are

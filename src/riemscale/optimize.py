@@ -217,7 +217,13 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
         # a running sum adds the rows strictly left to right (np.sum may
         # pair them up); + 0.0 gives the +0.0 a sum started at zero gives
         total = np.cumsum(logs, axis=0)[-1] + 0.0
-        return TangentVector(x, -total / n)
+        try:
+            return TangentVector(x, -total / n)
+        except ContractViolationError:
+            if np.isfinite(total).all():
+                raise
+            # a sum past the double range is the objective's domain, not a misuse
+            raise DomainError("the sum of the logarithms overflowed") from None
 
     return Objective(value_fn, gradient_fn)
 

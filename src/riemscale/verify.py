@@ -307,10 +307,10 @@ def _run_gradient_direction(rng):
 def _run_connection_invariance(rng):
     for chart in builtin_charts():
         points = _interior_points(chart, rng, 20)
+        bases = [christoffel_at(chart, x).symbols for x in points]
         for lam in INVARIANT_LAMBDAS:
             scaled = scale_chart_constant(chart, lam)
-            for x in points:
-                base = christoffel_at(chart, x).symbols
+            for x, base in zip(points, bases):
                 got = christoffel_at(scaled, x).symbols
                 yield float(np.max(np.abs(got - base)))
 
@@ -347,12 +347,12 @@ def _run_volume_law(rng):
     for chart in builtin_charts():
         points = _interior_points(chart, rng, 20)
         n = chart.dimension
+        bases = [volume_density(chart, x) for x in points]
         for lam in VARIANT_LAMBDAS:
             scaled = scale_chart_constant(chart, lam)
             factor = volume_scale_factor(lam, n)
-            for x in points:
-                ratio = volume_density(scaled, x) / volume_density(chart, x)
-                yield _rel(ratio, factor)
+            for x, base in zip(points, bases):
+                yield _rel(volume_density(scaled, x) / base, factor)
 
 
 def _run_length_law(rng):

@@ -435,14 +435,16 @@ def test_a_batch_raises_the_error_of_its_first_failing_row():
     bases = np.stack([eye, indefinite, eye])
     for op, args in (
         (spd.exp, (bases, 0.1 * bases)),
+        (spd.dist, (bases, np.stack([2.0 * eye] * 3))),
         (spd.log, (bases, np.stack([2.0 * eye] * 3))),
         (spd.transport, (bases, np.stack([2.0 * eye] * 3), np.stack([eye] * 3))),
         (spd.inner, (bases, np.stack([eye] * 3), np.stack([eye] * 3))),
     ):
         assert _first_error(op, *args) == ("DomainError", "matrix is not positive definite")
     # an earlier row that overflows wins over a later row's failed factorization
-    _, message = _first_error(spd.exp, np.stack([tiny, indefinite]), np.stack([huge, eye]))
-    assert "overflowed" in message
+    for op in (spd.exp, spd.dist):
+        _, message = _first_error(op, np.stack([tiny, indefinite]), np.stack([huge, eye]))
+        assert "overflowed" in message
     # an earlier row scaled past the range wins over a later row's base overflow
     scaled = ScaledManifold(Euclidean(2), 1e300)
     u = np.array([[1e10, 0.0], [1e200, 0.0]])

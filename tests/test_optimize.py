@@ -187,6 +187,22 @@ def test_a_non_finite_value_or_gradient_norm_stops_as_diverged(value, gradient):
             equivalence_check(E2, objective, x0, eta=2.0, lam=4.0, iters=10)
 
 
+def test_an_overflowing_frechet_gradient_stops_the_run_and_keeps_its_finite_iterates():
+    # from 0 toward the mean 1 with step 1e308 the next iterate is 1e308:
+    # its logarithms -1e308 and 2 - 1e308 are finite, their sum is not
+    line = Euclidean(1)
+    objective = frechet_objective([ManifoldPoint(line, [0.0]), ManifoldPoint(line, [2.0])])
+    x0 = ManifoldPoint(line, [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowed distances and sum
+        trace = riemannian_gd(line, objective, x0, OptimizerConfig(step_size=1e308))
+        with pytest.raises(DomainError, match="sum of the logarithms overflowed"):
+            objective.gradient_fn(ManifoldPoint(line, [1e308]))
+    assert trace.stop_reason == "error"
+    assert trace.iterates == (x0,)
+    assert trace.values == (1.0,) and trace.grad_norms == (1.0,)
+
+
 def test_scaled_run_uses_rescaled_gradient_and_scaled_norm():
     objective = _quadratic_objective(E2)
     x0 = ManifoldPoint(E2, np.array([4.0, 2.0]))
