@@ -90,6 +90,7 @@ from .optimize import (
     pairwise_distances,
     random_frechet_problem,
     riemannian_gd,
+    riemannian_gd_many,
 )
 from .verify import render_csv, render_json, run_suite
 

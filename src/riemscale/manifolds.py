@@ -137,8 +137,13 @@ def _floats(x, name: str) -> np.ndarray:
     return np.array(raw, dtype=float)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
+def _readonly(validated: np.ndarray, given) -> np.ndarray:
+    """A validator's result, read-only.  Validators return a new float64
+    array, which is frozen in place; anything else (the array they were
+    given, another dtype) is copied first."""
+    out = validated
+    if out is given or out.dtype != np.float64:
+        out = np.array(out, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -185,10 +190,15 @@ def _stacked_dot(p, u, v) -> np.ndarray:
     return out
 
 
-def _sym_apply(a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+def _sym_apply(
+    a: np.ndarray, fn: Callable[[np.ndarray], np.ndarray], positive: bool = False
+) -> np.ndarray:
     """Apply a scalar function to the symmetric part of a matrix (or of
-    each matrix in a stack) through its eigenvalues."""
+    each matrix in a stack) through its eigenvalues; with ``positive``,
+    ``DomainError`` unless every eigenvalue is > 0."""
     w, v = np.linalg.eigh(_sym(a))
+    if positive and not np.all(w > 0.0):
+        raise DomainError("matrix is not positive definite")
     return (v * fn(w)[..., np.newaxis, :]) @ v.mT
 
 
@@ -464,7 +474,7 @@ class Sphere(Manifold):
         if p.ndim > 1 or v.ndim > 1:
             return self._batched(self.exp, self._stacked_exp, p, v)
         with np.errstate(over="ignore"):
-            theta = float(np.linalg.norm(v))
+            theta = math.sqrt(v.dot(v))  # np.linalg.norm's arithmetic, without its dispatch
         if theta == 0.0:
             return p.copy()
         if not math.isfinite(theta):
@@ -536,7 +546,7 @@ class Sphere(Manifold):
 
     def validate_point(self, coordinates) -> np.ndarray:
         out = self._check_shape(coordinates, "point")
-        drift = abs(float(np.linalg.norm(out)) - 1.0)
+        drift = abs(math.sqrt(out.dot(out)) - 1.0)
         if drift > POINT_TOL:
             raise ContractViolationError(
                 f"point is off the unit sphere by {drift:.3e} (tolerance {POINT_TOL})"
@@ -567,7 +577,7 @@ class Sphere(Manifold):
             if not (np.abs(n - 1.0) <= RENORM_TOL).all():
                 raise InternalConsistencyError("sphere result drifted from unit norm")
             return out / n
-        n = float(np.linalg.norm(out))
+        n = math.sqrt(out.dot(out))
         if not abs(n - 1.0) <= RENORM_TOL:
             raise InternalConsistencyError(
                 f"sphere result drifted {abs(n - 1.0):.3e} from unit norm"
@@ -607,14 +617,14 @@ class SymmetricPositiveDefinite(Manifold):
     def inner(self, p, u, v):
         if p.ndim > 2 or u.ndim > 2 or v.ndim > 2:
             return self._batched(self.inner, self._stacked_inner, p, u, v)
-        _, _, (wu, wv) = self._whiten(p, np.stack((u, v)))
+        wu, wv = self._whitened_pair(p, u, v)
         out = float(np.vdot(wu, wv))
         if not math.isfinite(out):
             raise DomainError(f"inner product of the whitened tangents is {out}, not finite")
         return out
 
     def _stacked_inner(self, p, u, v):
-        _, _, (wu, wv) = self._whiten(p, np.stack((u, v)))
+        wu, wv = self._whitened_pair(p, u, v)
         with np.errstate(over="ignore", invalid="ignore"):
             out = np.vecdot(*(w.reshape(len(w), self.side * self.side) for w in (wu, wv)))
         if not np.isfinite(out).all():
@@ -669,8 +679,9 @@ class SymmetricPositiveDefinite(Manifold):
         if moving.any():
             p, v = p[moving], v[moving]
             low, inv_low, white = self._whiten(p, q[moving])
-            # principal square root of q p^-1 = L W L^-1, with W the whitened q
-            e = low @ _sym_apply(white, np.sqrt) @ inv_low
+            # principal square root of q p^-1 = L W L^-1, with W the whitened
+            # q, whose eigenvalues are positive when q is positive definite
+            e = low @ _sym_apply(white, np.sqrt, positive=True) @ inv_low
             out[moving] = self._resymmetrize(e @ v @ e.mT, _size(e) ** 2 * _size(v))
         return out
 
@@ -749,6 +760,14 @@ class SymmetricPositiveDefinite(Manifold):
             raise DomainError("whitened matrix L^-1 x L^-T overflowed, with p = L L^T")
         return low, inv_low, white
 
+    def _whitened_pair(self, p, u, v) -> tuple[np.ndarray, np.ndarray]:
+        """``u`` and ``v`` whitened at ``p``; the one vector of a norm
+        (``u is v``) is whitened once."""
+        if u is v:
+            white = self._whiten(p, u)[2]
+            return white, white
+        return tuple(self._whiten(p, np.array((u, v)))[2])
+
     def _distances(self, other: np.ndarray, white: np.ndarray | None) -> np.ndarray:
         """Distances of a stack of rows from their base points, given
         which rows differ from their base (``other``) and those rows
@@ -826,7 +845,7 @@ class ManifoldPoint:
     def __post_init__(self):
         _require(Manifold, self.manifold)
         coords = self.manifold.validate_point(self.coordinates)
-        object.__setattr__(self, "coordinates", _readonly(coords))
+        object.__setattr__(self, "coordinates", _readonly(coords, self.coordinates))
 
     def __repr__(self):
         return f"ManifoldPoint({self.manifold!r}, {self.coordinates!r})"
@@ -842,7 +861,7 @@ class TangentVector:
     def __post_init__(self):
         _require(ManifoldPoint, self.base)
         comps = self.manifold.validate_tangent(self.base.coordinates, self.components)
-        object.__setattr__(self, "components", _readonly(comps))
+        object.__setattr__(self, "components", _readonly(comps, self.components))
 
     @property
     def manifold(self) -> Manifold:

@@ -8,6 +8,17 @@ so a scaled run with step ``eta`` and an unscaled run with step
 ``eta / lam`` walk the same path; :func:`equivalence_check` measures
 exactly that.
 
+:func:`riemannian_gd_many` runs several descents of one objective in
+lockstep, each on its own scale of one root manifold with its own step
+size, start and stopping rule.  While several arms are live, each
+iterate measures the objective at all of them in one stacked pass,
+takes every gradient norm in one stacked inner product and makes every
+step in one stacked exponential map; each arm's trace is bit-identical
+to its own :func:`riemannian_gd` run, which is the one-arm case of the
+same loop and passes single arrays to the manifold.  The property
+suite descends the twins of all its scales on a manifold as one such
+run.
+
 :func:`calibrate_scale` treats the scale as a learnable quantity: given
 target distances, the best constant factor has a closed least-squares
 form because rescaling multiplies every distance by the same root.
@@ -15,8 +26,9 @@ form because rescaling multiplies every distance by the same root.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Callable, Iterator, Sequence
 
@@ -27,6 +39,7 @@ from .errors import (
     ContractViolationError,
     DegenerateInputError,
     DomainError,
+    GeometryError,
     PartialEquivalenceError,
 )
 from .manifolds import (
@@ -52,10 +65,19 @@ class Objective:
     ``value_fn`` evaluates the function; ``gradient_fn`` returns its
     gradient in the unscaled base metric as a tangent vector at the
     query point.
+
+    ``_measure_many`` is private to the library: when set, it takes a
+    list of points and gives each point's ``(gradient, value)`` from one
+    stacked pass, bit for bit what ``gradient_fn`` and then ``value_fn``
+    give, or raises a ``GeometryError``.  :func:`riemannian_gd_many`
+    measures its live arms with it.
     """
 
     value_fn: Callable[[ManifoldPoint], float]
     gradient_fn: Callable[[ManifoldPoint], TangentVector]
+    _measure_many: Callable[[list[ManifoldPoint]], list[tuple[TangentVector, float]]] | None = (
+        field(default=None, repr=False)
+    )
 
 
 @dataclass(frozen=True)
@@ -129,48 +151,180 @@ def riemannian_gd(
     iterate whose value or gradient norm is not finite (the norm raises
     ``DomainError`` when its inner product overflows) ends the run with
     ``stop_reason == "diverged"``; the trace keeps the finite iterates
-    before it.
+    before it.  This is the one-arm case of :func:`riemannian_gd_many`.
     """
-    base = manifold.root if isinstance(manifold, ScaledManifold) else manifold
-    _require(ManifoldPoint, x0)
-    if x0.manifold != base:
-        raise ContractViolationError(f"x0 lives on {x0.manifold}, expected {base}")
+    return riemannian_gd_many((manifold,), objective, (x0,), (config,))[0]
 
-    iterates: list[ManifoldPoint] = []
-    values: list[float] = []
-    grad_norms: list[float] = []
-    x = x0
-    stop_reason = STOP_MAX_ITERS
-    for k in range(config.max_iters + 1):
+
+def riemannian_gd_many(
+    manifolds: Sequence[Manifold],
+    objective: Objective,
+    starts: Sequence[ManifoldPoint],
+    configs: Sequence[OptimizerConfig],
+) -> tuple[OptimizerTrace, ...]:
+    """Run several descents of one objective in lockstep.
+
+    Arm ``a`` descends on ``manifolds[a]`` from ``starts[a]`` with
+    ``configs[a]``.  The manifolds must share one root: each is that
+    manifold or a :class:`ScaledManifold` of it.  Every arm stops on its
+    own, and trace ``a`` is bit-identical to ``riemannian_gd(manifolds[a],
+    objective, starts[a], configs[a])``.
+
+    While several arms are live, each iterate measures the objective at
+    all of them in one stacked pass when the objective has one
+    (:func:`frechet_objective` does; any other is evaluated arm by arm),
+    then takes every gradient norm with one stacked inner product and
+    makes every step with one stacked exponential map on the root,
+    applying each arm's scale factors and step size elementwise.  Each
+    gradient is still a validated :class:`TangentVector` and each
+    iterate a validated :class:`ManifoldPoint`.  A stage whose stacked
+    pass raises a ``GeometryError`` is redone arm by arm, so each arm
+    meets its own error or its own result.  With one live arm, every
+    stage takes that arm's single inputs.
+    """
+    manifolds, starts, configs = tuple(manifolds), tuple(starts), tuple(configs)
+    if not manifolds:
+        raise ContractViolationError("at least one manifold is required")
+    if not len(manifolds) == len(starts) == len(configs):
+        raise ContractViolationError(
+            f"{len(manifolds)} manifolds, {len(starts)} starts and {len(configs)} configs"
+        )
+    arms = [_Arm(m, x, c) for m, x, c in zip(manifolds, starts, configs)]
+    if any(arm.root != arms[0].root for arm in arms[1:]):
+        raise ContractViolationError("arms run in lockstep must share a root manifold")
+    depth = max(len(arm.factors) for arm in arms)
+    for arm in arms:  # pad to one depth: a factor of 1 divides and multiplies exactly
+        arm.factors = (1.0,) * (depth - len(arm.factors)) + arm.factors
+
+    live, k = arms, 0
+    while live:
+        live = _evaluate(objective, live)
+        _measure_gradients(live)
+        stepping = []
+        for arm in live:
+            if not (math.isfinite(arm.value) and math.isfinite(arm.grad_norm)):
+                arm.stop_reason = STOP_DIVERGED
+                continue
+            arm.iterates.append(arm.x)
+            arm.values.append(arm.value)
+            arm.grad_norms.append(arm.grad_norm)
+            if arm.grad_norm <= arm.config.grad_tol:
+                arm.stop_reason = STOP_CONVERGED
+            elif k < arm.config.max_iters:
+                stepping.append(arm)
+        live = _step(stepping)
+        k += 1
+    return tuple(
+        OptimizerTrace(tuple(arm.iterates), tuple(arm.values), tuple(arm.grad_norms),
+                       arm.stop_reason)
+        for arm in arms
+    )
+
+
+class _Arm:
+    """One descent of :func:`riemannian_gd_many`: its metric, its
+    settings, what it recorded, and the quantities of its current
+    iterate."""
+
+    __slots__ = ("manifold", "root", "factors", "config", "x", "iterates", "values",
+                 "grad_norms", "stop_reason", "gradient", "value", "used", "grad_norm")
+
+    def __init__(self, manifold: Manifold, x0: ManifoldPoint, config: OptimizerConfig):
+        _require(Manifold, manifold)
+        _require(ManifoldPoint, x0)
+        _require(OptimizerConfig, config)
+        factors = []
+        root = manifold
+        while isinstance(root, ScaledManifold):
+            factors.append(root.lam)
+            root = root.base
+        if x0.manifold != root:
+            raise ContractViolationError(f"x0 lives on {x0.manifold}, expected {root}")
+        self.manifold, self.root, self.config, self.x = manifold, root, config, x0
+        self.factors = tuple(reversed(factors))  # innermost first, as they apply
+        self.iterates, self.values, self.grad_norms = [], [], []
+        self.stop_reason = STOP_MAX_ITERS
+
+
+def _evaluate(objective: Objective, arms: list[_Arm]) -> list[_Arm]:
+    """Set the gradient and the value at each arm's iterate; the arms
+    whose objective met a domain error stop, and the others are returned."""
+    if len(arms) > 1 and objective._measure_many is not None:
         try:
-            gradient = objective.gradient_fn(x)
-            value = float(objective.value_fn(x))
+            results = objective._measure_many([arm.x for arm in arms])
+        except GeometryError:
+            pass
+        else:
+            for arm, (gradient, value) in zip(arms, results):
+                arm.gradient, arm.value = gradient, value
+            return arms
+    kept = []
+    for arm in arms:
+        try:
+            arm.gradient = objective.gradient_fn(arm.x)
+            arm.value = float(objective.value_fn(arm.x))
         except DomainError:
-            stop_reason = STOP_ERROR
-            break
-        used = manifold.rescale_gradient(gradient.components)
+            arm.stop_reason = STOP_ERROR
+            continue
+        kept.append(arm)
+    return kept
+
+
+def _measure_gradients(arms: list[_Arm]) -> None:
+    """Set each arm's gradient in its own metric and that gradient's norm
+    there, ``inf`` where the inner product overflows."""
+    if len(arms) > 1:
+        used = np.array([arm.gradient.components for arm in arms])
+        factors = np.array([arm.factors for arm in arms]).T
+        for f in factors:  # innermost first, as nested wrappers divide
+            used = used / f.reshape(-1, *(1,) * (used.ndim - 1))
         try:
-            grad_norm = manifold.norm(x.coordinates, used)
+            ip = arms[0].root.inner(np.array([arm.x.coordinates for arm in arms]), used, used)
+        except GeometryError:
+            pass
+        else:
+            with np.errstate(over="ignore"):
+                for f in factors:
+                    ip = f * ip
+            # the single norm's sqrt(max(ip, 0)); a scaled product past the
+            # range is inf, whose root is the inf of a single overflowed norm
+            norms = np.sqrt(np.where(ip < 0.0, 0.0, ip))
+            for arm, u, grad_norm in zip(arms, used, norms.tolist()):
+                arm.used, arm.grad_norm = u, grad_norm
+            return
+    for arm in arms:
+        arm.used = arm.manifold.rescale_gradient(arm.gradient.components)
+        try:
+            arm.grad_norm = arm.manifold.norm(arm.x.coordinates, arm.used)
         except DomainError:  # the inner product of the gradient overflowed
-            grad_norm = math.inf
-        if not (math.isfinite(value) and math.isfinite(grad_norm)):
-            stop_reason = STOP_DIVERGED
-            break
-        iterates.append(x)
-        values.append(value)
-        grad_norms.append(grad_norm)
-        if grad_norm <= config.grad_tol:
-            stop_reason = STOP_CONVERGED
-            break
-        if k == config.max_iters:
-            stop_reason = STOP_MAX_ITERS
-            break
+            arm.grad_norm = math.inf
+
+
+def _step(arms: list[_Arm]) -> list[_Arm]:
+    """Move each arm along the exponential map by its step; the arms
+    whose step met a domain error stop, and the others are returned."""
+    ends = None
+    if len(arms) > 1:
+        used = np.array([arm.used for arm in arms])
+        steps = np.array([-arm.config.step_size for arm in arms])
+        with contextlib.suppress(GeometryError):
+            ends = arms[0].root.exp(
+                np.array([arm.x.coordinates for arm in arms]),
+                steps.reshape(-1, *(1,) * (used.ndim - 1)) * used,
+            )
+    moved = []
+    for i, arm in enumerate(arms):
         try:
-            x = ManifoldPoint(base, manifold.exp(x.coordinates, -config.step_size * used))
+            if ends is None:
+                end = arm.manifold.exp(arm.x.coordinates, -arm.config.step_size * arm.used)
+            else:
+                end = ends[i]
+            arm.x = ManifoldPoint(arm.root, end)
         except DomainError:
-            stop_reason = STOP_ERROR
-            break
-    return OptimizerTrace(tuple(iterates), tuple(values), tuple(grad_norms), stop_reason)
+            arm.stop_reason = STOP_ERROR
+            continue
+        moved.append(arm)
+    return moved
 
 
 def _on_one_manifold(points: tuple[ManifoldPoint, ...]) -> tuple[Manifold, np.ndarray]:
@@ -193,6 +347,9 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
     point; ``value_fn`` reuses them when called with that same point
     object, as :func:`riemannian_gd` does, and otherwise makes one
     batched ``dist`` call, so it is defined wherever the distance is.
+    The objective's stacked pass measures K points in one batched pass
+    over the K·N (point, data point) pairs, then sums each point's
+    logarithms and squared distances as a single point's are summed.
     """
     points = tuple(points)
     if not points:
@@ -202,13 +359,25 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
     # (point, its distances) from the last gradient; one tuple, replaced whole
     measured = (None, None)
 
+    def halved_mean_square(d: list[float]) -> float:
+        # Python-float squares summed left to right: numpy's vectorised
+        # square and pairwise sum would round differently
+        return sum(map(pow, d, repeat(2))) / (2.0 * n)
+
+    def gradient_from(x: ManifoldPoint, components: np.ndarray) -> TangentVector:
+        try:
+            return TangentVector(x, components)
+        except ContractViolationError:
+            if np.isfinite(components).all():
+                raise
+            # a sum past the double range is the objective's domain, not a misuse
+            raise DomainError("the sum of the logarithms overflowed") from None
+
     def value_fn(x: ManifoldPoint) -> float:
         point, d = measured
         if point is not x:
             d = manifold.dist(x.coordinates, coords)
-        # Python-float squares summed left to right: numpy's vectorised
-        # square and pairwise sum would round differently
-        return sum(map(pow, d.tolist(), repeat(2))) / (2.0 * n)
+        return halved_mean_square(d.tolist())
 
     def gradient_fn(x: ManifoldPoint) -> TangentVector:
         nonlocal measured
@@ -216,16 +385,59 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
         measured = (x, d)
         # a running sum adds the rows strictly left to right (np.sum may
         # pair them up); + 0.0 gives the +0.0 a sum started at zero gives
-        total = np.cumsum(logs, axis=0)[-1] + 0.0
-        try:
-            return TangentVector(x, -total / n)
-        except ContractViolationError:
-            if np.isfinite(total).all():
-                raise
-            # a sum past the double range is the objective's domain, not a misuse
-            raise DomainError("the sum of the logarithms overflowed") from None
+        total = logs.cumsum(axis=0)[-1] + 0.0
+        return gradient_from(x, -total / n)
 
-    return Objective(value_fn, gradient_fn)
+    def measure_many(xs: list[ManifoldPoint]) -> list[tuple[TangentVector, float]]:
+        k = len(xs)
+        bases = np.repeat(np.array([x.coordinates for x in xs]), n, axis=0)
+        d, logs = manifold._dist_log(bases, np.concatenate((coords,) * k))
+        totals = logs.reshape(k, n, *logs.shape[1:]).cumsum(axis=1)[:, -1] + 0.0
+        d = d.tolist()
+        return [
+            (gradient_from(x, g), halved_mean_square(d[i * n : (i + 1) * n]))
+            for i, (x, g) in enumerate(zip(xs, -totals / n))
+        ]
+
+    return Objective(value_fn, gradient_fn, measure_many)
+
+
+def _twin_arms(
+    manifold: Manifold, eta: float, lams: Sequence[float], iters: int
+) -> tuple[list[Manifold], list[OptimizerConfig]]:
+    """The arms of step-size equivalence runs, two per scale in ``lams``:
+    the manifold scaled by ``lam`` with step ``eta``, then the base
+    manifold with step ``eta / lam``, both without an early stop."""
+    manifolds, configs = [], []
+    for lam in lams:
+        manifolds += [ScaledManifold(manifold, ScaleFactor(lam)), manifold]
+        configs += [
+            OptimizerConfig(step_size=eta, max_iters=iters, grad_tol=0.0),
+            OptimizerConfig(step_size=eta / lam, max_iters=iters, grad_tol=0.0),
+        ]
+    return manifolds, configs
+
+
+def _twin_deviations(manifold: Manifold, traces: Sequence[OptimizerTrace]) -> Iterator[float]:
+    """For the traces of :func:`_twin_arms`, each scale's largest
+    base-metric distance between matching iterates, in order; at the
+    first scale with an arm that failed, :class:`PartialEquivalenceError`
+    with the deviation over the common prefix."""
+    for run_scaled, run_base in zip(traces[::2], traces[1::2]):
+        common = min(len(run_scaled), len(run_base))
+        deviation = 0.0
+        if common:
+            a = np.stack([pt.coordinates for pt in run_scaled.iterates[:common]])
+            b = np.stack([pt.coordinates for pt in run_base.iterates[:common]])
+            # Python's max from 0.0, row by row, as one max call per pair takes it
+            deviation = max(deviation, *manifold.dist(a, b).tolist())
+        if {run_scaled.stop_reason, run_base.stop_reason} & {STOP_ERROR, STOP_DIVERGED}:
+            raise PartialEquivalenceError(
+                "an arm of the equivalence run failed; deviation over the "
+                f"common prefix of {common} iterates was {deviation:.3e}",
+                deviation,
+            )
+        yield deviation
 
 
 def equivalence_check(
@@ -245,28 +457,12 @@ def equivalence_check(
     the full iteration count (no early convergence stop) so the
     comparison is step-by-step.  If either arm stops on a domain error
     or diverges, :class:`PartialEquivalenceError` carries the deviation
-    over the common prefix.
+    over the common prefix.  The two arms are two one-arm runs: a pair
+    of arms does not repay stacking them.
     """
-    scaled = ScaledManifold(manifold, ScaleFactor(lam))
-    cfg_scaled = OptimizerConfig(step_size=eta, max_iters=iters, grad_tol=0.0)
-    cfg_base = OptimizerConfig(step_size=eta / lam, max_iters=iters, grad_tol=0.0)
-    run_scaled = riemannian_gd(scaled, objective, x0, cfg_scaled)
-    run_base = riemannian_gd(manifold, objective, x0, cfg_base)
-    common = min(len(run_scaled), len(run_base))
-    deviation = 0.0
-    if common:
-        a = np.stack([pt.coordinates for pt in run_scaled.iterates[:common]])
-        b = np.stack([pt.coordinates for pt in run_base.iterates[:common]])
-        # Python's max from 0.0, row by row, as one max call per pair takes it
-        deviation = max(deviation, *manifold.dist(a, b).tolist())
-    if {run_scaled.stop_reason, run_base.stop_reason} & {STOP_ERROR, STOP_DIVERGED}:
-        raise PartialEquivalenceError(
-            "an arm of the equivalence run failed; deviation over the "
-            f"common prefix of {min(len(run_scaled), len(run_base))} iterates "
-            f"was {deviation:.3e}",
-            deviation,
-        )
-    return deviation
+    manifolds, configs = _twin_arms(manifold, eta, (lam,), iters)
+    traces = [riemannian_gd(m, objective, x0, c) for m, c in zip(manifolds, configs)]
+    return next(_twin_deviations(manifold, traces))
 
 
 def pairwise_distances(points: Sequence[ManifoldPoint]) -> np.ndarray:

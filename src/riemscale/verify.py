@@ -50,11 +50,13 @@ from .charts import (
 from .manifolds import Manifold, ManifoldPoint, Sphere, manifold_from_string
 from .optimize import (
     OptimizerConfig,
+    _twin_arms,
+    _twin_deviations,
     calibrate_scale,
-    equivalence_check,
     pairwise_distances,
     random_frechet_problem,
     riemannian_gd,
+    riemannian_gd_many,
 )
 from .scaling import ScaledManifold, volume_scale_factor
 
@@ -402,10 +404,13 @@ def _run_update_rule_identity(rng):
 
 
 def _run_trajectory_equivalence(rng):
+    # per manifold, the twins of every scale descend as one lockstep run;
+    # each arm is bit for bit the one-arm run equivalence_check makes
     for m in MANIFOLDS:
         _, objective, x0 = random_frechet_problem(m, 4, rng)
-        for lam in INVARIANT_LAMBDAS:
-            yield equivalence_check(m, objective, x0, eta=0.1, lam=lam, iters=200)
+        manifolds, configs = _twin_arms(m, 0.1, INVARIANT_LAMBDAS, 200)
+        traces = riemannian_gd_many(manifolds, objective, [x0] * len(manifolds), configs)
+        yield from _twin_deviations(m, traces)
 
 
 def _run_iterate_gradient_direction(rng):

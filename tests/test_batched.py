@@ -456,6 +456,30 @@ def test_a_batch_raises_the_error_of_its_first_failing_row():
     )
 
 
+def test_spd_transport_toward_a_target_that_is_not_positive_definite_is_a_domain_error():
+    spd = SymmetricPositiveDefinite(2)
+    eye = np.eye(2)
+    indefinite, singular = np.diag([1.0, -1.0]), np.diag([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q in (indefinite, singular):
+            # transport now fails as dist and log do for the same pair
+            for call in (lambda: spd.transport(eye, q, eye), lambda: spd.dist(eye, q),
+                         lambda: spd.log(eye, q)):
+                with pytest.raises(DomainError, match="^matrix is not positive definite$"):
+                    call()
+        targets = np.stack([2.0 * eye, singular, indefinite])
+        assert _first_error(spd.transport, np.stack([eye] * 3), targets, np.stack([eye] * 3)) == (
+            "DomainError", "matrix is not positive definite"
+        )
+        # an earlier row whose whitened target overflows wins over a later indefinite one
+        _, message = _first_error(
+            spd.transport, np.stack([1e-300 * eye, eye]), np.stack([1e300 * eye, indefinite]),
+            np.stack([eye, eye]),
+        )
+        assert "overflowed" in message
+
+
 def test_flat_and_sphere_inner_overflow_is_a_domain_error_without_a_warning():
     e0 = np.array([1.0, 0.0, 0.0])
     big = np.array([[0.0, 1e200, 0.0], [0.0, 1.0, 0.0]])

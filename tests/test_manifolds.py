@@ -91,6 +91,25 @@ def test_inner_spd_rejects_indefinite_base():
         _point(SPD2, np.diag([1.0, -1.0]))
 
 
+def test_spd_norm_whitens_its_one_vector_once(monkeypatch):
+    whitened = []
+    whiten = SymmetricPositiveDefinite._whiten
+
+    def recording(p, x=None):
+        whitened.append(None if x is None else x.shape)
+        return whiten(p, x)
+
+    monkeypatch.setattr(SymmetricPositiveDefinite, "_whiten", staticmethod(recording))
+    p, v = np.diag([2.0, 3.0]), np.array([[1.0, 0.5], [0.5, 2.0]])
+    single = SPD2.norm(p, v)
+    stacked = SPD2.norm(np.stack([p] * 3), np.stack([v] * 3))
+    SPD2.inner(p, v, 2.0 * v)
+    # a norm whitens its vector (or its stack), an inner product the pair
+    assert whitened == [(2, 2), (3, 2, 2), (2, 2, 2)]
+    assert stacked.tolist() == [single] * 3
+    assert single == math.sqrt(SPD2.inner(p, v, v.copy()))
+
+
 # ---------------------------------------------------------------------------
 # exp / log / distance
 # ---------------------------------------------------------------------------

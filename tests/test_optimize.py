@@ -30,6 +30,7 @@ from riemscale import (
     pairwise_distances,
     random_frechet_problem,
     riemannian_gd,
+    riemannian_gd_many,
 )
 from riemscale import manifolds, optimize
 
@@ -327,6 +328,139 @@ def test_equivalence_failing_arm_raises_typed_error_with_prefix_deviation():
         equivalence_check(S2, objective, _e(0), eta=0.1, lam=4.0, iters=10)
     assert isinstance(info.value, DomainError)
     assert info.value.partial_deviation == 0.0
+
+
+# ---------------------------------------------------------------------------
+# lockstep descent: every arm is its own single run, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _assert_lockstep_matches_single_runs(manifolds_, objective, starts, configs):
+    """Run the arms in lockstep and each on its own, on this host, and
+    compare iterate bytes, values, gradient norms and stop reasons."""
+    traces = riemannian_gd_many(manifolds_, objective, starts, configs)
+    assert len(traces) == len(manifolds_)
+    for m, x0, config, trace in zip(manifolds_, starts, configs, traces):
+        single = riemannian_gd(m, objective, x0, config)
+        assert trace.stop_reason == single.stop_reason
+        assert len(trace) == len(single)
+        assert [x.coordinates.tobytes() for x in trace.iterates] == [
+            x.coordinates.tobytes() for x in single.iterates
+        ]
+        assert np.array(trace.values).tobytes() == np.array(single.values).tobytes()
+        assert np.array(trace.grad_norms).tobytes() == np.array(single.grad_norms).tobytes()
+    return [trace.stop_reason for trace in traces]
+
+
+@pytest.mark.parametrize("spec", ["euclidean:3", "sphere:2", "spd:2", "spd:8"])
+def test_lockstep_arms_are_bit_identical_to_single_runs(spec):
+    m = manifolds.manifold_from_string(spec)
+    rng = np.random.default_rng(16)
+    points, objective, x0 = random_frechet_problem(m, 5, rng)
+    twins, twin_configs = optimize._twin_arms(m, 0.1, (0.25, 4.0, 10.0), 40)
+    # nested scales, their own starts, steps and budgets, and an arm that
+    # converges early while the others run on
+    arms = twins + [ScaledManifold(ScaledManifold(m, 3.0), 0.7), ScaledManifold(m, 3.0), m]
+    configs = twin_configs + [
+        OptimizerConfig(step_size=0.2, max_iters=25, grad_tol=0.0),
+        OptimizerConfig(step_size=1.0, max_iters=40, grad_tol=0.0),
+        OptimizerConfig(step_size=0.5, max_iters=40, grad_tol=1e-2),
+    ]
+    starts = [x0] * len(twins) + [points[1], points[2], points[3]]
+    stops = _assert_lockstep_matches_single_runs(arms, objective, starts, configs)
+    assert stops[-1] == "converged"
+    assert stops.count("max_iters") == len(arms) - 1
+
+
+def test_lockstep_arms_stop_on_their_own_errors_while_the_others_run_on():
+    # a start antipodal to a data point cannot take the logarithm toward it
+    far = ManifoldPoint(S2, np.array([1.0, 2.0, 2.0]) / 3.0)
+    objective = frechet_objective([_e(0), _e(1), far])
+    starts = [ManifoldPoint(S2, -_e(0).coordinates), _e(2), _e(0), far]
+    arms = [S2, ScaledManifold(S2, 4.0), S2, ScaledManifold(S2, 0.5)]
+    configs = [OptimizerConfig(step_size=0.3, max_iters=30, grad_tol=0.0)] * 4
+    stops = _assert_lockstep_matches_single_runs(arms, objective, starts, configs)
+    assert stops == ["error", "max_iters", "max_iters", "max_iters"]
+
+
+@pytest.mark.parametrize("value, gradient", [(math.inf, 1.0), (math.nan, 1.0), (1.0, 1e200)])
+def test_lockstep_arms_diverge_converge_and_run_out_on_their_own(value, gradient):
+    # an objective with no stacked pass is evaluated arm by arm
+    objective = _blowing_up(value, gradient)
+    x0 = ManifoldPoint(E2, [3.0, -4.0])
+    arms = [E2, ScaledManifold(E2, 4.0), E2, ScaledManifold(E2, 0.5), E2]
+    configs = [
+        OptimizerConfig(step_size=0.5, max_iters=10, grad_tol=0.0),  # diverges at iterate 3
+        OptimizerConfig(step_size=2.0, max_iters=10, grad_tol=0.0),  # the same path, scaled
+        OptimizerConfig(step_size=0.1, max_iters=10, grad_tol=4.0),  # converges at 3.645
+        OptimizerConfig(step_size=0.005, max_iters=10, grad_tol=0.0),
+        OptimizerConfig(step_size=0.5, max_iters=2, grad_tol=0.0),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stops = _assert_lockstep_matches_single_runs(arms, objective, [x0] * 5, configs)
+    assert stops == ["diverged", "diverged", "converged", "max_iters", "max_iters"]
+
+
+def test_a_lockstep_norm_that_only_its_scale_overflows_diverges():
+    # inside the disc the base inner product of g / 1e10 is finite, about
+    # 1e299, and only the scale 1e10 takes it past the range
+    objective = _blowing_up(1.0, 1e160)
+    x0 = ManifoldPoint(E2, [3.0, -4.0])
+    arms = [ScaledManifold(E2, 1e10)] * 2
+    configs = [OptimizerConfig(step_size=eta, max_iters=10, grad_tol=0.0) for eta in (5e9, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stops = _assert_lockstep_matches_single_runs(arms, objective, [x0] * 2, configs)
+    assert stops == ["diverged", "max_iters"]
+
+
+def test_lockstep_of_a_plain_objective_matches_single_runs():
+    objective = _quadratic_objective(Euclidean(3))
+    x0 = ManifoldPoint(Euclidean(3), [4.0, 2.0, -1.0])
+    arms = [Euclidean(3), ScaledManifold(Euclidean(3), 10.0), ScaledManifold(Euclidean(3), 0.25)]
+    configs = [OptimizerConfig(step_size=0.1, max_iters=30, grad_tol=1e-3)] * 3
+    stops = _assert_lockstep_matches_single_runs(arms, objective, [x0] * 3, configs)
+    assert stops == ["max_iters", "max_iters", "converged"]
+
+
+def test_one_lockstep_arm_is_a_single_run():
+    objective = frechet_objective([_e(0), _e(1)])
+    config = OptimizerConfig(step_size=0.5, max_iters=20)
+    (trace,) = riemannian_gd_many([S2], objective, [_e(0)], [config])
+    single = riemannian_gd(S2, objective, _e(0), config)
+    assert [x.coordinates.tobytes() for x in trace.iterates] == [
+        x.coordinates.tobytes() for x in single.iterates
+    ]
+    assert trace.values == single.values and trace.stop_reason == single.stop_reason
+
+
+def test_lockstep_argument_validation():
+    objective = _quadratic_objective(E2)
+    x0 = ManifoldPoint(E2, [1.0, 2.0])
+    config = OptimizerConfig(step_size=0.1, max_iters=3)
+    with pytest.raises(ContractViolationError, match="at least one manifold"):
+        riemannian_gd_many([], objective, [], [])
+    with pytest.raises(ContractViolationError, match="2 manifolds, 1 starts and 2 configs"):
+        riemannian_gd_many([E2, E2], objective, [x0], [config] * 2)
+    with pytest.raises(ContractViolationError, match="2 manifolds, 2 starts and 3 configs"):
+        riemannian_gd_many([E2, E2], objective, [x0] * 2, [config] * 3)
+    with pytest.raises(ContractViolationError, match="expected a OptimizerConfig"):
+        riemannian_gd_many([E2], objective, [x0], [0.1])
+    with pytest.raises(ContractViolationError, match="expected a ManifoldPoint"):
+        riemannian_gd_many([E2], objective, [[1.0, 2.0]], [config])
+    with pytest.raises(ContractViolationError, match="expected a Manifold"):
+        riemannian_gd_many(["E2"], objective, [x0], [config])
+    with pytest.raises(ContractViolationError, match="x0 lives on"):
+        riemannian_gd_many([E2, Euclidean(3)], objective, [x0] * 2, [config] * 2)
+    with pytest.raises(ContractViolationError, match="must share a root manifold"):
+        riemannian_gd_many(
+            [E2, ScaledManifold(Euclidean(3), 2.0)], objective,
+            [x0, ManifoldPoint(Euclidean(3), [1.0, 2.0, 3.0])], [config] * 2,
+        )
+    scaled = ScaledManifold(E2, 2.0)
+    with pytest.raises(ContractViolationError, match="x0 lives on"):
+        riemannian_gd(scaled, objective, ManifoldPoint(scaled, [1.0, 2.0]), config)
 
 
 class _Counting:

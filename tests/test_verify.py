@@ -7,7 +7,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from riemscale import render_csv, render_json, run_suite, verify
+from riemscale import (
+    Euclidean,
+    ManifoldPoint,
+    Objective,
+    PartialEquivalenceError,
+    TangentVector,
+    equivalence_check,
+    render_csv,
+    render_json,
+    run_suite,
+    verify,
+)
 from riemscale.verify import (
     EXPECTED_PROPERTY_COUNT,
     PROPERTY_CHECKS,
@@ -115,6 +126,73 @@ def test_suite_geodesics_are_one_lockstep_call_per_run(report, monkeypatch):
         assert got == expected
         # 12 invariance arms and the closed-form equator arm, integrated afresh each run
         assert calls == [13] * run
+
+
+def _sequential_trajectory_equivalence(rng):
+    """The trajectory-equivalence check as nine equivalence_check calls,
+    one after another."""
+    for m in verify.MANIFOLDS:
+        _, objective, x0 = verify.random_frechet_problem(m, 4, rng)
+        for lam in verify.INVARIANT_LAMBDAS:
+            yield equivalence_check(m, objective, x0, eta=0.1, lam=lam, iters=200)
+
+
+def _yields_and_error(runner, seed):
+    """What ``runner`` yields on a stream seeded by ``seed``, and the type
+    and message of the error it ends with, if any."""
+    got = []
+    try:
+        for deviation in runner(np.random.default_rng(seed)):
+            got.append(deviation)
+    except PartialEquivalenceError as exc:
+        return got, (type(exc).__name__, str(exc), exc.partial_deviation)
+    return got, None
+
+
+def test_trajectory_equivalence_is_one_lockstep_run_per_manifold(monkeypatch):
+    calls = []
+    descend = verify.riemannian_gd_many
+
+    def counted(manifolds, *args):
+        calls.append(len(manifolds))
+        return descend(manifolds, *args)
+
+    monkeypatch.setattr(verify, "riemannian_gd_many", counted)
+    for seed in (42, 7):
+        got = _yields_and_error(verify._run_trajectory_equivalence, seed)
+        expected = _yields_and_error(_sequential_trajectory_equivalence, seed)
+        assert len(got[0]) == 9 and got[1] is None
+        assert np.array(got[0]).tobytes() == np.array(expected[0]).tobytes()
+    assert calls == [6, 6, 6] * 2
+
+
+def _inside_the_disc_is_infinite():
+    """f(x) = |x|^2 / 2 on the plane, except inf inside the unit disc."""
+
+    def value_fn(x):
+        r = float(np.linalg.norm(x.coordinates))
+        return math.inf if r < 1.0 else 0.5 * r * r
+
+    return Objective(value_fn, lambda x: TangentVector(x, np.array(x.coordinates)))
+
+
+def test_a_failing_lockstep_arm_raises_what_the_sequential_check_raises(monkeypatch):
+    # from |x0| = 50 with steps eta / lam: lam 10 stays outside the disc
+    # for 200 steps, lam 4 enters it after about 155 and lam 0.25 after 8
+    plane = Euclidean(2)
+    x0 = ManifoldPoint(plane, [30.0, -40.0])
+    monkeypatch.setattr(verify, "MANIFOLDS", (plane,))
+    monkeypatch.setattr(verify, "INVARIANT_LAMBDAS", (10.0, 4.0, 0.25))
+    monkeypatch.setattr(
+        verify, "random_frechet_problem",
+        lambda m, n, rng: ((), _inside_the_disc_is_infinite(), x0),
+    )
+    got = _yields_and_error(verify._run_trajectory_equivalence, 0)
+    expected = _yields_and_error(_sequential_trajectory_equivalence, 0)
+    assert got == expected
+    assert len(got[0]) == 1
+    assert got[1][0] == "PartialEquivalenceError"
+    assert "common prefix of 155 iterates" in got[1][1]
 
 
 def test_worst_deviation_is_nan_if_any_deviation_is_nan():
