@@ -47,7 +47,7 @@ from .errors import (
     PartialPathError,
 )
 from .manifolds import _floats, _require_count
-from .scaling import ScaleFactor
+from .scaling import ScaleFactor, _unwrap
 
 # Maps a (B, n) batch of coordinate rows to the (B, n, n) stack of
 # metric matrices at those rows, one row at a time in effect: row b of
@@ -205,9 +205,7 @@ def _plan(charts) -> tuple:
     """
     groups: dict[int, tuple] = {}
     for a, chart in enumerate(charts):
-        fn, chain = chart.metric_fn, ()
-        while isinstance(fn, _ConstantScale):
-            fn, chain = fn.base, (fn.lam, *chain)
+        fn, chain = _unwrap(chart.metric_fn, _ConstantScale)
         _, _, arms, chains = groups.setdefault(id(fn), (chart, fn, [], []))
         arms.append(a)
         chains.append(chain)

@@ -19,14 +19,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._render import render_csv, render_json
 from .charts import chart_from_string, geodesic_integrate, scale_chart_constant
-from .errors import DegenerateInputError, GeometryError
+from .errors import DegenerateInputError, DomainError, GeometryError
 from .manifolds import _require_count, _require_real, manifold_from_string
 from .optimize import (
     STOP_DIVERGED,
@@ -42,22 +41,6 @@ from .scaling import ScaledManifold, volume_scale_factor
 from .verify import REPORT_COLUMNS, report_rows, run_suite
 
 OUTPUT_DIR_ENV = "RIEMSCALE_OUTPUT_DIR"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    manifold: str
-    chart: str
-    lam: float
-    eta: float
-    iters: int
-    seed: int
-    n_points: int
-    scale_target: float
-    check_equivalence: bool
-    fmt: str
-    out: str | None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv) -> RunConfig:
+def parse_config(argv) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not 0 <= args.seed < 2**64:
@@ -104,7 +87,7 @@ def parse_config(argv) -> RunConfig:
         chart_from_string(args.chart)
     except GeometryError as exc:
         parser.error(str(exc))
-    return RunConfig(**vars(args))
+    return args
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -126,7 +109,7 @@ def _emit(text: str, out: str | None) -> None:
         path.write_text(text)
 
 
-def _output(config: RunConfig, payload, columns, rows, preamble=None) -> None:
+def _output(config: argparse.Namespace, payload, columns, rows, preamble=None) -> None:
     """Write a command's result: ``payload`` as JSON, or the table as CSV."""
     if config.fmt == "json":
         text = render_json(payload)
@@ -135,21 +118,24 @@ def _output(config: RunConfig, payload, columns, rows, preamble=None) -> None:
     _emit(text, config.out)
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     report = run_suite(config.seed)
     _output(config, report, REPORT_COLUMNS, report_rows(report))
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
-def cmd_scale_table(config: RunConfig) -> int:
+def cmd_scale_table(config: argparse.Namespace) -> int:
     lam = config.lam
     n = manifold_from_string(config.manifold).intrinsic_dim
+    volume, gradient = volume_scale_factor(lam, n), 1.0 / lam
+    if gradient == math.inf:  # lam below about 5.6e-309
+        raise DomainError(f"gradient factor 1/{lam!r} is not a finite double")
     table = [
         ("norm", "sqrt(lambda)", math.sqrt(lam)),
         ("curve_length", "sqrt(lambda)", math.sqrt(lam)),
         ("distance", "sqrt(lambda)", math.sqrt(lam)),
-        ("volume_density", "lambda^(n/2)", volume_scale_factor(lam, n)),
-        ("gradient", "1/lambda", 1.0 / lam),
+        ("volume_density", "lambda^(n/2)", volume),
+        ("gradient", "1/lambda", gradient),
         ("connection", "1", 1.0),
         ("geodesic", "1", 1.0),
         ("exp_map", "1", 1.0),
@@ -162,7 +148,7 @@ def cmd_scale_table(config: RunConfig) -> int:
     return 0
 
 
-def cmd_frechet(config: RunConfig) -> int:
+def cmd_frechet(config: argparse.Namespace) -> int:
     manifold = manifold_from_string(config.manifold)
     rng = np.random.default_rng(config.seed)
     _, objective, x0 = random_frechet_problem(manifold, config.n_points, rng)
@@ -191,7 +177,7 @@ def cmd_frechet(config: RunConfig) -> int:
     return 2 if trace.stop_reason in (STOP_ERROR, STOP_DIVERGED) else 0
 
 
-def cmd_calibrate(config: RunConfig) -> int:
+def cmd_calibrate(config: argparse.Namespace) -> int:
     manifold = manifold_from_string(config.manifold)
     rng = np.random.default_rng(config.seed)
     points, objective, x0 = random_frechet_problem(manifold, config.n_points, rng)
@@ -235,7 +221,7 @@ def _default_start(chart_name: str, dimension: int):
     return x0, v0
 
 
-def cmd_geodesic(config: RunConfig) -> int:
+def cmd_geodesic(config: argparse.Namespace) -> int:
     chart = chart_from_string(config.chart)
     x0, v0 = _default_start(chart.name, chart.dimension)
     base = geodesic_integrate(chart, x0, v0, steps=config.iters)

@@ -12,12 +12,12 @@ exactly that.
 lockstep, each on its own scale of one root manifold with its own step
 size, start and stopping rule.  While several arms are live, each
 iterate measures the objective at all of them in one stacked pass,
-takes every gradient norm in one stacked inner product and makes every
-step in one stacked exponential map; each arm's trace is bit-identical
-to its own :func:`riemannian_gd` run, which is the one-arm case of the
-same loop and passes single arrays to the manifold.  The property
-suite descends the twins of all its scales on a manifold as one such
-run.
+rescales each gradient through its arm's own wrappers, and takes every
+gradient norm and every step in one stacked call on the root; each
+arm's trace is bit-identical to its own :func:`riemannian_gd` run, which
+is the one-arm case of the same loop and passes single arrays to the
+manifold.  The property suite descends the twins of all its scales on a
+manifold as one such run.
 
 :func:`calibrate_scale` treats the scale as a learnable quantity: given
 target distances, the best constant factor has a closed least-squares
@@ -45,7 +45,7 @@ from .errors import (
 from .manifolds import (
     Manifold, ManifoldPoint, TangentVector, _floats, _require, _require_count, _require_real,
 )
-from .scaling import ScaledManifold, ScaleFactor
+from .scaling import ScaledManifold, ScaleFactor, _unwrap
 
 STOP_CONVERGED = "converged"
 STOP_MAX_ITERS = "max_iters"
@@ -172,10 +172,11 @@ def riemannian_gd_many(
 
     While several arms are live, each iterate measures the objective at
     all of them in one stacked pass when the objective has one
-    (:func:`frechet_objective` does; any other is evaluated arm by arm),
-    then takes every gradient norm with one stacked inner product and
-    makes every step with one stacked exponential map on the root,
-    applying each arm's scale factors and step size elementwise.  Each
+    (:func:`frechet_objective` does; any other is evaluated arm by arm).
+    Each arm rescales its gradient through its own manifold; every norm
+    is one stacked inner product on the root, scaled by each arm's
+    factors as its wrappers scale it, and every step one stacked
+    exponential map on the root.  Each
     gradient is still a validated :class:`TangentVector` and each
     iterate a validated :class:`ManifoldPoint`.  A stage whose stacked
     pass raises a ``GeometryError`` is redone arm by arm, so each arm
@@ -192,9 +193,6 @@ def riemannian_gd_many(
     arms = [_Arm(m, x, c) for m, x, c in zip(manifolds, starts, configs)]
     if any(arm.root != arms[0].root for arm in arms[1:]):
         raise ContractViolationError("arms run in lockstep must share a root manifold")
-    depth = max(len(arm.factors) for arm in arms)
-    for arm in arms:  # pad to one depth: a factor of 1 divides and multiplies exactly
-        arm.factors = (1.0,) * (depth - len(arm.factors)) + arm.factors
 
     live, k = arms, 0
     while live:
@@ -233,15 +231,10 @@ class _Arm:
         _require(Manifold, manifold)
         _require(ManifoldPoint, x0)
         _require(OptimizerConfig, config)
-        factors = []
-        root = manifold
-        while isinstance(root, ScaledManifold):
-            factors.append(root.lam)
-            root = root.base
+        root, self.factors = _unwrap(manifold)
         if x0.manifold != root:
             raise ContractViolationError(f"x0 lives on {x0.manifold}, expected {root}")
         self.manifold, self.root, self.config, self.x = manifold, root, config, x0
-        self.factors = tuple(reversed(factors))  # innermost first, as they apply
         self.iterates, self.values, self.grad_norms = [], [], []
         self.stop_reason = STOP_MAX_ITERS
 
@@ -273,27 +266,23 @@ def _evaluate(objective: Objective, arms: list[_Arm]) -> list[_Arm]:
 def _measure_gradients(arms: list[_Arm]) -> None:
     """Set each arm's gradient in its own metric and that gradient's norm
     there, ``inf`` where the inner product overflows."""
+    for arm in arms:
+        arm.used = arm.manifold.rescale_gradient(arm.gradient.components)
     if len(arms) > 1:
-        used = np.array([arm.gradient.components for arm in arms])
-        factors = np.array([arm.factors for arm in arms]).T
-        for f in factors:  # innermost first, as nested wrappers divide
-            used = used / f.reshape(-1, *(1,) * (used.ndim - 1))
+        used = np.array([arm.used for arm in arms])
         try:
-            ip = arms[0].root.inner(np.array([arm.x.coordinates for arm in arms]), used, used)
+            ips = arms[0].root.inner(np.array([arm.x.coordinates for arm in arms]), used, used)
         except GeometryError:
             pass
         else:
-            with np.errstate(over="ignore"):
-                for f in factors:
-                    ip = f * ip
-            # the single norm's sqrt(max(ip, 0)); a scaled product past the
-            # range is inf, whose root is the inf of a single overflowed norm
-            norms = np.sqrt(np.where(ip < 0.0, 0.0, ip))
-            for arm, u, grad_norm in zip(arms, used, norms.tolist()):
-                arm.used, arm.grad_norm = u, grad_norm
+            for arm, ip in zip(arms, ips.tolist()):
+                for factor in arm.factors:  # as each wrapper's inner scales, innermost first
+                    ip = factor * ip
+                # Manifold.norm's arithmetic; a product past the range is inf, as is
+                # the norm whose inner product overflowed
+                arm.grad_norm = math.sqrt(max(ip, 0.0))
             return
     for arm in arms:
-        arm.used = arm.manifold.rescale_gradient(arm.gradient.components)
         try:
             arm.grad_norm = arm.manifold.norm(arm.x.coordinates, arm.used)
         except DomainError:  # the inner product of the gradient overflowed
@@ -495,7 +484,8 @@ def calibrate_scale(
     Minimizes ``sum_{i<j} (sqrt(lam) * d_ij - t_ij)^2`` over ``lam > 0``.
     Because rescaling multiplies every distance by the same root, the
     minimizer is closed form: ``sqrt(lam*) = sum(t d) / sum(d^2)``.
-    Returns the fitted scale and the residual at the optimum.
+    Returns the fitted scale and the residual at the optimum; either one
+    past the double range (or ``lam*`` rounded to 0) is a ``DomainError``.
     """
     points = tuple(base_points)
     if len(points) < 2:
@@ -506,10 +496,10 @@ def calibrate_scale(
         raise ContractViolationError(
             f"target matrix is {targets.shape}, expected ({n}, {n})"
         )
+    if not (targets.min() >= 0.0 and targets.max() < math.inf):  # a NaN min fails too
+        raise ContractViolationError("target distances must be finite and nonnegative")
     if float(np.max(np.abs(targets - targets.T))) > 1e-12:
         raise ContractViolationError("target matrix must be symmetric")
-    if np.any(targets < 0.0):
-        raise ContractViolationError("target distances must be nonnegative")
 
     base = pairwise_distances(points)
     iu = np.triu_indices(n, k=1)
@@ -520,13 +510,22 @@ def calibrate_scale(
         raise DegenerateInputError(
             "all base distances are zero; the scale is unidentifiable"
         )
-    sqrt_lam = float(np.dot(t, d)) / denom
+    # past the double range both may be inf, or nan where an inf sqrt_lam meets d = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sqrt_lam = float(np.dot(t, d)) / denom
+        residual = float(np.sum((sqrt_lam * d - t) ** 2))
     if sqrt_lam <= 0.0:
         raise DegenerateInputError(
             "target distances are identically zero; no positive scale fits"
         )
-    residual = float(np.sum((sqrt_lam * d - t) ** 2))
-    return ScaleFactor(sqrt_lam**2), residual
+    try:
+        scale = ScaleFactor(sqrt_lam**2)
+    except (OverflowError, ContractViolationError):  # lam* past or under the double range
+        message = f"fitted scale {sqrt_lam!r}**2 is not a finite positive double"
+        raise DomainError(message) from None
+    if not math.isfinite(residual):
+        raise DomainError(f"calibration residual {residual!r} is not finite")
+    return scale, residual
 
 
 def joint_descent(

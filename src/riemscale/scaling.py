@@ -80,20 +80,12 @@ class ScaledManifold(Manifold):
     @property
     def root(self) -> Manifold:
         """The underlying unscaled manifold, through any nesting."""
-        m = self.base
-        while isinstance(m, ScaledManifold):
-            m = m.base
-        return m
+        return _unwrap(self)[0]
 
     @property
     def total_scale(self) -> float:
-        """Product of the factors of every wrapper layer."""
-        lam = self.lam
-        m = self.base
-        while isinstance(m, ScaledManifold):
-            lam *= m.lam
-            m = m.base
-        return lam
+        """Product of the factors of every wrapper layer, outermost first."""
+        return math.prod(reversed(_unwrap(self)[1]))
 
     @property
     def intrinsic_dim(self) -> int:
@@ -161,6 +153,15 @@ class ScaledManifold(Manifold):
 
     def random_point(self, rng):
         return self.base.random_point(rng)
+
+
+def _unwrap(x, kind=ScaledManifold):
+    """``x`` under its ``kind`` layers, and their ``lam`` factors, innermost first."""
+    factors = []
+    while isinstance(x, kind):
+        factors.append(x.lam)
+        x = x.base
+    return x, tuple(reversed(factors))
 
 
 def volume_scale_factor(scale: ScaleFactor | float, n: int) -> float:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,25 @@ def test_calibrate_needs_two_points(capsys):
     code = run_cli("--command", "calibrate", "--points", "1")
     assert code == 2
     assert "points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--command", "calibrate", "--scale-target", "1e200"), "error: fitted scale"),
+        (("--command", "calibrate", "--scale-target", "1e-200"), "error: fitted scale"),
+        (("--command", "scale-table", "--lambda", "1e-310"), "error: gradient factor"),
+    ],
+)
+def test_a_factor_past_the_double_range_is_one_error_line(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(*argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,22 @@ def test_a_lockstep_norm_that_only_its_scale_overflows_diverges():
     assert stops == ["diverged", "max_iters"]
 
 
+def test_lockstep_norms_of_mixed_depths_overflow_at_their_own_layer():
+    # inside the disc the base inner product of g / 1e10 is about 4e299:
+    # the nested arm passes the range only at its outer 1e5, the flat
+    # 1e10 arm at its one layer, and the unscaled arm stays outside
+    objective = _blowing_up(1.0, 1e160)
+    x0 = ManifoldPoint(E2, [3.0, -4.0])
+    arms = [ScaledManifold(ScaledManifold(E2, 1e5), 1e5), ScaledManifold(E2, 1e10), E2]
+    configs = [
+        OptimizerConfig(step_size=eta, max_iters=10, grad_tol=0.0) for eta in (5e9, 5e9, 0.005)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stops = _assert_lockstep_matches_single_runs(arms, objective, [x0] * 3, configs)
+    assert stops == ["diverged", "diverged", "max_iters"]
+
+
 def test_lockstep_of_a_plain_objective_matches_single_runs():
     objective = _quadratic_objective(Euclidean(3))
     x0 = ManifoldPoint(Euclidean(3), [4.0, 2.0, -1.0])
@@ -602,6 +618,34 @@ def test_calibrate_contract_violations():
         calibrate_scale(points, np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(ContractViolationError):
         calibrate_scale(points, [[0.0, 1.0], [1.0]])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ContractViolationError, match="target distances must be finite"):
+            calibrate_scale(points, np.array([[0.0, bad], [bad, 0.0]]))
+
+
+def test_a_fit_past_the_double_range_is_a_domain_error_without_a_warning():
+    points = _euclidean_points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    base = pairwise_distances(points)
+    # a target only on the pair at distance 1: sqrt(lam*) = 5e153 is in
+    # range, and the residual 0.83 * 3e154**2 is not
+    lopsided = np.zeros((3, 3))
+    lopsided[0, 1] = lopsided[1, 0] = 3e154
+    config = OptimizerConfig(step_size=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for targets, message in (
+            (1e200 * base, "fitted scale"),  # lam* overflows
+            (1e-200 * base, "fitted scale"),  # lam* underflows to zero
+            (lopsided, "residual"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                calibrate_scale(points, targets)
+            with pytest.raises(DomainError, match=message):
+                joint_descent(points, targets, _quadratic_objective(E2), points[0], config)
+        # sum(t d) overflows, and the infinite sqrt(lam*) meets the coincident pair's d = 0
+        coincident = _euclidean_points([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(DomainError, match="fitted scale inf"):
+            calibrate_scale(coincident, 1e308 * (1.0 - np.eye(3)))
 
 
 # ---------------------------------------------------------------------------
