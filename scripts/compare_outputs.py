@@ -66,6 +66,11 @@ CLI_COMMANDS = [
     ["--command", "geodesic", "--chart", "euclidean:3", "--lambda", "0.25", "--iters", "7"],
     ["--command", "geodesic", "--chart", "sphere-chart", "--lambda", "10", "--iters", "1"],
     ["--command", "geodesic", "--chart", "sphere-chart", "--lambda", "0.25", "--iters", "1000"],
+    # a run that is not a whole number of blocks of lockstep steps
+    ["--command", "geodesic", "--chart", "polar", "--lambda", "3", "--iters", "2001"],
+    # a scale whose inverse metric, or whose gradient factor, leaves the double range
+    ["--command", "geodesic", "--lambda", "1e-310", "--iters", "50"],
+    ["--command", "frechet", "--lambda", "1e-310"],
     # argument errors: usage message on stderr, exit status 2
     ["--command", "scale-table", "--lambda", "nan"],
     ["--command", "frechet", "--iters", "0"],

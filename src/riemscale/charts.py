@@ -26,6 +26,15 @@ stacked pass (one matrix inverse, bracket and contraction for all
 arms), with every check of a single-point call kept per arm.  A single
 chart is the one-arm case of the same engine, and every path is
 bit-identical to a run of its chart on its own.
+
+The checks run a block of steps at a time.  Every stage tests its
+stencil points against the box before any metric call, but the checks
+that feed no later stage (the metric, its inverse, the symmetry of the
+connection, the box after each step) run once per block over the
+stacked stages.  A block that fails one of them, raises, or meets a
+floating-point condition the caller's ``np.geterr()`` does not ignore
+is redone stage by stage, so its error, message and warnings are those
+of a run that checks every stage as it goes.
 """
 
 from __future__ import annotations
@@ -357,7 +366,7 @@ def _stencil_offsets(n: int) -> np.ndarray:
     return offsets
 
 
-def _connection(charts, plan, box, X: np.ndarray) -> np.ndarray:
+def _connection(charts, plan, box, X: np.ndarray, block=None) -> np.ndarray:
     """Connection coefficients ``gamma[a, k, i, j]`` of ``charts[a]`` at
     ``X[a]`` by central finite differences, stacked ``(K, n, n, n)``.
 
@@ -368,9 +377,15 @@ def _connection(charts, plan, box, X: np.ndarray) -> np.ndarray:
     row gets the checks of a single-point call: its stencil must stay
     inside its row of ``box`` (from ``_stencil_box``; a ``DomainError``
     names the first row that does not), its center metric is validated
-    by ``_validated``, and its coefficients must be symmetric in the
-    lower index pair.  The stencil evaluations trust the chart within
-    that neighborhood.
+    by ``_validated``, the inverse of that metric must be finite (a
+    ``DomainError``: a tiny scale can overflow it), and its coefficients
+    must be symmetric in the lower index pair.  The stencil evaluations
+    trust the chart within that neighborhood.
+
+    With ``block``, a ``_Block``, only the stencil test runs here: the
+    center metrics, their inverses and the coefficients are stored in
+    ``block``, whose ``passes`` runs the other checks once over all the
+    stages of a block.
     """
     a = _first_failed(_inside(box, X))
     if a is not None:
@@ -381,12 +396,22 @@ def _connection(charts, plan, box, X: np.ndarray) -> np.ndarray:
     n = X.shape[1]
     # G[a] holds the metric at X[a], then at X[a] + h e_l, then at X[a] - h e_l
     G = _evaluate(plan, X[:, None, :] + _stencil_offsets(n))
-    ginv = np.linalg.inv(_validated(charts, X, G[:, 0]))
+    center = G[:, 0] if block is not None else _validated(charts, X, G[:, 0])
+    ginv = np.linalg.inv(center)
+    if block is None:
+        a = _first_failed(np.isfinite(ginv).all(axis=(1, 2)))
+        if a is not None:
+            raise DomainError(
+                f"inverse metric of {charts[a].name} at {X[a]} has non-finite entries"
+            )
     g_plus, g_minus = G[:, 1 : n + 1], G[:, n + 1 :]
     dg = (g_plus - g_minus) / (2.0 * FD_STEP)  # dg[a, l] = d_l g at X[a]
     # bracket[a, i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     bracket = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     gamma = 0.5 * np.einsum("akl,aijl->akij", ginv, bracket)
+    if block is not None:
+        block.store(center, ginv, gamma)
+        return gamma
     asym = np.abs(gamma - gamma.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
     a = _first_failed(asym <= CHRISTOFFEL_SYMMETRY_TOL)
     if a is not None:
@@ -397,9 +422,9 @@ def _connection(charts, plan, box, X: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _forcing(charts, plan, box, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _forcing(charts, plan, box, X: np.ndarray, V: np.ndarray, block=None) -> np.ndarray:
     """The geodesic equation's acceleration -Gamma^k_ij v^i v^j, row by row."""
-    return -np.einsum("akij,ai,aj->ak", _connection(charts, plan, box, X), V, V)
+    return -np.einsum("akij,ai,aj->ak", _connection(charts, plan, box, X, block), V, V)
 
 
 def christoffel_at(chart: Chart, x) -> ChristoffelField:
@@ -407,8 +432,8 @@ def christoffel_at(chart: Chart, x) -> ChristoffelField:
 
     ``x`` must sit inside the domain by at least ``FD_STEP`` so the
     difference stencil stays inside the box.  The center evaluation is
-    fully validated; the stencil evaluations trust the chart within
-    that neighborhood.
+    fully validated, and its inverse must be finite; the stencil
+    evaluations trust the chart within that neighborhood.
     """
     x = _as_coords(x, chart.dimension)
     charts = (chart,)
@@ -417,42 +442,133 @@ def christoffel_at(chart: Chart, x) -> ChristoffelField:
     )
 
 
+# Steps per block of a lockstep run.  The checks whose results feed no
+# later stage run once per block over its stored stages, not once per
+# stage; a block that fails any of them is redone stage by stage.
+_BLOCK_STEPS = 64
+
+
+class _Block:
+    """The center metrics, inverse metrics and connection coefficients of
+    up to ``steps`` RK4 steps of ``K`` arms, four stages a step, stored
+    by ``_connection`` in stage order for the checks of ``passes``."""
+
+    def __init__(self, steps: int, K: int, n: int):
+        self.metrics = np.empty((4 * steps, K, n, n))
+        self.inverses = np.empty((4 * steps, K, n, n))
+        self.coefficients = np.empty((4 * steps, K, n, n, n))
+        self.stages = 0
+
+    def store(self, metrics, inverses, coefficients) -> None:
+        s = self.stages
+        self.metrics[s], self.inverses[s], self.coefficients[s] = metrics, inverses, coefficients
+        self.stages = s + 1
+
+    def passes(self, box, positions: np.ndarray) -> bool:
+        """Whether every check a stage-by-stage run makes besides its
+        stencil tests holds on the ``stages`` stored: the center metrics
+        are finite, symmetric and positive definite (one stacked Cholesky
+        factorization), their inverses are finite, the coefficients are
+        symmetric in the lower index pair, and the ``positions`` after
+        each step lie in ``box``."""
+        s = self.stages
+        G = self.metrics[:s]
+        if not (np.isfinite(G).all() and _symmetric(G, METRIC_SYMMETRY_TOL)):
+            return False
+        try:
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return False
+        lower, upper = box
+        return bool(
+            np.isfinite(self.inverses[:s]).all()
+            and _symmetric(self.coefficients[:s], CHRISTOFFEL_SYMMETRY_TOL)
+            and ((positions >= lower) & (positions <= upper)).all()
+        )
+
+
+def _symmetric(A: np.ndarray, tol: float) -> bool:
+    """Whether every matrix of the stack ``A`` is symmetric to within
+    ``tol`` in each entry, with one temporary the size of ``A``."""
+    gap = A - A.swapaxes(-1, -2)
+    return bool((np.abs(gap, out=gap) <= tol).all())
+
+
+def _rk4_step(charts, plan, box, X: np.ndarray, V: np.ndarray, dt: float, block=None):
+    """One classical RK4 step of size ``dt`` from ``(X, V)``, with one
+    stacked connection call per stage (see ``_connection`` for
+    ``block``); returns the new positions and velocities."""
+    k1x, k1v = V, _forcing(charts, plan, box, X, V, block)
+    k2x = V + 0.5 * dt * k1v
+    k2v = _forcing(charts, plan, box, X + 0.5 * dt * k1x, k2x, block)
+    k3x = V + 0.5 * dt * k2v
+    k3v = _forcing(charts, plan, box, X + 0.5 * dt * k2x, k3x, block)
+    k4x = V + dt * k3v
+    k4v = _forcing(charts, plan, box, X + dt * k3x, k4x, block)
+    return (
+        X + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+        V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+    )
+
+
 def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, steps: int):
     """Advance arm ``a`` from ``(X[a], V[a])`` by up to ``steps`` classical
     RK4 steps of size ``1 / steps``, with one stacked connection call per
-    stage; the metric-call plan, the stencil box and the arrays of the
-    path are built once.
+    stage; the metric-call plan, the stencil box, the arrays of the path
+    and the block store are built once.
+
+    The steps run in blocks of ``_BLOCK_STEPS``.  Each stage of a block
+    tests its stencils against the box at once, so no metric function
+    sees a point outside its box; the other checks are deferred to the
+    block's end (``_Block.passes``).  The block runs under an
+    ``np.errstate`` that raises every floating-point condition the
+    caller's settings do not ignore.  If a check fails or anything
+    raises, the block is redone from its start with every check made on
+    its own stage, under the caller's settings, so that the errors,
+    messages and warnings are those of a stage-by-stage run; a block that
+    passes gives the same bits.
 
     Returns the times, the stacked ``(k + 1, K, n)`` positions and
     velocities of the ``k`` steps made, and why the run stopped early,
     or ``None`` if it did not: a stage met a ``DomainError`` (a stencil
-    left an arm's box, or a metric function raised it), or a step ended
-    within ``FD_STEP`` of an arm's boundary.  Other errors propagate.
+    left an arm's box, a metric function raised it, or an inverse metric
+    overflowed), or a step ended within ``FD_STEP`` of an arm's boundary.
+    Other errors propagate.
     """
     plan, box = _plan(charts), _stencil_box(charts)
     dt = 1.0 / steps
     positions, velocities = np.empty((2, steps + 1, *X.shape))
     positions[0], velocities[0] = X, V
+    block = _Block(min(_BLOCK_STEPS, steps), *X.shape)
+    raising = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
     made, stop = 0, None
-    for k in range(steps):
+    while made < steps and stop is None:
+        end = min(made + _BLOCK_STEPS, steps)
+        X, V = positions[made], velocities[made]
+        block.stages = 0
         try:
-            k1x, k1v = V, _forcing(charts, plan, box, X, V)
-            k2x = V + 0.5 * dt * k1v
-            k2v = _forcing(charts, plan, box, X + 0.5 * dt * k1x, k2x)
-            k3x = V + 0.5 * dt * k2v
-            k3v = _forcing(charts, plan, box, X + 0.5 * dt * k2x, k3x)
-            k4x = V + dt * k3v
-            k4v = _forcing(charts, plan, box, X + dt * k3x, k4x)
-        except DomainError as exc:
-            stop = f"near t={k * dt:.6g}: {exc}"
-            break
-        X = X + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        V = V + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if _first_failed(_inside(box, X)) is not None:
-            stop = f"at t={(k + 1) * dt:.6g}"
-            break
-        made = k + 1
-        positions[made], velocities[made] = X, V
+            with np.errstate(**raising):
+                for k in range(made, end):
+                    X, V = _rk4_step(charts, plan, box, X, V, dt, block)
+                    positions[k + 1], velocities[k + 1] = X, V
+                done = block.passes(box, positions[made + 1 : end + 1])
+        except Exception:  # the redo below raises it where a stage-by-stage run does
+            done = False
+        if done:
+            made = end
+            continue
+        X, V = positions[made], velocities[made]
+        for k in range(made, end):
+            try:
+                X, V = _rk4_step(charts, plan, box, X, V, dt)
+            except DomainError as exc:
+                stop = f"near t={k * dt:.6g}: {exc}"
+                break
+            if _first_failed(_inside(box, X)) is not None:
+                stop = f"at t={(k + 1) * dt:.6g}"
+                break
+            made = k + 1
+            positions[made], velocities[made] = X, V
     times = np.arange(made + 1) * dt  # node k at k * dt, as a float product
     return times, positions[: made + 1], velocities[: made + 1], stop
 
@@ -490,7 +606,11 @@ def geodesic_integrate_many(
     multiply its values by their factors.  The connection of every arm
     is evaluated in one stacked pass, with the checks and the arithmetic
     of a run on its own, so path ``a`` is bit-identical to
-    ``geodesic_integrate(charts[a], x0[a], v0[a], steps)``.
+    ``geodesic_integrate(charts[a], x0[a], v0[a], steps)``.  The checks
+    other than the stencil's box test run once per block of steps over
+    its stored stages; a block that fails one, raises or meets a
+    floating-point condition the caller does not ignore is redone stage
+    by stage, which gives the errors and warnings of a stage-by-stage run.
 
     If any arm fails (leaves its domain, or meets an invalid metric or
     another ``GeometryError``), the arms are run again one at a time

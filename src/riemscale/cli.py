@@ -156,6 +156,11 @@ def cmd_frechet(config: argparse.Namespace) -> int:
     trace = riemannian_gd(
         scaled, objective, x0, OptimizerConfig(step_size=config.eta, max_iters=config.iters)
     )
+    if not len(trace):
+        raise DomainError(
+            f"descent on {config.manifold} at lambda {config.lam!r} stopped "
+            f"({trace.stop_reason}) before its first iterate"
+        )
     summary = {
         "manifold": config.manifold,
         "lambda": config.lam,

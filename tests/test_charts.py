@@ -1,12 +1,16 @@
 """Chart numerics: metric evaluation, finite-difference connections,
 geodesic integration, and the scaling comparisons built on them."""
 
+import contextlib
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+
+import riemscale.charts as charts_module
 
 from riemscale import (
     Chart,
@@ -14,6 +18,7 @@ from riemscale import (
     ContractViolationError,
     DomainError,
     GeodesicPath,
+    InternalConsistencyError,
     InvalidChartError,
     PartialPathError,
     Sphere,
@@ -421,6 +426,181 @@ def test_lockstep_rejects_mismatched_or_missing_charts():
         geodesic_integrate_many((euclidean_chart(2), euclidean_chart(3)), [0.0, 0.0], [1.0, 0.0])
 
 
+# ---------------------------------------------------------------------------
+# lockstep blocks: checks deferred to a block's end, a failing block redone
+# stage by stage
+# ---------------------------------------------------------------------------
+
+PROBE_STEPS = 130  # two blocks of 64 steps and a remainder of 2
+
+
+def _path_bytes(path):
+    return tuple(a.tobytes() for a in (path.times, path.positions, path.velocities))
+
+
+def _outcome(run):
+    """The paths ``run()`` returns, or the type, message and partial path
+    of what it raises, as values that are equal when two runs agree."""
+    try:
+        paths = run()
+    except Exception as exc:
+        partial = getattr(exc, "partial_path", None)
+        return type(exc), str(exc), None if partial is None else _path_bytes(partial)
+    return tuple(_path_bytes(p) for p in paths)
+
+
+def _alike_for_every_block_size(monkeypatch, run, steps):
+    """``run``'s one outcome under blocks of 1, 3, 64 and ``steps`` steps."""
+    outcomes = []
+    for size in (1, 3, 64, steps):
+        monkeypatch.setattr(charts_module, "_BLOCK_STEPS", size)
+        outcomes.append(_outcome(run))
+    assert all(o == outcomes[0] for o in outcomes)
+    return outcomes[0]
+
+
+def _faulty_chart(fault, step):
+    """A flat chart named "probe" whose metric goes wrong, as ``fault``
+    says, at every center with x0 a quarter of a step or more into
+    ``step`` of the line ``x = (t, 0)`` over ``PROBE_STEPS`` steps, and
+    at that center's stencil points."""
+    threshold = (step + 0.25) / PROBE_STEPS
+
+    def metric(X):
+        groups = X.reshape(-1, 5, 2)  # each center, then its 4 stencil points
+        G = np.tile(np.eye(2), (len(X), 1, 1)).reshape(-1, 5, 2, 2)
+        bad = groups[:, 0, 0] >= threshold
+        if not bad.any():
+            return G.reshape(-1, 2, 2)
+        message = f"probe fails at {groups[bad][0, 0]}"
+        if fault == "non-finite":
+            G[bad, :, 1, 1] = np.nan
+        elif fault == "asymmetric":
+            G[bad, :, 0, 1] = 1e-6
+        elif fault == "indefinite":
+            G[bad, :, 1, 1] = -1.0
+        elif fault == "connection":  # a symmetric center, asymmetric x0 neighbours
+            G[bad, 1, 0, 1], G[bad, 3, 0, 1] = 1e-9, -1e-9
+        elif fault == "overflow":  # the x0 difference of g_00 overflows
+            G[bad, 1, 0, 0], G[bad, 3, 0, 0] = 1e308, -1e308
+        else:
+            raise fault(message)
+        return G.reshape(-1, 2, 2)
+
+    return Chart("probe", 2, [-10.0, -10.0], [10.0, 10.0], metric)
+
+
+def _probe_run(fault, step):
+    # a flat arm in front, so the lockstep run and its one-arm reruns both take part
+    arms = (euclidean_chart(2), _faulty_chart(fault, step))
+    return lambda: geodesic_integrate_many(arms, [0.0, 0.0], [1.0, 0.0], steps=PROBE_STEPS)
+
+
+@pytest.mark.parametrize("step", [0, 40, 63, PROBE_STEPS - 1],
+                         ids=["first-step", "mid-block", "block-end", "run-end"])
+@pytest.mark.parametrize("fault, error, message", [
+    ("non-finite", InvalidChartError, "metric of probe at {x} has non-finite entries"),
+    ("asymmetric", InvalidChartError, "metric of probe at {x} is not symmetric"),
+    ("indefinite", InvalidChartError, "metric of probe at {x} is not positive definite"),
+    ("connection", InternalConsistencyError,
+     "connection coefficients of probe at {x} asymmetric by 5.000e-05"),
+    (DomainError, PartialPathError, "geodesic left the domain of probe near t={t}: probe fails at {x}"),
+    (InvalidChartError, InvalidChartError, "probe fails at {x}"),
+    (ValueError, ValueError, "probe fails at {x}"),
+], ids=["non-finite", "asymmetric", "indefinite", "connection", "raises-DomainError",
+        "raises-GeometryError", "raises-ValueError"])
+def test_a_failing_step_gives_one_outcome_for_every_block_size(
+    monkeypatch, step, fault, error, message
+):
+    kind, text, partial = _alike_for_every_block_size(
+        monkeypatch, _probe_run(fault, step), PROBE_STEPS
+    )
+    # the second stage of ``step``, at its middle, is the first to fail
+    x = np.array([(step + 0.5) / PROBE_STEPS, 0.0])
+    assert kind is error
+    assert text == message.format(x=x, t=f"{step * (1.0 / PROBE_STEPS):.6g}")
+    if kind is PartialPathError:
+        assert len(np.frombuffer(partial[0])) == step + 1
+
+
+def test_a_run_that_is_not_a_whole_number_of_blocks_matches_stage_by_stage(monkeypatch):
+    arms, starts = [], []
+    for chart, x0, v0 in GEODESIC_CASES:
+        arms += [chart, *(scale_chart_constant(chart, lam) for lam in INVARIANT_SCALES)]
+        starts += [(x0, v0)] * (1 + len(INVARIANT_SCALES))
+    x0s, v0s = np.array(starts).transpose(1, 0, 2)
+    paths = _alike_for_every_block_size(
+        monkeypatch, lambda: geodesic_integrate_many(arms, x0s, v0s, steps=PROBE_STEPS),
+        PROBE_STEPS,
+    )
+    # the reference: every RK4 step made on its own, with every check on its stage
+    plan, box = charts_module._plan(arms), charts_module._stencil_box(arms)
+    states = [(x0s, v0s)]
+    for _ in range(PROBE_STEPS):
+        states.append(charts_module._rk4_step(arms, plan, box, *states[-1], 1.0 / PROBE_STEPS))
+    positions, velocities = np.array(states).transpose(1, 0, 2, 3)
+    for a, (_, got_positions, got_velocities) in enumerate(paths):
+        assert got_positions == positions[:, a].tobytes()
+        assert got_velocities == velocities[:, a].tobytes()
+
+
+@pytest.mark.parametrize("v0, r_max, steps, stop", [
+    # the radial line r = 3 + t leaves r <= 3.8 in the second block of 64 steps
+    ([1.0, 0.0], 3.8, 100, "near t=0.79"),
+    ([1.0, 0.0], 10.0, 100, None),
+    # on the tangent line r = 3 sqrt(1 + t^2) the last stage, at r = 4.2409, stays in
+    # the box; only the end of the last step, at r = 4.2425, leaves it
+    ([0.0, 1.0], 4.2417 + 1e-5, 5, "at t=1"),
+], ids=["leaves-mid-block", "stays-inside", "leaves-at-the-last-step"])
+def test_no_metric_call_sees_a_point_outside_its_box(monkeypatch, v0, r_max, steps, stop):
+    seen, polar = [], polar_chart().metric_fn
+
+    def metric(X):
+        seen.append(X.copy())
+        return polar(X)
+
+    box = Chart("box", 2, [0.1, -math.pi], [r_max, math.pi], metric)
+    outcome = _alike_for_every_block_size(
+        monkeypatch, lambda: geodesic_integrate_many((box,), [3.0, 0.0], v0, steps=steps), steps
+    )
+    if stop is None:
+        assert len(outcome) == 1
+    else:
+        assert outcome[0] is PartialPathError
+        assert outcome[1].startswith(f"geodesic left the domain of box {stop}")
+    rows = np.concatenate(seen)
+    assert ((rows >= box.lower) & (rows <= box.upper)).all()
+
+
+@pytest.mark.parametrize("regime, error, message, warned", [
+    ("warnings-error", RuntimeWarning, "overflow encountered in subtract", 0),
+    ("raise", FloatingPointError, "overflow encountered in subtract", 0),
+    ("ignore", InternalConsistencyError, r"connection coefficients of probe .* by nan", 0),
+    # the lockstep run and the probe's rerun on its own each warn twice
+    ("warn", InternalConsistencyError, r"connection coefficients of probe .* by nan", 2),
+])
+def test_a_stage_overflow_is_alike_for_every_block_size(
+    monkeypatch, regime, error, message, warned
+):
+    run, recorded = _probe_run("overflow", 40), []
+
+    def in_regime():
+        errstate = contextlib.nullcontext() if regime == "warnings-error" else np.errstate(all=regime)
+        with warnings.catch_warnings(record=True) as caught, errstate:
+            warnings.simplefilter("error" if regime == "warnings-error" else "always")
+            try:
+                return run()
+            finally:
+                recorded.append([str(w.message) for w in caught])
+
+    kind, text, _ = _alike_for_every_block_size(monkeypatch, in_regime, PROBE_STEPS)
+    assert kind is error
+    assert re.fullmatch(message, text)
+    # each warning once, as a stage-by-stage run gives it
+    pair = ["overflow encountered in subtract", "invalid value encountered in subtract"]
+    assert recorded == [pair * warned] * 4
+
+
 START = ([3.0, 0.0], [0.5, 0.2])
 
 
@@ -493,6 +673,14 @@ def test_overflowing_chart_results_raise_a_domain_error_without_a_warning():
             volume_density(huge, [0.0, 0.0])
         with pytest.raises(DomainError, match="length of the curve .* is inf, not finite"):
             chart_curve_length(huge, [0.0, 1e-10], [[0.0, 0.0], [5.0, 0.0]])
+        # a valid but tiny metric whose inverse overflows: a domain limit, not a bad chart
+        tiny = scale_chart_constant(sphere_chart(), 1e-310)
+        inverse = r"inverse metric of sphere-chart\|scale=1e-310 at \[1\. 0\.\] has non-finite entries"
+        with pytest.raises(DomainError, match=f"^{inverse}$"):
+            christoffel_at(tiny, [1.0, 0.0])
+        with pytest.raises(PartialPathError, match=f"near t=0: {inverse}$") as excinfo:
+            geodesic_integrate(tiny, [1.0, 0.0], [0.2, 0.5], steps=50)
+        assert len(excinfo.value.partial_path.times) == 1
         # finite results keep their arithmetic
         large = scale_chart_constant(euclidean_chart(2), 1e150)
         g = metric_at(large, [0.0, 0.0])
