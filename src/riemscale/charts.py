@@ -337,10 +337,22 @@ def _finite(value, what: str, *args) -> float:
 def volume_density(chart: Chart, x) -> float:
     """Volume density sqrt(det g) at ``x``; ``DomainError`` if it
     overflows."""
-    g = metric_at(chart, x)
+    return float(_densities(chart, _as_coords(x, chart.dimension)[None])[0])
+
+
+def _densities(chart: Chart, X: np.ndarray) -> np.ndarray:
+    """Volume densities of ``chart`` at the rows of an ``(m, n)`` stack of
+    finite points, each what ``volume_density`` gives at that row, from
+    one metric call and one stacked determinant.  Every row gets the
+    checks of a single call: the first row outside the box, with an
+    invalid metric, or whose density overflows raises its own error."""
+    g = _metrics_inside(chart, X)
     with np.errstate(over="ignore", invalid="ignore"):
-        density = np.sqrt(np.linalg.det(g))
-    return _finite(density, "volume density of {} at {}", chart.name, x)
+        densities = np.sqrt(np.linalg.det(g))
+    a = _first_failed(np.isfinite(densities))
+    if a is not None:
+        _finite(densities[a], "volume density of {} at {}", chart.name, X[a])
+    return densities
 
 
 def _stencil_box(charts) -> tuple[np.ndarray, np.ndarray]:
@@ -366,6 +378,11 @@ def _stencil_offsets(n: int) -> np.ndarray:
     return offsets
 
 
+class _StencilExit(DomainError):
+    """A difference stencil that would leave its chart's box: where a
+    geodesic meets it, the geodesic has left the domain."""
+
+
 def _connection(charts, plan, box, X: np.ndarray, block=None) -> np.ndarray:
     """Connection coefficients ``gamma[a, k, i, j]`` of ``charts[a]`` at
     ``X[a]`` by central finite differences, stacked ``(K, n, n, n)``.
@@ -389,7 +406,7 @@ def _connection(charts, plan, box, X: np.ndarray, block=None) -> np.ndarray:
     """
     a = _first_failed(_inside(box, X))
     if a is not None:
-        raise DomainError(
+        raise _StencilExit(
             f"{X[a]} is within {FD_STEP} of the boundary of {charts[a].name}; "
             "the difference stencil would leave the domain"
         )
@@ -436,10 +453,20 @@ def christoffel_at(chart: Chart, x) -> ChristoffelField:
     evaluations trust the chart within that neighborhood.
     """
     x = _as_coords(x, chart.dimension)
+    return ChristoffelField(x, _connections(chart, x[None])[0])
+
+
+def _connections(chart: Chart, X: np.ndarray) -> np.ndarray:
+    """Connection coefficients of ``chart`` at the rows of an ``(m, n)``
+    stack of finite points, stacked ``(m, n, n, n)``, each what
+    ``christoffel_at`` gives at that row, from one ``_connection`` call:
+    one metric call over every row's center and stencil points, one
+    inverse and one contraction.  Every row gets the checks of a single
+    call (the stencil inside the box, a valid center metric, a finite
+    inverse, symmetric coefficients), and the first row that fails one
+    raises its own error."""
     charts = (chart,)
-    return ChristoffelField(
-        x, _connection(charts, _plan(charts), _stencil_box(charts), x[None])[0]
-    )
+    return _connection(charts * len(X), _plan(charts), _stencil_box(charts), X)
 
 
 # Steps per block of a lockstep run.  The checks whose results feed no
@@ -530,10 +557,13 @@ def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, steps: int):
 
     Returns the times, the stacked ``(k + 1, K, n)`` positions and
     velocities of the ``k`` steps made, and why the run stopped early,
-    or ``None`` if it did not: a stage met a ``DomainError`` (a stencil
-    left an arm's box, a metric function raised it, or an inverse metric
-    overflowed), or a step ended within ``FD_STEP`` of an arm's boundary.
-    Other errors propagate.
+    or ``None`` if it did not: a stage met a ``DomainError``, or a step
+    ended within ``FD_STEP`` of an arm's boundary.  The reason is worded
+    for the first arm, the only one of a run whose reason is reported: a
+    stencil past the box or a step's end past the stencil box "left the
+    domain", and any other ``DomainError`` (a metric function's own, an
+    overflowing inverse metric) "stopped" the run.  Other errors
+    propagate.
     """
     plan, box = _plan(charts), _stencil_box(charts)
     dt = 1.0 / steps
@@ -561,11 +591,14 @@ def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, steps: int):
         for k in range(made, end):
             try:
                 X, V = _rk4_step(charts, plan, box, X, V, dt)
-            except DomainError as exc:
-                stop = f"near t={k * dt:.6g}: {exc}"
+            except _StencilExit as exc:
+                stop = f"left the domain of {charts[0].name} near t={k * dt:.6g}: {exc}"
+                break
+            except DomainError as exc:  # a metric function's own, or an overflowing inverse
+                stop = f"on {charts[0].name} stopped near t={k * dt:.6g}: {exc}"
                 break
             if _first_failed(_inside(box, X)) is not None:
-                stop = f"at t={(k + 1) * dt:.6g}"
+                stop = f"left the domain of {charts[0].name} at t={(k + 1) * dt:.6g}"
                 break
             made = k + 1
             positions[made], velocities[made] = X, V
@@ -643,10 +676,7 @@ def geodesic_integrate_many(
             geodesic_integrate_many((c,), x, v, steps)[0]
             for c, x, v in zip(charts, X, V)
         )
-    raise PartialPathError(
-        f"geodesic left the domain of {charts[0].name} {stop}",
-        GeodesicPath(times, P[:, 0], W[:, 0]),
-    )
+    raise PartialPathError(f"geodesic {stop}", GeodesicPath(times, P[:, 0], W[:, 0]))
 
 
 def geodesic_integrate(chart: Chart, x0, v0, steps: int = DEFAULT_STEPS) -> GeodesicPath:
@@ -657,9 +687,11 @@ def geodesic_integrate(chart: Chart, x0, v0, steps: int = DEFAULT_STEPS) -> Geod
     quadratic connection term.  For a horizon ``T``, integrate from
     ``T * v0``: node ``s`` of that path is the geodesic at time ``T * s``,
     with ``T`` times its velocity.  If the trajectory reaches the
-    boundary the valid prefix is attached to the raised
-    ``PartialPathError``.  This is the one-chart case of
-    ``geodesic_integrate_many``.
+    boundary, or a stage meets another ``DomainError`` (such as an
+    inverse metric that overflows), the valid prefix is attached to the
+    raised ``PartialPathError``, whose message says which: "geodesic
+    left the domain of ..." or "geodesic on ... stopped near t=...".
+    This is the one-chart case of ``geodesic_integrate_many``.
     """
     return geodesic_integrate_many((chart,), x0, v0, steps)[0]
 

@@ -47,6 +47,21 @@ stay safe.  A stack of base points is not remembered, but each run of
 equal consecutive base matrices in it is factored once: the base side
 of the pairs ``pairwise_distances`` walks repeats each point over a run
 of rows, and a single base point broadcast against a stack is one run.
+
+Each family also has two private stacked checks, ``_points_pass(X)`` and
+``_tangents_pass(P, V)``: one call tells whether every row of a stack
+would pass ``validate_point``, or ``validate_tangent`` at its row of
+``P``.  Lockstep descent checks all its arms' new iterates and gradients
+with them, and builds each arm's point or vector from a read-only row of
+the checked stack (``_points`` and ``_tangents``); when a check fails,
+each row is validated on its own, so each meets its own error.  Their
+rule: a stacked check may be stricter than its validator, never looser.
+Each asks for float64 rows of the ambient shape with finite entries,
+then makes the validator's own tests with the validator's arithmetic
+(the sphere's ``vecdot`` rounds each row as its ``dot`` does, and the
+SPD test factors the stack with one Cholesky call); ``Manifold``'s
+default passes nothing, so a family without its own check is validated
+row by row.
 """
 
 from __future__ import annotations
@@ -289,7 +304,9 @@ class Manifold(ABC):
     def rescale_gradient(self, gradient: np.ndarray) -> np.ndarray:
         """Gradient in this manifold's own metric, given the gradient
         measured in the unscaled base metric.  Identity here; scaled
-        wrappers divide by their factor."""
+        wrappers divide by their factor, and raise ``DomainError``, with
+        no warning, when the quotient of a finite gradient is not finite
+        (for a batch, the error of its first failing row)."""
         return gradient
 
     def curve_length(self, points: Sequence[np.ndarray]) -> float | np.ndarray:
@@ -322,6 +339,30 @@ class Manifold(ABC):
     @abstractmethod
     def validate_tangent(self, p: np.ndarray, components) -> np.ndarray:
         """Check tangency at ``p`` and return a canonical float64 copy."""
+
+    def _points_pass(self, X: np.ndarray) -> bool:
+        """Whether every row of the stack ``X`` is a point that
+        ``validate_point`` returns unchanged (see the module docstring);
+        ``False`` here, so that a family without a stacked check is
+        validated row by row."""
+        return False
+
+    def _tangents_pass(self, P: np.ndarray, V: np.ndarray) -> bool:
+        """Whether every row of the stack ``V`` is a tangent vector that
+        ``validate_tangent`` at its row of ``P`` returns unchanged;
+        ``False`` here, as for :meth:`_points_pass`."""
+        return False
+
+    def _finite_rows(self, X: np.ndarray) -> bool:
+        """Whether ``X`` is a float64 ``(K, *ambient_shape)`` stack with
+        finite entries: the ``_check_shape`` tests of every row."""
+        return (
+            isinstance(X, np.ndarray)
+            and X.dtype == np.float64
+            and X.shape[1:] == self.ambient_shape
+            and X.ndim == len(self.ambient_shape) + 1
+            and bool(np.isfinite(X).all())
+        )
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
@@ -433,6 +474,12 @@ class Euclidean(Manifold):
 
     def validate_tangent(self, p, components) -> np.ndarray:
         return self._check_shape(components, "tangent vector")
+
+    def _points_pass(self, X) -> bool:
+        return self._finite_rows(X)
+
+    def _tangents_pass(self, P, V) -> bool:
+        return self._finite_rows(V)
 
     def random_point(self, rng):
         return rng.standard_normal(self.dim)
@@ -562,6 +609,15 @@ class Sphere(Manifold):
                 f"(tolerance {TANGENT_TOL})"
             )
         return out
+
+    def _points_pass(self, X) -> bool:
+        if not self._finite_rows(X):
+            return False
+        # each row's vecdot is its dot, bit for bit, so each drift is validate_point's
+        return bool((np.abs(np.sqrt(np.vecdot(X, X)) - 1.0) <= POINT_TOL).all())
+
+    def _tangents_pass(self, P, V) -> bool:
+        return self._finite_rows(V) and bool((np.abs(np.vecdot(P, V)) <= TANGENT_TOL).all())
 
     def random_point(self, rng):
         while True:
@@ -714,6 +770,21 @@ class SymmetricPositiveDefinite(Manifold):
                 f"tangent matrix is asymmetric by {asym:.3e} (tolerance {POINT_TOL})"
             )
         return out
+
+    def _points_pass(self, X) -> bool:
+        if not self._tangents_pass(None, X):  # finite and symmetric, as a tangent must be
+            return False
+        try:
+            low = np.linalg.cholesky(X)
+        except np.linalg.LinAlgError:
+            return False
+        # validate_point's pivot test, row by row, in its order of operations
+        pivots = low.diagonal(axis1=1, axis2=2).min(axis=1)
+        largest = X.diagonal(axis1=1, axis2=2).max(axis=1)
+        return bool((pivots * pivots > self.side * sys.float_info.epsilon * largest).all())
+
+    def _tangents_pass(self, P, V) -> bool:
+        return self._finite_rows(V) and bool((np.abs(V - V.mT) <= POINT_TOL).all())
 
     def random_point(self, rng):
         return _sym_apply(rng.uniform(-1.0, 1.0, (self.side, self.side)), np.exp)
@@ -869,6 +940,46 @@ class TangentVector:
 
     def __repr__(self):
         return f"TangentVector(base={self.base!r}, components={self.components!r})"
+
+
+def _checked_rows(X: np.ndarray) -> list[np.ndarray]:
+    """The rows of a read-only copy of a checked stack."""
+    X = X.copy()
+    X.setflags(write=False)
+    return list(X)
+
+
+def _points(manifold: Manifold, X: np.ndarray) -> list[ManifoldPoint] | None:
+    """The rows of ``X`` as points of ``manifold``, each what
+    ``ManifoldPoint(manifold, row)`` gives, from one stacked check; ``None``
+    when that check fails, so that each row is validated on its own."""
+    if not manifold._points_pass(X):
+        return None
+    out = []
+    for row in _checked_rows(X):
+        point = object.__new__(ManifoldPoint)
+        object.__setattr__(point, "manifold", manifold)
+        object.__setattr__(point, "coordinates", row)
+        out.append(point)
+    return out
+
+
+def _tangents(
+    bases: Sequence[ManifoldPoint], P: np.ndarray, V: np.ndarray
+) -> list[TangentVector] | None:
+    """Row ``i`` of ``V`` as a tangent vector at ``bases[i]``, whose
+    coordinates are row ``i`` of ``P``, each what ``TangentVector(bases[i],
+    row)`` gives, from one stacked check of the bases' manifold; ``None``
+    when that check fails, as for :func:`_points`."""
+    if not bases[0].manifold._tangents_pass(P, V):
+        return None
+    out = []
+    for base, row in zip(bases, _checked_rows(V)):
+        vector = object.__new__(TangentVector)
+        object.__setattr__(vector, "base", base)
+        object.__setattr__(vector, "components", row)
+        out.append(vector)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,11 +13,15 @@ lockstep, each on its own scale of one root manifold with its own step
 size, start and stopping rule.  While several arms are live, each
 iterate measures the objective at all of them in one stacked pass,
 rescales each gradient through its arm's own wrappers, and takes every
-gradient norm and every step in one stacked call on the root; each
-arm's trace is bit-identical to its own :func:`riemannian_gd` run, which
-is the one-arm case of the same loop and passes single arrays to the
-manifold.  The property suite descends the twins of all its scales on a
-manifold as one such run.
+gradient norm and every step in one stacked call on the root.  The new
+gradients and the new iterates are validated as one stack each, by the
+root family's stacked checks, and each arm's vector or point is a
+read-only row of the checked stack; when a stacked check fails, the arms
+are validated one by one, so each meets its own error.  Each arm's trace
+is bit-identical to its own :func:`riemannian_gd` run, which is the
+one-arm case of the same loop and passes single arrays to the manifold.
+The property suite descends the twins of all its scales on a manifold as
+one such run.
 
 :func:`calibrate_scale` treats the scale as a learnable quantity: given
 target distances, the best constant factor has a closed least-squares
@@ -43,7 +47,8 @@ from .errors import (
     PartialEquivalenceError,
 )
 from .manifolds import (
-    Manifold, ManifoldPoint, TangentVector, _floats, _require, _require_count, _require_real,
+    Manifold, ManifoldPoint, TangentVector, _floats, _points, _require, _require_count,
+    _require_real, _tangents,
 )
 from .scaling import ScaledManifold, ScaleFactor, _unwrap
 
@@ -148,10 +153,10 @@ def riemannian_gd(
     rescaled gradient, and then steps.  A domain error mid-run (for
     example a step past the sphere's antipode while evaluating the
     gradient) truncates the trace with ``stop_reason == "error"``.  An
-    iterate whose value or gradient norm is not finite (the norm raises
-    ``DomainError`` when its inner product overflows) ends the run with
-    ``stop_reason == "diverged"``; the trace keeps the finite iterates
-    before it.  This is the one-arm case of :func:`riemannian_gd_many`.
+    iterate whose value or gradient norm is not finite (the rescaled
+    gradient or the norm raises ``DomainError`` when it overflows) ends
+    the run with ``stop_reason == "diverged"``; the trace keeps the
+    finite iterates before it.  This is the one-arm case of :func:`riemannian_gd_many`.
     """
     return riemannian_gd_many((manifold,), objective, (x0,), (config,))[0]
 
@@ -176,12 +181,16 @@ def riemannian_gd_many(
     Each arm rescales its gradient through its own manifold; every norm
     is one stacked inner product on the root, scaled by each arm's
     factors as its wrappers scale it, and every step one stacked
-    exponential map on the root.  Each
-    gradient is still a validated :class:`TangentVector` and each
-    iterate a validated :class:`ManifoldPoint`.  A stage whose stacked
-    pass raises a ``GeometryError`` is redone arm by arm, so each arm
-    meets its own error or its own result.  With one live arm, every
-    stage takes that arm's single inputs.
+    exponential map on the root.  Each gradient is still a validated
+    :class:`TangentVector` and each iterate a validated
+    :class:`ManifoldPoint`, but the arms are validated as one stack: one
+    stacked check of the root family tests every arm's gradient, or every
+    arm's new iterate, and each arm's vector or point is a read-only row
+    of the checked stack.  A stage whose stacked pass raises a
+    ``GeometryError``, or whose stacked check fails, is redone or
+    validated arm by arm, so each arm meets its own error or its own
+    result.  With one live arm, every stage takes that arm's single
+    inputs and its own validators.
     """
     manifolds, starts, configs = tuple(manifolds), tuple(starts), tuple(configs)
     if not manifolds:
@@ -265,9 +274,17 @@ def _evaluate(objective: Objective, arms: list[_Arm]) -> list[_Arm]:
 
 def _measure_gradients(arms: list[_Arm]) -> None:
     """Set each arm's gradient in its own metric and that gradient's norm
-    there, ``inf`` where the inner product overflows."""
+    there, ``inf`` where the rescaled gradient or its inner product
+    overflows."""
+    rescaled = []
     for arm in arms:
-        arm.used = arm.manifold.rescale_gradient(arm.gradient.components)
+        try:
+            arm.used = arm.manifold.rescale_gradient(arm.gradient.components)
+        except DomainError:  # the gradient over the scale left the double range
+            arm.grad_norm = math.inf
+            continue
+        rescaled.append(arm)
+    arms = rescaled
     if len(arms) > 1:
         used = np.array([arm.used for arm in arms])
         try:
@@ -291,16 +308,24 @@ def _measure_gradients(arms: list[_Arm]) -> None:
 
 def _step(arms: list[_Arm]) -> list[_Arm]:
     """Move each arm along the exponential map by its step; the arms
-    whose step met a domain error stop, and the others are returned."""
+    whose step met a domain error stop, and the others are returned.
+    Several arms step in one stacked call, and their new iterates are
+    validated by one stacked check, or row by row if it fails."""
     ends = None
     if len(arms) > 1:
+        root = arms[0].root
         used = np.array([arm.used for arm in arms])
         steps = np.array([-arm.config.step_size for arm in arms])
         with contextlib.suppress(GeometryError):
-            ends = arms[0].root.exp(
+            ends = root.exp(
                 np.array([arm.x.coordinates for arm in arms]),
                 steps.reshape(-1, *(1,) * (used.ndim - 1)) * used,
             )
+        points = None if ends is None else _points(root, ends)
+        if points is not None:
+            for arm, x in zip(arms, points):
+                arm.x = x
+            return arms
     moved = []
     for i, arm in enumerate(arms):
         try:
@@ -338,7 +363,9 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
     batched ``dist`` call, so it is defined wherever the distance is.
     The objective's stacked pass measures K points in one batched pass
     over the K·N (point, data point) pairs, then sums each point's
-    logarithms and squared distances as a single point's are summed.
+    logarithms and squared distances as a single point's are summed, and
+    validates the K gradients with one stacked check (one by one if it
+    fails).
     """
     points = tuple(points)
     if not points:
@@ -379,13 +406,17 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
 
     def measure_many(xs: list[ManifoldPoint]) -> list[tuple[TangentVector, float]]:
         k = len(xs)
-        bases = np.repeat(np.array([x.coordinates for x in xs]), n, axis=0)
-        d, logs = manifold._dist_log(bases, np.concatenate((coords,) * k))
+        at = np.array([x.coordinates for x in xs])
+        d, logs = manifold._dist_log(np.repeat(at, n, axis=0), np.concatenate((coords,) * k))
         totals = logs.reshape(k, n, *logs.shape[1:]).cumsum(axis=1)[:, -1] + 0.0
+        components = -totals / n
+        gradients = _tangents(xs, at, components)
+        if gradients is None:  # the stacked check failed: each row meets its own error
+            gradients = [gradient_from(x, g) for x, g in zip(xs, components)]
         d = d.tolist()
         return [
-            (gradient_from(x, g), halved_mean_square(d[i * n : (i + 1) * n]))
-            for i, (x, g) in enumerate(zip(xs, -totals / n))
+            (gradient, halved_mean_square(d[i * n : (i + 1) * n]))
+            for i, gradient in enumerate(gradients)
         ]
 
     return Objective(value_fn, gradient_fn, measure_many)

@@ -38,6 +38,9 @@ import numpy as np
 from .errors import DomainError, GeometryError
 from .manifolds import Manifold, _require, _require_count, _require_real
 
+# np.max's reduction, without its Python-level dispatch
+_largest = np.maximum.reduce
+
 
 @dataclass(frozen=True)
 class ScaleFactor:
@@ -129,7 +132,18 @@ class ScaledManifold(Manifold):
         return self.base.euclidean_to_riemannian_gradient(p, ambient_gradient) / self.lam
 
     def rescale_gradient(self, gradient):
-        return self.base.rescale_gradient(gradient) / self.lam
+        try:
+            inner = self.base.rescale_gradient(gradient)
+        except GeometryError:
+            self._replay(self.rescale_gradient, gradient)  # a later row's base error must not win
+            raise
+        # Only a scale below 1 can take a finite entry past the range.  Then
+        # the largest entry over the scale, as a Python float, neither warns
+        # nor raises, and when it is finite no entry's quotient overflows.
+        if self.lam < 1.0 and inner.size:
+            if not math.isfinite(float(_largest(np.abs(inner), None)) / self.lam):
+                raise DomainError(f"gradient divided by the scale {self.lam!r} is not finite")
+        return inner / self.lam
 
     # -- structure that does not ------------------------------------------
 

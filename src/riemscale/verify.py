@@ -37,6 +37,8 @@ from . import _render
 from ._render import render_json
 from ._version import __version__
 from .charts import (
+    _connections,
+    _densities,
     builtin_charts,
     chart_from_string,
     christoffel_at,
@@ -44,7 +46,6 @@ from .charts import (
     scale_chart_constant,
     scale_chart_pointwise,
     spherical_to_ambient,
-    volume_density,
     chart_curve_length,
 )
 from .manifolds import Manifold, ManifoldPoint, Sphere, manifold_from_string
@@ -309,12 +310,10 @@ def _run_gradient_direction(rng):
 def _run_connection_invariance(rng):
     for chart in builtin_charts():
         points = _interior_points(chart, rng, 20)
-        bases = [christoffel_at(chart, x).symbols for x in points]
+        base = _connections(chart, points)
         for lam in INVARIANT_LAMBDAS:
-            scaled = scale_chart_constant(chart, lam)
-            for x, base in zip(points, bases):
-                got = christoffel_at(scaled, x).symbols
-                yield float(np.max(np.abs(got - base)))
+            got = _connections(scale_chart_constant(chart, lam), points)
+            yield from np.abs(got - base).max(axis=(1, 2, 3)).tolist()
 
 
 @functools.cache
@@ -348,13 +347,10 @@ def _run_geodesic_invariance(rng):
 def _run_volume_law(rng):
     for chart in builtin_charts():
         points = _interior_points(chart, rng, 20)
-        n = chart.dimension
-        bases = [volume_density(chart, x) for x in points]
+        base = _densities(chart, points)
         for lam in VARIANT_LAMBDAS:
-            scaled = scale_chart_constant(chart, lam)
-            factor = volume_scale_factor(lam, n)
-            for x, base in zip(points, bases):
-                yield _rel(volume_density(scaled, x) / base, factor)
+            got = _densities(scale_chart_constant(chart, lam), points)
+            yield from _rel(got / base, volume_scale_factor(lam, chart.dimension)).tolist()
 
 
 def _run_length_law(rng):
@@ -420,7 +416,11 @@ def _run_iterate_gradient_direction(rng):
         config = OptimizerConfig(step_size=0.1, max_iters=50, grad_tol=0.0)
         trace = riemannian_gd(sm, objective, x0, config)
         points = np.stack([point.coordinates for point in trace.iterates])
-        grad = np.stack([objective.gradient_fn(point).components for point in trace.iterates])
+        if objective._measure_many is None:  # no stacked pass: one call per iterate
+            gradients = [objective.gradient_fn(point) for point in trace.iterates]
+        else:
+            gradients = [g for g, _ in objective._measure_many(list(trace.iterates))]
+        grad = np.stack([g.components for g in gradients])
         kept = ~(m.norm(points, grad) < 1e-12)
         points, grad = points[kept], grad[kept]
         yield from _angles_between(m, points, sm.rescale_gradient(grad), grad)

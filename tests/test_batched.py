@@ -504,6 +504,29 @@ def test_flat_and_sphere_inner_overflow_is_a_domain_error_without_a_warning():
             ScaledManifold(Sphere(2), 1e300).norm(e0, np.array([[0.0, 1.0, 0.0], [0.0, 1e10, 0.0]]))
 
 
+def test_a_rescaled_gradient_past_the_range_is_a_domain_error_without_a_warning():
+    tiny = ScaledManifold(Euclidean(2), 1e-300)
+    nested = ScaledManifold(tiny, 1e-10)
+    message = "gradient divided by the scale {} is not finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in ([1e200, 0.0], [[1.0, 0.0], [1e200, 0.0]], [np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(DomainError, match=f"^{message.format(1e-300)}$"):
+                tiny.rescale_gradient(np.array(g))
+        assert tiny.rescale_gradient(np.array([[1e-292, 0.0], [-1e8, 0.0]])).tolist() == [
+            [1e8, 0.0], [-1e308, 0.0],
+        ]
+        # an earlier row past the range at the outer scale wins over a later
+        # row past it at the inner one, as in a row-by-row run
+        rows = np.array([[1e5, 0.0], [1e10, 0.0]])
+        assert _first_error(nested.rescale_gradient, rows) == (
+            "DomainError", message.format(1e-10)
+        )
+        assert _first_error(nested.rescale_gradient, rows[::-1]) == (
+            "DomainError", message.format(1e-300)
+        )
+
+
 def _counting(monkeypatch, ops):
     """Count the calls each family makes of ``ops``, as single calls or
     batched ones."""

@@ -18,6 +18,7 @@ from riemscale import (
     ContractViolationError,
     DomainError,
     GeodesicPath,
+    GeometryError,
     InternalConsistencyError,
     InvalidChartError,
     PartialPathError,
@@ -504,7 +505,7 @@ def _probe_run(fault, step):
     ("indefinite", InvalidChartError, "metric of probe at {x} is not positive definite"),
     ("connection", InternalConsistencyError,
      "connection coefficients of probe at {x} asymmetric by 5.000e-05"),
-    (DomainError, PartialPathError, "geodesic left the domain of probe near t={t}: probe fails at {x}"),
+    (DomainError, PartialPathError, "geodesic on probe stopped near t={t}: probe fails at {x}"),
     (InvalidChartError, InvalidChartError, "probe fails at {x}"),
     (ValueError, ValueError, "probe fails at {x}"),
 ], ids=["non-finite", "asymmetric", "indefinite", "connection", "raises-DomainError",
@@ -660,6 +661,61 @@ def test_volume_density_examples():
     assert volume_density(polar_chart(), [3.0, 0.5]) == pytest.approx(3.0, rel=1e-14)
     assert volume_density(sphere_chart(), [math.pi / 6, 0.0]) == pytest.approx(
         0.5, rel=1e-14
+    )
+
+
+def _error_of(call):
+    """The type and message of what ``call()`` raises."""
+    with pytest.raises(GeometryError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("chart", [
+    euclidean_chart(2), polar_chart(), sphere_chart(),
+    scale_chart_constant(sphere_chart(), 4.0), scale_chart_constant(polar_chart(), 0.25),
+], ids=["euclidean", "polar", "sphere", "sphere-scaled", "polar-scaled"])
+def test_stacked_chart_helpers_give_each_single_call_bit_for_bit(chart):
+    rng = np.random.default_rng(19)
+    margin = 0.05 * (chart.upper - chart.lower)
+    X = rng.uniform(chart.lower + margin, chart.upper - margin, (20, chart.dimension))
+    symbols = np.stack([christoffel_at(chart, x).symbols for x in X])
+    densities = np.array([volume_density(chart, x) for x in X])
+    assert charts_module._connections(chart, X).tobytes() == symbols.tobytes()
+    assert charts_module._densities(chart, X).tobytes() == densities.tobytes()
+
+
+def test_stacked_chart_helpers_raise_the_error_of_their_first_failing_row():
+    polar = polar_chart()
+    inside, near_edge, outside = [3.0, 0.0], [0.1 + 1e-6, 0.0], [0.05, 0.0]
+    for rows in ([inside, near_edge, outside], [inside, outside, near_edge]):
+        X = np.array(rows)
+        first = X[1]
+        assert _error_of(lambda: charts_module._connections(polar, X)) == _error_of(
+            lambda: christoffel_at(polar, first)
+        )
+        if first[0] < polar.lower[0]:  # only the stencil of the other one leaves the box
+            assert _error_of(lambda: charts_module._densities(polar, X)) == _error_of(
+                lambda: volume_density(polar, first)
+            )
+    # a metric that is not positive definite, and one whose inverse overflows
+    flat = scale_chart_pointwise(euclidean_chart(2), lambda x: 1.0 if x[0] < 1.0 else -1.0)
+    tiny = scale_chart_constant(polar, 1e-310)
+    for chart, X in ((flat, np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 0.0]])),
+                     (tiny, np.array([[3.0, 0.0], [4.0, 0.0]]))):
+        assert _error_of(lambda: charts_module._connections(chart, X)) == _error_of(
+            lambda: christoffel_at(chart, X[1] if chart is flat else X[0])
+        )
+    # densities past the range: sqrt(det) is 1e154 r, whose det overflows past r = 1.34
+    huge = scale_chart_constant(polar, 1e154)
+    X = np.array([[1.0, 0.0], [3.0, 0.0], [5.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert charts_module._densities(huge, X[:1]).tolist() == [volume_density(huge, X[0])]
+        error = _error_of(lambda: charts_module._densities(huge, X))
+    assert error == _error_of(lambda: volume_density(huge, X[1]))
+    assert error == (
+        DomainError, "volume density of polar|scale=1e+154 at [3. 0.] is inf, not finite"
     )
 
 

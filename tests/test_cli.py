@@ -203,7 +203,7 @@ def test_calibrate_needs_two_points(capsys):
         (("--command", "scale-table", "--lambda", "1e-310"), "error: gradient factor"),
         # the scaled metric's inverse overflows: a domain limit, not a broken chart
         (("--command", "geodesic", "--lambda", "1e-310", "--iters", "50"),
-         "error: geodesic left the domain of sphere-chart|scale=1e-310 near t=0: "
+         "error: geodesic on sphere-chart|scale=1e-310 stopped near t=0: "
          "inverse metric of sphere-chart|scale=1e-310 at [1.57079633 0.        ] "
          "has non-finite entries"),
     ],
@@ -221,10 +221,9 @@ def test_a_factor_past_the_double_range_is_one_error_line(capsys, argv, message)
 
 def test_a_descent_that_stops_before_its_first_iterate_is_one_error_line(capsys):
     # The first rescaled gradient overflows, so the run stops diverged with
-    # an empty trace.  That division still warns; it is an open defect of
-    # ScaledManifold.rescale_gradient, not of this command.
+    # an empty trace, and without a warning.
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         code = run_cli("--command", "frechet", "--lambda", "1e-310")
     captured = capsys.readouterr()
     assert code == 2

@@ -16,6 +16,7 @@ from riemscale import (
     ContractViolationError,
     DomainError,
     Euclidean,
+    GeometryError,
     ManifoldPoint,
     SampledCurve,
     Sphere,
@@ -34,6 +35,7 @@ from riemscale import (
     riemannian_gradient,
     tangent_projection,
 )
+from riemscale import ScaledManifold, manifolds
 from test_batched import _spd
 
 
@@ -566,6 +568,154 @@ def test_coordinates_are_read_only(manifold, rng):
     p = random_point(manifold, rng)
     with pytest.raises(ValueError):
         p.coordinates[(0,) * p.coordinates.ndim] = 3.0
+
+
+# ---------------------------------------------------------------------------
+# stacked membership checks: stricter than the validators, never looser
+# ---------------------------------------------------------------------------
+
+
+def _validates(m, row, base=None) -> bool:
+    """Whether ``row`` passes ``m``'s point validator, or its tangent
+    validator at ``base``."""
+    try:
+        if base is None:
+            m.validate_point(row)
+        else:
+            m.validate_tangent(base, row)
+    except GeometryError:
+        return False
+    return True
+
+
+def _stacked(m, X, P=None) -> bool:
+    return m._points_pass(X) if P is None else m._tangents_pass(P, X)
+
+
+def _assert_sound(m, rows, bases=None, exact=True):
+    """The stacked check of each row alone, and of the row between two
+    valid ones, passes only when the row's validator passes; with
+    ``exact``, it passes exactly when the validator does.  Returns the
+    validators' verdicts."""
+    verdicts = []
+    for i, row in enumerate(rows):
+        base = None if bases is None else bases[i]
+        single = _validates(m, row, base)
+        alone = _stacked(m, row[np.newaxis], None if base is None else base[np.newaxis])
+        assert alone <= single
+        if exact:
+            assert alone == single
+        good = m.random_point(np.random.default_rng(i)) if base is None else np.zeros_like(row)
+        P = None if base is None else np.stack([base] * 3)
+        assert _stacked(m, np.stack([good, row, good]), P) == alone
+        verdicts.append(single)
+    return verdicts
+
+
+def _ulps_around(x: float, k: int = 4) -> list[float]:
+    """``x`` and its ``k`` nearest doubles on either side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[::-1] + above[1:]
+
+
+def _faulty_rows(m, rng) -> list[np.ndarray]:
+    """Rows that fail every validator of ``m``: non-finite entries."""
+    rows = []
+    for bad in (np.nan, np.inf, -np.inf):
+        row = m.random_point(rng).copy()
+        row[(0,) * row.ndim] = bad
+        rows.append(row)
+    return rows
+
+
+def test_stacked_checks_pass_valid_stacks_as_read_only_rows_of_the_same_bits(manifold, rng):
+    X = np.stack([manifold.random_point(rng) for _ in range(5)])
+    V = np.stack([manifold.random_tangent(x, rng) for x in X])
+    assert manifold._points_pass(X) and manifold._tangents_pass(X, V)
+    points = manifolds._points(manifold, X)
+    vectors = manifolds._tangents(points, X, V)
+    for x, v, point, vector in zip(X, V, points, vectors):
+        assert point.manifold is manifold and vector.base is point
+        assert point.coordinates.tobytes() == manifold.validate_point(x).tobytes()
+        assert vector.components.tobytes() == manifold.validate_tangent(x, v).tobytes()
+        for row in (point.coordinates, vector.components):
+            assert row.dtype == np.float64 and not row.flags.writeable
+    X[0] = V[0] = 7.0  # the rows are copies, not views of the caller's stacks
+    assert points[0].coordinates.tobytes() == manifold.validate_point(
+        points[0].coordinates
+    ).tobytes()
+
+
+def test_stacked_checks_reject_non_finite_rows_off_shape_and_non_float64_stacks(manifold, rng):
+    X = np.stack([manifold.random_point(rng) for _ in range(4)])
+    rows = _faulty_rows(manifold, rng)
+    assert not any(_assert_sound(manifold, rows))
+    assert not any(_assert_sound(manifold, rows, bases=X[:3]))
+    assert manifolds._points(manifold, np.stack([X[0], rows[0]])) is None
+    assert manifolds._tangents([ManifoldPoint(manifold, X[0])], X[:1], rows[0][None]) is None
+    # a single row, a stack of rows of another shape, and other dtypes
+    wider = np.concatenate([X, X], axis=-1)
+    for stack in (X[0], wider, X.astype(np.float32), X.astype(np.float16)):
+        assert not manifold._points_pass(stack)
+        assert not manifold._tangents_pass(X, stack)
+    assert not _validates(manifold, wider[0])
+    ints = np.ones((2, *manifold.ambient_shape), dtype=np.int64)
+    assert not manifold._points_pass(ints) and not manifold._tangents_pass(X[:2], ints)
+
+
+def test_a_family_without_a_stacked_check_is_validated_row_by_row():
+    scaled = ScaledManifold(S2, 4.0)
+    X = np.eye(3)
+    assert not scaled._points_pass(X) and not scaled._tangents_pass(X, 0.0 * X)
+    assert manifolds._points(scaled, X) is None
+
+
+def test_stacked_sphere_checks_decide_their_tolerances_as_the_validators_do(rng):
+    # drift a few ulps either side of POINT_TOL, along the axes and along
+    # random directions, where the squared norm is rounded
+    directions = [np.eye(3)[0]] + [v / np.linalg.norm(v) for v in rng.standard_normal((6, 3))]
+    rows = [
+        a * u for u in directions
+        for a in _ulps_around(1.0 + manifolds.POINT_TOL) + _ulps_around(1.0 - manifolds.POINT_TOL)
+    ]
+    verdicts = _assert_sound(S2, rows)
+    assert any(verdicts) and not all(verdicts)
+    # a normal component a few ulps either side of TANGENT_TOL, exact at e0
+    # and rounded at random points
+    e0 = np.eye(3)[0]
+    bases, vectors = [], []
+    for c in _ulps_around(manifolds.TANGENT_TOL) + _ulps_around(-manifolds.TANGENT_TOL):
+        bases.append(e0)
+        vectors.append(np.array([c, 1.0, -2.0]))
+    for p in directions[1:]:
+        w = rng.standard_normal(3)
+        w -= np.dot(p, w) * p
+        for c in np.linspace(0.9999, 1.0001, 21) * manifolds.TANGENT_TOL:
+            bases.append(p)
+            vectors.append(w + c * p)
+    verdicts = _assert_sound(S2, vectors, bases)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_stacked_spd_checks_decide_asymmetry_and_pivots_as_the_validators_do():
+    # asymmetry a few ulps either side of POINT_TOL, in points and tangents
+    rows = [np.array([[2.0, a], [0.0, 2.0]]) for a in _ulps_around(manifolds.POINT_TOL)]
+    verdicts = _assert_sound(SPD2, rows)
+    assert verdicts == [True] * 5 + [False] * 4
+    assert _assert_sound(SPD2, rows, bases=[np.eye(2)] * len(rows)) == verdicts
+    # a pivot whose square is a few ulps either side of the rounding threshold
+    # 2 eps, then points that only rounding keeps from singular, singular and
+    # indefinite ones
+    threshold = 2 * np.finfo(float).eps
+    rows = [np.diag([1.0, t]) for t in _ulps_around(threshold, 8)]
+    rows += [np.diag([1.0, t]) for t in (1e-17, 0.0, -1e-17, -1.0)]
+    rows += [np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, 1e-300])]
+    verdicts = _assert_sound(SPD2, rows)
+    assert any(verdicts[:17]) and not all(verdicts[:17])
+    assert verdicts[17:] == [False] * 6
 
 
 def test_descriptor_invariants():

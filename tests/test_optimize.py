@@ -440,6 +440,67 @@ def test_lockstep_of_a_plain_objective_matches_single_runs():
     assert stops == ["max_iters", "max_iters", "converged"]
 
 
+def test_a_rescaled_gradient_past_the_range_diverges_without_a_warning():
+    # inside the disc the gradient is about 1e200, which 1e-300 takes past the range
+    objective = _blowing_up(1.0, 1e200)
+    x0 = ManifoldPoint(E2, [3.0, -4.0])
+    arms = [ScaledManifold(E2, 1e-300), E2, ScaledManifold(E2, 2.0)]
+    configs = [
+        OptimizerConfig(step_size=eta, max_iters=10, grad_tol=0.0) for eta in (5e-301, 0.5, 0.005)
+    ]
+    # at the origin this one's gradient is (-5e8, 0), which 1e-300 takes past the range
+    frechet = frechet_objective([ManifoldPoint(E2, [1e9, 0.0]), ManifoldPoint(E2, [0.0, 0.0])])
+    origin = ManifoldPoint(E2, [0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stops = _assert_lockstep_matches_single_runs(arms, objective, [x0] * 3, configs)
+        # the stacked pass of a Frechet objective, then its first gradient overflows
+        lockstep = _assert_lockstep_matches_single_runs(arms, frechet, [origin] * 3, configs)
+        (trace,) = riemannian_gd_many(arms[:1], frechet, [origin], configs[:1])
+    assert stops == ["diverged", "diverged", "max_iters"]
+    assert lockstep[0] == "diverged" and len(trace) == 0
+
+
+class _SpyOnPoints:
+    """The verdicts of every stacked point check of a manifold class."""
+
+    def __init__(self, monkeypatch, cls):
+        self.verdicts = []
+        check = cls._points_pass
+
+        def spy(manifold, X):
+            self.verdicts.append(check(manifold, X))
+            return self.verdicts[-1]
+
+        monkeypatch.setattr(cls, "_points_pass", spy)
+
+
+def test_a_lockstep_arm_whose_stacked_step_fails_validation_stops_on_its_own(monkeypatch):
+    # at diag(a, 1) the gradient diag(40 a, 0) whitens to diag(40, 0), so a step
+    # of eta multiplies a by exp(-40 eta): a step of 1 from I lands on
+    # exp(diag(-40, 0)), which only rounding keeps from singular, so
+    # validate_point rejects it
+    spd = SymmetricPositiveDefinite(2)
+
+    def gradient_fn(x):
+        return TangentVector(x, np.diag([40.0 * x.coordinates[0, 0], 0.0]))
+
+    objective = Objective(lambda x: 0.0, gradient_fn)
+    arms = [spd, ScaledManifold(spd, 4.0), spd, ScaledManifold(spd, 0.5)]
+    configs = [
+        OptimizerConfig(step_size=eta, max_iters=10, grad_tol=0.0)
+        for eta in (0.01, 0.04, 1.0, 0.005)
+    ]
+    spy = _SpyOnPoints(monkeypatch, SymmetricPositiveDefinite)
+    start = ManifoldPoint(spd, np.eye(2))
+    stops = _assert_lockstep_matches_single_runs(arms, objective, [start] * 4, configs)
+    assert stops == ["max_iters", "max_iters", "error", "max_iters"]
+    # the first stacked step fails its check, and the later ones, without the arm, pass
+    assert spy.verdicts[0] is False and all(spy.verdicts[1:]) and len(spy.verdicts) == 10
+    with pytest.raises(DomainError, match="not positive definite"):
+        ManifoldPoint(spd, spd.exp(np.eye(2), -np.diag([40.0, 0.0])))
+
+
 def test_one_lockstep_arm_is_a_single_run():
     objective = frechet_objective([_e(0), _e(1)])
     config = OptimizerConfig(step_size=0.5, max_iters=20)

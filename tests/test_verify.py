@@ -195,6 +195,29 @@ def test_a_failing_lockstep_arm_raises_what_the_sequential_check_raises(monkeypa
     assert "common prefix of 155 iterates" in got[1][1]
 
 
+def test_iterate_gradient_direction_without_a_stacked_pass_yields_the_same_deviations(
+    monkeypatch,
+):
+    # a traced benchmark run wraps the objective's callbacks and drops its
+    # stacked pass; the check then measures one iterate at a time
+    passes = []
+    draw = verify.random_frechet_problem
+
+    def without_stacked_pass(m, n, rng):
+        points, objective, x0 = draw(m, n, rng)
+        passes.append(objective._measure_many is not None)
+        return points, replace(objective, _measure_many=None), x0
+
+    for seed in (42, 7):
+        stacked = list(verify._run_iterate_gradient_direction(np.random.default_rng(seed)))
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, "random_frechet_problem", without_stacked_pass)
+            single = list(verify._run_iterate_gradient_direction(np.random.default_rng(seed)))
+        assert len(stacked) > 100
+        assert np.array(single).tobytes() == np.array(stacked).tobytes()
+    assert passes == [True] * 6
+
+
 def test_worst_deviation_is_nan_if_any_deviation_is_nan():
     for deviations in ([1e-20, math.nan], [math.nan, 1e-20], [0.0, math.nan, 2.0]):
         assert math.isnan(_worst(lambda rng: iter(deviations))(None))
