@@ -71,6 +71,17 @@ CLI_COMMANDS = [
     # a scale whose inverse metric, or whose gradient factor, leaves the double range
     ["--command", "geodesic", "--lambda", "1e-310", "--iters", "50"],
     ["--command", "frechet", "--lambda", "1e-310"],
+    # the reported run stops before its first iterate and the twins' step overflows:
+    # the reported run's error comes first
+    ["--command", "frechet", "--lambda", "1e-310", "--check-equivalence"],
+    # the reported run converges (at iterations 33 and 11) before its twins end
+    ["--command", "frechet", "--manifold", "euclidean:3", "--eta", "0.5",
+     "--check-equivalence"],
+    ["--command", "calibrate", "--manifold", "euclidean:3", "--eta", "2",
+     "--scale-target", "1.5"],
+    # a twin that diverges
+    ["--command", "frechet", "--manifold", "euclidean:3", "--eta", "5", "--iters", "400",
+     "--check-equivalence"],
     # argument errors: usage message on stderr, exit status 2
     ["--command", "scale-table", "--lambda", "nan"],
     ["--command", "frechet", "--iters", "0"],

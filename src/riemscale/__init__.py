@@ -24,74 +24,53 @@ Layout:
   calibration.
 * :mod:`riemscale.verify` / :mod:`riemscale.cli` -- the property
   suite and its command-line front end.
+
+``import riemscale`` loads none of these modules.  Each name of
+``__all__`` (the submodules themselves included) imports its module the
+first time it is read, as an attribute or by ``from riemscale import``,
+and is then bound in the package like an eagerly imported name; only
+``__version__`` is bound at import.
 """
 
-from ._version import __version__
-from .errors import (
-    ContractViolationError,
-    DegenerateInputError,
-    DomainError,
-    GeometryError,
-    InternalConsistencyError,
-    InvalidChartError,
-    PartialEquivalenceError,
-    PartialPathError,
-)
-from .manifolds import (
-    Euclidean,
-    Manifold,
-    ManifoldPoint,
-    SampledCurve,
-    Sphere,
-    SymmetricPositiveDefinite,
-    TangentVector,
-    curve_length,
-    distance,
-    exp_map,
-    inner_product,
-    log_map,
-    manifold_from_string,
-    norm,
-    parallel_transport,
-    random_point,
-    random_tangent,
-    riemannian_gradient,
-    tangent_projection,
-)
-from .scaling import ScaleFactor, ScaledManifold, volume_scale_factor
-from .charts import (
-    Chart,
-    ChristoffelField,
-    GeodesicPath,
-    chart_curve_length,
-    chart_from_string,
-    christoffel_at,
-    coordinate_speed,
-    euclidean_chart,
-    geodesic_integrate,
-    geodesic_integrate_many,
-    geodesic_residual,
-    metric_at,
-    polar_chart,
-    scale_chart_constant,
-    scale_chart_pointwise,
-    sphere_chart,
-    spherical_to_ambient,
-    volume_density,
-)
-from .optimize import (
-    Objective,
-    OptimizerConfig,
-    OptimizerTrace,
-    calibrate_scale,
-    equivalence_check,
-    frechet_objective,
-    joint_descent,
-    pairwise_distances,
-    random_frechet_problem,
-    riemannian_gd,
-    riemannian_gd_many,
-)
-from .verify import render_csv, render_json, run_suite
+import importlib
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from ._version import __version__
+
+# The names each submodule exports.
+_EXPORTS = {
+    "errors": """ContractViolationError DegenerateInputError DomainError GeometryError
+        InternalConsistencyError InvalidChartError PartialEquivalenceError
+        PartialPathError""",
+    "manifolds": """Euclidean Manifold ManifoldPoint SampledCurve Sphere
+        SymmetricPositiveDefinite TangentVector curve_length distance exp_map
+        inner_product log_map manifold_from_string norm parallel_transport random_point
+        random_tangent riemannian_gradient tangent_projection""",
+    "scaling": "ScaleFactor ScaledManifold volume_scale_factor",
+    "charts": """Chart ChristoffelField GeodesicPath chart_curve_length chart_from_string
+        christoffel_at coordinate_speed euclidean_chart geodesic_integrate
+        geodesic_integrate_many geodesic_residual metric_at polar_chart
+        scale_chart_constant scale_chart_pointwise sphere_chart spherical_to_ambient
+        volume_density""",
+    "optimize": """Objective OptimizerConfig OptimizerTrace calibrate_scale
+        equivalence_check frechet_objective joint_descent pairwise_distances
+        random_frechet_problem riemannian_gd riemannian_gd_many""",
+    "verify": "render_csv render_json run_suite",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_MODULE_OF.update((module, module) for module in _EXPORTS)
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    value = loaded if name == module else getattr(loaded, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

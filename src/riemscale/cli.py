@@ -11,6 +11,16 @@ Output is JSON or CSV on stdout, or a file given with ``--out``.  All
 randomness flows from ``--seed``, so identical invocations produce
 byte-identical output.  Relative ``--out`` paths resolve against the
 ``RIEMSCALE_OUTPUT_DIR`` environment variable when it is set.
+
+Each command loads only the modules it runs.  This module imports
+:mod:`riemscale.manifolds`, :mod:`riemscale.errors` and the renderer,
+which the argument checks and every command need; ``verify`` then loads
+:mod:`riemscale.verify`, ``frechet`` and ``calibrate`` load
+:mod:`riemscale.optimize`, ``geodesic`` loads :mod:`riemscale.charts`
+(as does parsing ``--chart`` for it), and ``scale-table`` loads only
+:mod:`riemscale.scaling`.  ``frechet`` and ``calibrate`` descend their
+reported run and its step-rescaled twins as one lockstep run, whose
+arms are each bit-identical to their own single runs.
 """
 
 from __future__ import annotations
@@ -24,21 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from ._render import render_csv, render_json
-from .charts import chart_from_string, geodesic_integrate, scale_chart_constant
 from .errors import DegenerateInputError, DomainError, GeometryError
 from .manifolds import _require_count, _require_real, manifold_from_string
-from .optimize import (
-    STOP_DIVERGED,
-    STOP_ERROR,
-    OptimizerConfig,
-    equivalence_check,
-    joint_descent,
-    pairwise_distances,
-    random_frechet_problem,
-    riemannian_gd,
-)
-from .scaling import ScaledManifold, volume_scale_factor
-from .verify import REPORT_COLUMNS, report_rows, run_suite
 
 OUTPUT_DIR_ENV = "RIEMSCALE_OUTPUT_DIR"
 
@@ -53,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--manifold", default="sphere:2",
                         help="family:size, e.g. euclidean:3, sphere:2, spd:2")
     parser.add_argument("--chart", default="sphere-chart",
-                        help="euclidean:<n>, polar, or sphere-chart")
+                        help="euclidean:<n>, polar, or sphere-chart (geodesic only)")
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0,
                         help="constant metric scale factor (> 0)")
     parser.add_argument("--eta", type=float, default=0.1, help="step size")
@@ -84,7 +81,10 @@ def parse_config(argv) -> argparse.Namespace:
         _require_count("--iters", args.iters)
         _require_count("--points", args.n_points)
         manifold_from_string(args.manifold)
-        chart_from_string(args.chart)
+        if args.command == "geodesic":  # the one command that reads --chart
+            from .charts import chart_from_string
+
+            chart_from_string(args.chart)
     except GeometryError as exc:
         parser.error(str(exc))
     return args
@@ -119,12 +119,16 @@ def _output(config: argparse.Namespace, payload, columns, rows, preamble=None) -
 
 
 def cmd_verify(config: argparse.Namespace) -> int:
+    from .verify import REPORT_COLUMNS, report_rows, run_suite
+
     report = run_suite(config.seed)
     _output(config, report, REPORT_COLUMNS, report_rows(report))
     return 0 if report["summary"]["failed"] == 0 else 1
 
 
 def cmd_scale_table(config: argparse.Namespace) -> int:
+    from .scaling import volume_scale_factor
+
     lam = config.lam
     n = manifold_from_string(config.manifold).intrinsic_dim
     volume, gradient = volume_scale_factor(lam, n), 1.0 / lam
@@ -148,13 +152,49 @@ def cmd_scale_table(config: argparse.Namespace) -> int:
     return 0
 
 
+def _descend(manifold, lam: float, objective, x0, config: argparse.Namespace, twins: bool):
+    """Descend ``objective`` from ``x0`` on ``manifold`` scaled by ``lam``
+    with the command's step and iteration count, and with ``twins`` also
+    run its two step-rescaled twins, as one lockstep run.
+
+    Returns the reported trace and a function that gives the twins'
+    largest iterate deviation, or raises what building or running the
+    twins met.  When the twins' settings fail (a step ``eta / lam`` past
+    the double range), the reported arm runs alone, so that its own
+    failure is still reported first.
+    """
+    from .optimize import OptimizerConfig, _twin_arms, _twin_deviations, riemannian_gd_many
+    from .scaling import ScaledManifold
+
+    manifolds = [ScaledManifold(manifold, lam)]
+    configs = [OptimizerConfig(step_size=config.eta, max_iters=config.iters)]
+    failed = None
+    if twins:
+        try:
+            twin_manifolds, twin_configs = _twin_arms(manifold, config.eta, (lam,), config.iters)
+        except GeometryError as exc:
+            failed = exc
+        else:
+            manifolds += twin_manifolds
+            configs += twin_configs
+    traces = riemannian_gd_many(manifolds, objective, (x0,) * len(manifolds), configs)
+
+    def deviation() -> float:
+        if failed is not None:
+            raise failed
+        return next(_twin_deviations(manifold, traces[1:]))
+
+    return traces[0], deviation
+
+
 def cmd_frechet(config: argparse.Namespace) -> int:
+    from .optimize import STOP_DIVERGED, STOP_ERROR, random_frechet_problem
+
     manifold = manifold_from_string(config.manifold)
     rng = np.random.default_rng(config.seed)
     _, objective, x0 = random_frechet_problem(manifold, config.n_points, rng)
-    scaled = ScaledManifold(manifold, config.lam)
-    trace = riemannian_gd(
-        scaled, objective, x0, OptimizerConfig(step_size=config.eta, max_iters=config.iters)
+    trace, deviation = _descend(
+        manifold, config.lam, objective, x0, config, config.check_equivalence
     )
     if not len(trace):
         raise DomainError(
@@ -173,9 +213,7 @@ def cmd_frechet(config: argparse.Namespace) -> int:
         "final_grad_norm": trace.grad_norms[-1],
     }
     if config.check_equivalence:
-        summary["max_deviation"] = equivalence_check(
-            manifold, objective, x0, config.eta, config.lam, config.iters
-        )
+        summary["max_deviation"] = deviation()
     _output(config, summary, *trace.table())
     if config.fmt == "csv" and config.out is not None:
         sys.stdout.write(render_json(summary))
@@ -183,17 +221,14 @@ def cmd_frechet(config: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(config: argparse.Namespace) -> int:
+    from .optimize import calibrate_scale, pairwise_distances, random_frechet_problem
+
     manifold = manifold_from_string(config.manifold)
     rng = np.random.default_rng(config.seed)
     points, objective, x0 = random_frechet_problem(manifold, config.n_points, rng)
     targets = config.scale_target * pairwise_distances(points)
-    trace, scale, residual = joint_descent(
-        points, targets, objective, x0,
-        OptimizerConfig(step_size=config.eta, max_iters=config.iters),
-    )
-    deviation = equivalence_check(
-        manifold, objective, x0, config.eta, scale.value, config.iters
-    )
+    scale, residual = calibrate_scale(points, targets)
+    trace, deviation = _descend(manifold, scale.value, objective, x0, config, True)
     payload = {
         "manifold": config.manifold,
         "seed": config.seed,
@@ -201,7 +236,7 @@ def cmd_calibrate(config: argparse.Namespace) -> int:
         "scale_target": config.scale_target,
         "lambda_star": scale.value,
         "residual": residual,
-        "equivalence_deviation": deviation,
+        "equivalence_deviation": deviation(),
         "iterations": len(trace) - 1,
         "stop_reason": trace.stop_reason,
     }
@@ -227,6 +262,8 @@ def _default_start(chart_name: str, dimension: int):
 
 
 def cmd_geodesic(config: argparse.Namespace) -> int:
+    from .charts import chart_from_string, geodesic_integrate, scale_chart_constant
+
     chart = chart_from_string(config.chart)
     x0, v0 = _default_start(chart.name, chart.dimension)
     base = geodesic_integrate(chart, x0, v0, steps=config.iters)

@@ -7,10 +7,23 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import riemscale.cli as cli
 import riemscale.verify as verify
+from riemscale import (
+    OptimizerConfig,
+    PartialEquivalenceError,
+    ScaledManifold,
+    equivalence_check,
+    joint_descent,
+    manifold_from_string,
+    pairwise_distances,
+    random_frechet_problem,
+    riemannian_gd,
+)
+from riemscale._render import render_csv, render_json
 from riemscale.verify import PropertyCheck
 
 
@@ -348,3 +361,171 @@ def test_importing_the_cli_leaves_scipy_linalg_unloaded():
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
     )
     assert (done.returncode, done.stdout.strip()) == (0, "False"), done.stderr
+
+
+# ---------------------------------------------------------------------------
+# frechet and calibrate print what the library computes
+# ---------------------------------------------------------------------------
+
+
+def _library_frechet(spec, lam, eta, iters, seed, points, check):
+    """What ``frechet`` prints, from one-arm library runs: the summary and
+    the trace's CSV."""
+    manifold = manifold_from_string(spec)
+    _, objective, x0 = random_frechet_problem(manifold, points, np.random.default_rng(seed))
+    trace = riemannian_gd(
+        ScaledManifold(manifold, lam), objective, x0, OptimizerConfig(eta, iters)
+    )
+    summary = {
+        "manifold": spec, "lambda": lam, "eta": eta, "seed": seed, "n_points": points,
+        "iterations": len(trace) - 1, "stop_reason": trace.stop_reason,
+        "final_value": trace.values[-1], "final_grad_norm": trace.grad_norms[-1],
+    }
+    if check:
+        summary["max_deviation"] = equivalence_check(manifold, objective, x0, eta, lam, iters)
+    return summary, trace.to_csv()
+
+
+def _library_calibrate(spec, target, eta, iters, seed, points):
+    """What ``calibrate`` prints, from ``joint_descent`` and
+    ``equivalence_check``: the payload and its one-row CSV."""
+    manifold = manifold_from_string(spec)
+    data, objective, x0 = random_frechet_problem(manifold, points, np.random.default_rng(seed))
+    trace, scale, residual = joint_descent(
+        data, target * pairwise_distances(data), objective, x0, OptimizerConfig(eta, iters)
+    )
+    payload = {
+        "manifold": spec, "seed": seed, "n_points": points, "scale_target": target,
+        "lambda_star": scale.value, "residual": residual,
+        "equivalence_deviation": equivalence_check(
+            manifold, objective, x0, eta, scale.value, iters
+        ),
+        "iterations": len(trace) - 1, "stop_reason": trace.stop_reason,
+    }
+    keys = sorted(payload)
+    return payload, render_csv(keys, [[payload[k] for k in keys]])
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize(
+    "spec, lam, eta, iters, seed, points, iterations",
+    [
+        ("euclidean:3", 2.5, 0.1, 60, 3, 5, None),
+        ("sphere:2", 4.0, 0.1, 60, 3, 5, None),
+        ("spd:2", 0.5, 0.2, 60, 9, 4, None),
+        # the reported arm converges at iteration 33; the twins run on to 200
+        ("euclidean:3", 1.0, 0.5, 200, 0, 4, 33),
+    ],
+)
+def test_frechet_prints_what_the_library_computes(
+    capsys, fmt, check, spec, lam, eta, iters, seed, points, iterations
+):
+    summary, csv_text = _library_frechet(spec, lam, eta, iters, seed, points, check)
+    if iterations is not None:
+        assert (summary["iterations"], summary["stop_reason"]) == (iterations, "converged")
+    argv = [
+        "--command", "frechet", "--manifold", spec, "--lambda", repr(lam), "--eta", repr(eta),
+        "--iters", str(iters), "--seed", str(seed), "--points", str(points), "--format", fmt,
+    ]
+    code, out = run_cli_capture(capsys, *argv, *(["--check-equivalence"] if check else []))
+    assert code == 0
+    assert out == (render_json(summary) if fmt == "json" else csv_text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "spec, target, eta, iters, seed, points, iterations",
+    [
+        ("euclidean:3", 2.0, 0.1, 60, 5, 5, None),
+        ("sphere:2", 3.0, 0.1, 60, 5, 5, None),
+        ("spd:2", 0.5, 0.1, 60, 9, 4, None),
+        # the reported arm converges at iteration 11; the twins run on to 200
+        ("euclidean:3", 1.5, 2.0, 200, 0, 4, 11),
+    ],
+)
+def test_calibrate_prints_what_the_library_computes(
+    capsys, fmt, spec, target, eta, iters, seed, points, iterations
+):
+    payload, csv_text = _library_calibrate(spec, target, eta, iters, seed, points)
+    if iterations is not None:
+        assert (payload["iterations"], payload["stop_reason"]) == (iterations, "converged")
+    code, out = run_cli_capture(
+        capsys, "--command", "calibrate", "--manifold", spec, "--scale-target", repr(target),
+        "--eta", repr(eta), "--iters", str(iters), "--seed", str(seed),
+        "--points", str(points), "--format", fmt,
+    )
+    assert code == 0
+    assert out == (render_json(payload) if fmt == "json" else csv_text)
+
+
+def test_a_diverging_twin_is_the_library_error_line(capsys):
+    with pytest.raises(PartialEquivalenceError) as excinfo:
+        _library_frechet("euclidean:3", 1.0, 5.0, 400, 0, 4, True)
+    code = run_cli(
+        "--command", "frechet", "--manifold", "euclidean:3", "--eta", "5", "--iters", "400",
+        "--check-equivalence",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {excinfo.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # the reported run stops before its first iterate, and the twins' step
+        # eta / lam overflows: the reported run's error comes first
+        (("--lambda", "1e-310"),
+         "descent on sphere:2 at lambda 1e-310 stopped (diverged) before its first iterate"),
+        # the reported run has iterates, and the twins' step underflows
+        (("--lambda", "1e300", "--eta", "1e-300"),
+         "step_size must be a finite positive real, got 0.0"),
+    ],
+)
+def test_the_reported_run_fails_before_its_twins(capsys, argv, message):
+    code = run_cli("--command", "frechet", *argv, "--check-equivalence")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# each command loads only the modules it runs
+# ---------------------------------------------------------------------------
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The ``riemscale`` submodules a fresh interpreter holds after ``code``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    report = "import sys; print(*sorted(m for m in sys.modules if m.startswith('riemscale.')))"
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["--command", "scale-table", "--manifold", "spd:3", "--lambda", "4"],
+         {"charts", "optimize", "verify"}),
+        (["--command", "frechet", "--iters", "5", "--check-equivalence"], {"charts", "verify"}),
+        (["--command", "calibrate", "--iters", "5"], {"charts", "verify"}),
+        (["--command", "geodesic", "--chart", "polar", "--lambda", "4", "--iters", "5"],
+         {"optimize", "verify"}),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, unloaded):
+    out = str(tmp_path / "out.json")
+    loaded = _modules_loaded_by(
+        f"import riemscale.cli\nassert riemscale.cli.main({[*argv, '--out', out]!r}) == 0"
+    )
+    assert "riemscale.cli" in loaded
+    assert not loaded & {f"riemscale.{name}" for name in unloaded}
+    assert Path(out).stat().st_size > 0
