@@ -129,21 +129,31 @@ class ScaledManifold(Manifold):
         return math.sqrt(self.lam) * self.base.curve_length(points)
 
     def euclidean_to_riemannian_gradient(self, p, ambient_gradient):
-        return self.base.euclidean_to_riemannian_gradient(p, ambient_gradient) / self.lam
+        return self._over_scale(
+            self.euclidean_to_riemannian_gradient,
+            self.base.euclidean_to_riemannian_gradient, p, ambient_gradient,
+        )
 
     def rescale_gradient(self, gradient):
+        return self._over_scale(self.rescale_gradient, self.base.rescale_gradient, gradient)
+
+    def _over_scale(self, op, base_op, *args):
+        """``base_op(*args) / lam`` for the gradient map ``op``: the one
+        division by the scale, raising ``DomainError``, with no warning,
+        when a quotient is not finite (for a batch, the error of its first
+        failing row)."""
         try:
-            inner = self.base.rescale_gradient(gradient)
+            gradient = base_op(*args)
         except GeometryError:
-            self._replay(self.rescale_gradient, gradient)  # a later row's base error must not win
+            self._replay(op, *args)  # a later row's base error must not win
             raise
         # Only a scale below 1 can take a finite entry past the range.  Then
         # the largest entry over the scale, as a Python float, neither warns
         # nor raises, and when it is finite no entry's quotient overflows.
-        if self.lam < 1.0 and inner.size:
-            if not math.isfinite(float(_largest(np.abs(inner), None)) / self.lam):
+        if self.lam < 1.0 and gradient.size:
+            if not math.isfinite(float(_largest(np.abs(gradient), None)) / self.lam):
                 raise DomainError(f"gradient divided by the scale {self.lam!r} is not finite")
-        return inner / self.lam
+        return gradient / self.lam
 
     # -- structure that does not ------------------------------------------
 

@@ -34,6 +34,7 @@ from riemscale import (
     frechet_objective,
     norm,
     pairwise_distances,
+    riemannian_gradient,
 )
 from riemscale import verify
 from riemscale.manifolds import ANTIPODE_MARGIN, RENORM_TOL
@@ -524,6 +525,49 @@ def test_a_rescaled_gradient_past_the_range_is_a_domain_error_without_a_warning(
         )
         assert _first_error(nested.rescale_gradient, rows[::-1]) == (
             "DomainError", message.format(1e-300)
+        )
+
+
+def test_a_converted_gradient_past_the_range_is_a_domain_error_without_a_warning():
+    # the conversion divides by the scale through the check rescale_gradient makes
+    tiny = ScaledManifold(Euclidean(1), 1e-300)
+    message = "^gradient divided by the scale 1e-300 is not finite$"
+    rows = np.array([[1e-10], [1e10]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            riemannian_gradient(ManifoldPoint(tiny, [0.0]), [1e10])
+        with pytest.raises(DomainError, match=message):
+            tiny.euclidean_to_riemannian_gradient(np.zeros((2, 1)), rows)
+        # in range, the quotient keeps its bits
+        got = tiny.euclidean_to_riemannian_gradient(np.zeros((1, 1)), rows[:1])
+        assert got.tobytes() == (rows[:1] / 1e-300).tobytes()
+        # a base error in a later row does not win over an earlier row's quotient
+        spd = ScaledManifold(SymmetricPositiveDefinite(2), 1e-300)
+        bases = np.stack([np.eye(2), 1e200 * np.eye(2)])
+        gradients = np.stack([1e10 * np.eye(2), np.eye(2)])
+        assert _first_error(spd.euclidean_to_riemannian_gradient, bases, gradients) == (
+            "DomainError", "gradient divided by the scale 1e-300 is not finite"
+        )
+        assert _first_error(spd.euclidean_to_riemannian_gradient, bases[::-1], gradients[::-1]) == (
+            "DomainError", "metric gradient p g p is not finite"
+        )
+
+
+def test_an_spd_metric_gradient_past_the_range_is_a_domain_error_without_a_warning():
+    m = SymmetricPositiveDefinite(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^metric gradient p g p is not finite$"):
+            riemannian_gradient(ManifoldPoint(m, 1e200 * np.eye(2)), np.eye(2))
+        bases = np.stack([np.eye(2), 1e200 * np.eye(2)])
+        assert _first_error(m.euclidean_to_riemannian_gradient, bases, np.eye(2)[None]) == (
+            "DomainError", "metric gradient p g p is not finite"
+        )
+        # a product near the top of the range is still finite
+        edge = 1e153 * np.eye(2)
+        assert m.euclidean_to_riemannian_gradient(edge, np.eye(2)).tolist() == (
+            (edge @ edge).tolist()
         )
 
 

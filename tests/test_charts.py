@@ -23,6 +23,7 @@ from riemscale import (
     InvalidChartError,
     PartialPathError,
     Sphere,
+    SymmetricPositiveDefinite,
     chart_curve_length,
     chart_from_string,
     christoffel_at,
@@ -484,6 +485,8 @@ def _faulty_chart(fault, step):
             G[bad, 1, 0, 1], G[bad, 3, 0, 1] = 1e-9, -1e-9
         elif fault == "overflow":  # the x0 difference of g_00 overflows
             G[bad, 1, 0, 0], G[bad, 3, 0, 0] = 1e308, -1e308
+        elif fault == "subnormal":  # a valid metric whose inverse overflows
+            G[bad] *= 1e-310
         else:
             raise fault(message)
         return G.reshape(-1, 2, 2)
@@ -505,11 +508,13 @@ def _probe_run(fault, step):
     ("indefinite", InvalidChartError, "metric of probe at {x} is not positive definite"),
     ("connection", InternalConsistencyError,
      "connection coefficients of probe at {x} asymmetric by 5.000e-05"),
+    ("subnormal", PartialPathError,
+     "geodesic on probe stopped near t={t}: inverse metric of probe at {x} has non-finite entries"),
     (DomainError, PartialPathError, "geodesic on probe stopped near t={t}: probe fails at {x}"),
     (InvalidChartError, InvalidChartError, "probe fails at {x}"),
     (ValueError, ValueError, "probe fails at {x}"),
-], ids=["non-finite", "asymmetric", "indefinite", "connection", "raises-DomainError",
-        "raises-GeometryError", "raises-ValueError"])
+], ids=["non-finite", "asymmetric", "indefinite", "connection", "inverse-overflow",
+        "raises-DomainError", "raises-GeometryError", "raises-ValueError"])
 def test_a_failing_step_gives_one_outcome_for_every_block_size(
     monkeypatch, step, fault, error, message
 ):
@@ -896,6 +901,56 @@ def test_equator_geodesic_matches_closed_form_sphere():
             ambient = spherical_to_ambient(x)
             reference = sphere.exp(start, t * velocity)
             assert float(np.max(np.abs(ambient - reference))) <= 1e-6
+
+
+# The coordinates (a, b, c) of P = [[a, b], [b, c]] on the SPD(2) cone, with
+# the affine-invariant metric g_ij = tr(P^-1 E_i P^-1 E_j).  Unlike the
+# built-in charts, its metric is dense, so a connection that inverts only
+# the diagonal of the metric misses its off-diagonal terms.
+_SPD_BASIS = np.array([[[1.0, 0.0], [0.0, 0.0]],
+                       [[0.0, 1.0], [1.0, 0.0]],
+                       [[0.0, 0.0], [0.0, 1.0]]])
+
+
+def _spd_matrices(X):
+    return np.einsum("ni,ijk->njk", X, _SPD_BASIS)
+
+
+def _spd_coordinates(P):
+    return np.stack([P[..., 0, 0], P[..., 0, 1], P[..., 1, 1]], axis=-1)
+
+
+def _spd_coordinate_chart():
+    def metric(X):
+        A = np.linalg.inv(_spd_matrices(X))[:, None] @ _SPD_BASIS  # P^-1 E_i
+        return np.einsum("nimk,njkm->nij", A, A)
+
+    # det P >= 0.3 * 0.3 - 0.25 ** 2 = 0.0275 on the box
+    return Chart("spd-coordinates", 3, [0.3, -0.25, 0.3], [3.0, 0.25, 3.0], metric)
+
+
+def test_dense_spd_chart_connection_matches_the_closed_form(rng):
+    # Gamma(V, W) = -(V P^-1 W + W P^-1 V) / 2 (Pennec, Fillard & Ayache,
+    # IJCV 2006), so symbols[k, i, j] is coordinate k of Gamma(E_i, E_j)
+    chart = _spd_coordinate_chart()
+    worst = 0.0
+    for x in rng.uniform(chart.lower + 0.01, chart.upper - 0.01, (50, 3)):
+        pinv = np.linalg.inv(_spd_matrices(x[None])[0])
+        product = _SPD_BASIS[:, None] @ pinv @ _SPD_BASIS[None]  # E_i P^-1 E_j
+        oracle = _spd_coordinates(-(product + product.transpose(1, 0, 2, 3)) / 2)
+        got = christoffel_at(chart, x).symbols
+        worst = max(worst, float(np.max(np.abs(got - oracle.transpose(2, 0, 1)))))
+    assert worst <= 1e-7
+
+
+def test_dense_spd_chart_geodesic_matches_the_closed_form_exponential():
+    velocity = np.array([[0.3, 0.2], [0.2, -0.1]])
+    path = geodesic_integrate(
+        _spd_coordinate_chart(), [1.0, 0.0, 1.0], _spd_coordinates(velocity), steps=100
+    )
+    spd = SymmetricPositiveDefinite(2)
+    reference = _spd_coordinates(np.stack([spd.exp(np.eye(2), t * velocity) for t in path.times]))
+    assert float(np.max(np.abs(path.positions - reference))) <= 1e-9
 
 
 def test_chart_from_string():
