@@ -400,9 +400,10 @@ def _connection(charts, plan, box, X: np.ndarray, block=None) -> np.ndarray:
     trust the chart within that neighborhood.
 
     With ``block``, a ``_Block``, only the stencil test runs here: the
-    center metrics, their inverses and the coefficients are stored in
-    ``block``, whose ``passes`` runs the other checks once over all the
-    stages of a block.
+    center metrics and the coefficients are stored in ``block``, whose
+    ``passes`` runs the other checks once over all the stages of a block.
+    A non-finite inverse needs no test there: it makes every coefficient
+    of its row non-finite, which fails the symmetry test.
     """
     a = _first_failed(_inside(box, X))
     if a is not None:
@@ -427,7 +428,7 @@ def _connection(charts, plan, box, X: np.ndarray, block=None) -> np.ndarray:
     bracket = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
     gamma = 0.5 * np.einsum("akl,aijl->akij", ginv, bracket)
     if block is not None:
-        block.store(center, ginv, gamma)
+        block.store(center, gamma)
         return gamma
     asym = np.abs(gamma - gamma.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
     a = _first_failed(asym <= CHRISTOFFEL_SYMMETRY_TOL)
@@ -476,28 +477,27 @@ _BLOCK_STEPS = 64
 
 
 class _Block:
-    """The center metrics, inverse metrics and connection coefficients of
-    up to ``steps`` RK4 steps of ``K`` arms, four stages a step, stored
-    by ``_connection`` in stage order for the checks of ``passes``."""
+    """The center metrics and connection coefficients of up to ``steps``
+    RK4 steps of ``K`` arms, four stages a step, stored by
+    ``_connection`` in stage order for the checks of ``passes``."""
 
     def __init__(self, steps: int, K: int, n: int):
         self.metrics = np.empty((4 * steps, K, n, n))
-        self.inverses = np.empty((4 * steps, K, n, n))
         self.coefficients = np.empty((4 * steps, K, n, n, n))
         self.stages = 0
 
-    def store(self, metrics, inverses, coefficients) -> None:
+    def store(self, metrics, coefficients) -> None:
         s = self.stages
-        self.metrics[s], self.inverses[s], self.coefficients[s] = metrics, inverses, coefficients
+        self.metrics[s], self.coefficients[s] = metrics, coefficients
         self.stages = s + 1
 
     def passes(self, box, positions: np.ndarray) -> bool:
         """Whether every check a stage-by-stage run makes besides its
         stencil tests holds on the ``stages`` stored: the center metrics
         are finite, symmetric and positive definite (one stacked Cholesky
-        factorization), their inverses are finite, the coefficients are
-        symmetric in the lower index pair, and the ``positions`` after
-        each step lie in ``box``."""
+        factorization), the coefficients are symmetric in the lower index
+        pair (a non-finite inverse metric fails this, see ``_connection``),
+        and the ``positions`` after each step lie in ``box``."""
         s = self.stages
         G = self.metrics[:s]
         if not (np.isfinite(G).all() and _symmetric(G, METRIC_SYMMETRY_TOL)):
@@ -508,8 +508,7 @@ class _Block:
             return False
         lower, upper = box
         return bool(
-            np.isfinite(self.inverses[:s]).all()
-            and _symmetric(self.coefficients[:s], CHRISTOFFEL_SYMMETRY_TOL)
+            _symmetric(self.coefficients[:s], CHRISTOFFEL_SYMMETRY_TOL)
             and ((positions >= lower) & (positions <= upper)).all()
         )
 

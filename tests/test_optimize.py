@@ -2,6 +2,7 @@
 scale calibration."""
 
 import math
+import threading
 import warnings
 from collections import Counter
 
@@ -597,6 +598,7 @@ def test_spd_pairwise_distances_factor_each_base_once_per_block(monkeypatch, sid
         factored.append(len(a))
         return np.linalg.cholesky(a)
 
+    pairwise_distances(points[:2])  # replaces the remembered matrix, so the counted call is cold
     monkeypatch.setattr(manifolds, "np", _Counting(
         np, counts, linalg=_Counting(np.linalg, counts, cholesky=cholesky),
     ))
@@ -607,6 +609,145 @@ def test_spd_pairwise_distances_factor_each_base_once_per_block(monkeypatch, sid
     # base point split between two blocks is factored in each
     assert dict(counts) == {"cholesky": blocks, "inv": blocks, "eigvalsh": blocks}
     assert sum(factored) <= n - 1 + blocks - 1
+
+
+def _count_dist_calls(monkeypatch) -> Counter:
+    """Count every ``dist`` call of the three families and of
+    ``ScaledManifold`` from here on, by class name."""
+    counts = Counter()
+    for cls in (Euclidean, Sphere, SymmetricPositiveDefinite, ScaledManifold):
+
+        def dist(self, p, q, _cls=cls, _dist=cls.dist):
+            counts[_cls.__name__] += 1
+            return _dist(self, p, q)
+
+        monkeypatch.setattr(cls, "dist", dist)
+    return counts
+
+
+def _single_distances(points) -> np.ndarray:
+    """The distance matrix from one single ``dist`` call per pair."""
+    n = len(points)
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            out[i, j] = out[j, i] = points[0].manifold.dist(
+                points[i].coordinates, points[j].coordinates
+            )
+    return out
+
+
+def test_a_repeated_point_set_reuses_its_distances_in_a_fresh_copy(monkeypatch):
+    manifold = SymmetricPositiveDefinite(3)
+    points, _, _ = random_frechet_problem(manifold, 9, np.random.default_rng(4))
+    equal = [ManifoldPoint(manifold, pt.coordinates.copy()) for pt in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first = pairwise_distances(points)
+        counts = Counter()
+        monkeypatch.setattr(manifolds, "np", _Counting(
+            np, counts, linalg=_Counting(np.linalg, counts),
+        ))
+        again = pairwise_distances(equal)
+        monkeypatch.undo()
+        assert counts == {}  # no cholesky, inv or eigvalsh
+        assert again.tobytes() == first.tobytes()
+        assert not np.shares_memory(again, first)
+        assert again.flags.writeable
+        # neither a hit's copy nor a miss's result is the stored matrix
+        again[0, 1] = again[1, 0] = -1.0
+        first[0, 2] = first[2, 0] = -2.0
+        assert pairwise_distances(points).tobytes() == _single_distances(points).tobytes()
+
+
+def _sphere_points(coords, manifold=S2):
+    return [ManifoldPoint(manifold, np.asarray(c, dtype=float)) for c in coords]
+
+
+_UNIT = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]
+
+
+@pytest.mark.parametrize("other, counted", [
+    (_sphere_points([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.6, 0.8]]),
+     {"Sphere": 1}),
+    (_sphere_points(_UNIT[::-1]), {"Sphere": 1}),
+    (_sphere_points(_UNIT[:3]), {"Sphere": 1}),
+    (_sphere_points(_UNIT, ScaledManifold(S2, 4.0)), {"ScaledManifold": 1, "Sphere": 1}),
+    (_sphere_points(_UNIT, Euclidean(3)), {"Euclidean": 1}),
+], ids=["other-coordinates", "permuted", "other-n", "scaled", "other-family"])
+def test_another_point_set_recomputes_its_distances(monkeypatch, other, counted):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairwise_distances(_sphere_points(_UNIT))
+        counts = _count_dist_calls(monkeypatch)
+        out = pairwise_distances(other)
+    assert counts == counted
+    assert out.tobytes() == _single_distances(other).tobytes()
+
+
+def test_only_the_last_point_set_is_remembered(monkeypatch):
+    a = _sphere_points(_UNIT)
+    b = _sphere_points(_UNIT[::-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = pairwise_distances(a)
+        pairwise_distances(b)
+        counts = _count_dist_calls(monkeypatch)
+        out = pairwise_distances(a)
+    assert counts == {"Sphere": 1}
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_a_call_that_raises_keeps_the_remembered_distances(monkeypatch):
+    a = _sphere_points(_UNIT)
+    mixed = [a[0], ManifoldPoint(Euclidean(3), _UNIT[1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = pairwise_distances(a)
+        with pytest.raises(ContractViolationError, match="different manifolds"):
+            pairwise_distances(mixed)
+        counts = _count_dist_calls(monkeypatch)
+        out = pairwise_distances(a)
+    assert counts == {}
+    assert out.tobytes() == expected.tobytes()
+
+
+def test_calibrating_against_fresh_base_distances_measures_nothing_again(monkeypatch):
+    manifold = SymmetricPositiveDefinite(2)
+    points, _, _ = random_frechet_problem(manifold, 12, np.random.default_rng(6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        targets = 1.5 * pairwise_distances(points)
+        counts = _count_dist_calls(monkeypatch)
+        scale, residual = calibrate_scale(points, targets)
+    assert counts == {}
+    assert scale.value == pytest.approx(2.25, rel=1e-12)
+    assert residual <= 1e-20
+
+
+def test_concurrent_callers_each_get_their_own_distances():
+    rng = np.random.default_rng(8)
+    sets = [
+        random_frechet_problem(m, n, rng)[0]
+        for m, n in ((S2, 30), (SymmetricPositiveDefinite(2), 25),
+                     (SymmetricPositiveDefinite(3), 20), (E2, 30))
+    ]
+    serial = [_single_distances(points).tobytes() for points in sets]
+    results = [[] for _ in sets]
+
+    def work(k):
+        for _ in range(40):
+            results[k].append(pairwise_distances(sets[k]).tobytes())
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(sets))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    for got, want in zip(results, serial):
+        assert got == [want] * 40
 
 
 # ---------------------------------------------------------------------------
