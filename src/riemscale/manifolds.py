@@ -33,6 +33,10 @@ second body for single inputs, because every descent iterate calls each
 of them once on one point, where a stack of one costs several times as
 much.
 ``curve_length`` takes a ``(C, S, *ambient_shape)`` stack of C curves.
+The sampler is stacked too: ``_random_points(rng, count)`` draws
+``count`` points as one ``(count, *ambient_shape)`` stack, taking from
+the generator exactly what ``count`` single draws take, so its rows are
+theirs bit for bit; ``random_point`` is its one-row case.
 SPD distance reads the eigenvalues of ``L^-1 q L^-T``, one stacked
 ``eigvalsh`` for the whole batch.
 
@@ -166,7 +170,9 @@ def _readonly(validated: np.ndarray, given) -> np.ndarray:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.mT)
+    # halved before the sum, which then stays finite wherever the result
+    # is; the same bits as 0.5 * (a + a.mT) away from the subnormal range
+    return 0.5 * a + 0.5 * a.mT
 
 
 def _runs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -236,7 +242,9 @@ class Manifold(ABC):
     first failing row would raise on its own.  Each family writes one
     stacked body per operation and hands it to :meth:`_batched`; only
     ``inner`` and ``exp``, which a descent iterate calls on single
-    inputs, also keep a single-input body.
+    inputs, also keep a single-input body.  The sampler has one stacked
+    body as well, :meth:`_random_points`, and :meth:`random_point` is
+    its one-row case.
     """
 
     family: ClassVar[str]
@@ -367,6 +375,14 @@ class Manifold(ABC):
         )
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
+        """One random point: the one-row case of :meth:`_random_points`."""
+        return self._random_points(rng, 1)[0]
+
+    def _random_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` random points as one ``(count, *ambient_shape)`` stack.
+        Each family draws them as ``count`` single draws would, one after
+        another, so the rows and the generator's final state are those of
+        ``count`` calls of :meth:`random_point`."""
         raise NotImplementedError
 
     def random_tangent(self, p: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -483,8 +499,8 @@ class Euclidean(Manifold):
     def _tangents_pass(self, P, V) -> bool:
         return self._finite_rows(V)
 
-    def random_point(self, rng):
-        return rng.standard_normal(self.dim)
+    def _random_points(self, rng, count):
+        return rng.standard_normal((count, self.dim))
 
 
 @dataclass(frozen=True)
@@ -621,12 +637,16 @@ class Sphere(Manifold):
     def _tangents_pass(self, P, V) -> bool:
         return self._finite_rows(V) and bool((np.abs(np.vecdot(P, V)) <= TANGENT_TOL).all())
 
-    def random_point(self, rng):
-        while True:
-            x = rng.standard_normal(self.dim + 1)
-            n = np.linalg.norm(x)
-            if n > 1e-8:
-                return x / n
+    def _random_points(self, rng, count):
+        x = rng.standard_normal((count, self.dim + 1))
+        n = np.sqrt(np.vecdot(x, x))[:, np.newaxis]  # each row's np.linalg.norm
+        kept = n[:, 0] > 1e-8
+        if kept.all():
+            return x / n
+        # a row too short to normalise is redrawn, and its redraw is the
+        # next draw in the stream, as in a run of single draws
+        redrawn = self._random_points(rng, count - int(kept.sum()))
+        return np.concatenate([x[kept] / n[kept], redrawn])
 
     def _renormalize(self, out: np.ndarray) -> np.ndarray:
         """``out`` over its norm, or each row of a stack over its own."""
@@ -793,8 +813,8 @@ class SymmetricPositiveDefinite(Manifold):
     def _tangents_pass(self, P, V) -> bool:
         return self._finite_rows(V) and bool((np.abs(V - V.mT) <= POINT_TOL).all())
 
-    def random_point(self, rng):
-        return _sym_apply(rng.uniform(-1.0, 1.0, (self.side, self.side)), np.exp)
+    def _random_points(self, rng, count):
+        return _sym_apply(rng.uniform(-1.0, 1.0, (count, self.side, self.side)), np.exp)
 
     @staticmethod
     def _whiten(p: np.ndarray, x: np.ndarray | None = None):

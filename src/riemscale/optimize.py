@@ -617,9 +617,15 @@ def random_frechet_problem(
     manifold: Manifold, n_points: int, rng: np.random.Generator
 ) -> tuple[tuple[ManifoldPoint, ...], Objective, ManifoldPoint]:
     """Seeded barycenter problem: random points, their objective, and the
-    first point as the start."""
+    first point as the start.
+
+    The points are drawn in one stacked call and checked in one stacked
+    call, and each is what ``ManifoldPoint(manifold,
+    manifold.random_point(rng))`` gives, drawn one after another.  When the
+    stacked check fails, each point is validated on its own, so each meets
+    its own error."""
     _require_count("n_points", n_points)
-    points = tuple(
-        ManifoldPoint(manifold, manifold.random_point(rng)) for _ in range(n_points)
-    )
+    _require(Manifold, manifold)
+    drawn = manifold._random_points(rng, n_points)
+    points = tuple(_points(manifold, drawn) or (ManifoldPoint(manifold, x) for x in drawn))
     return points, frechet_objective(points), points[0]

@@ -175,8 +175,8 @@ class ScaledManifold(Manifold):
     def validate_tangent(self, p, components):
         return self.base.validate_tangent(p, components)
 
-    def random_point(self, rng):
-        return self.base.random_point(rng)
+    def _random_points(self, rng, count):
+        return self.base._random_points(rng, count)
 
 
 def _unwrap(x, kind=ScaledManifold):

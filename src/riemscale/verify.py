@@ -157,7 +157,7 @@ def _point_and_ambient(m, rng):
 
 
 def _two_points(m, rng):
-    return m.random_point(rng), m.random_point(rng)
+    return m._random_points(rng, 2)
 
 
 def _two_points_and_tangent(m, rng):

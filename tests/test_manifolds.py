@@ -195,6 +195,18 @@ def test_spd_inner_product_overflow_is_a_domain_error_without_a_warning():
                 op(*args)
 
 
+def test_spd_symmetrizing_near_the_top_of_the_range_stays_finite_without_a_warning():
+    # entries of 1e308 sum past the range, but their symmetric part does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = np.full((2, 2), 1e308)
+        assert tangent_projection(_point(SPD2, np.eye(2)), w).components.tobytes() == w.tobytes()
+        # p g p is finite at 1e154 I, so the metric gradient is too
+        p = 1e154 * np.eye(2)
+        grad = riemannian_gradient(_point(SPD2, p), np.eye(2)).components
+        assert grad.tobytes() == (p @ np.eye(2) @ p).tobytes()
+
+
 def test_spd_log_toward_a_rounded_singular_point_is_a_domain_error():
     # Cholesky of this singular matrix succeeds by rounding (its last pivot
     # is 1.05e-8); its whitened eigenvalue 0 has no logarithm, as distance
@@ -850,3 +862,78 @@ def test_random_draws_satisfy_membership(manifold, rng):
     for _ in range(25):
         p = random_point(manifold, rng)  # constructor validates
         random_tangent(p, rng)
+
+
+class _Stream:
+    """A stand-in generator whose ``standard_normal`` hands out the given
+    values in order, as a real generator hands out its stream."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float).ravel(), 0
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        out = self.values[self.used:self.used + n].reshape(size)
+        self.used += n
+        return out
+
+
+def _drawn_one_by_one(m, rng) -> np.ndarray:
+    """One point drawn by the single-draw formula of ``m``'s family."""
+    if isinstance(m, ScaledManifold):
+        return _drawn_one_by_one(m.base, rng)
+    if isinstance(m, Euclidean):
+        return rng.standard_normal(m.dim)
+    if isinstance(m, Sphere):
+        while True:
+            x = rng.standard_normal(m.dim + 1)
+            n = np.linalg.norm(x)
+            if n > 1e-8:
+                return x / n
+    a = rng.uniform(-1.0, 1.0, (m.side, m.side))
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    return (v * np.exp(w)) @ v.T
+
+
+SAMPLED = [E3, S2, Sphere(5), SPD2, SymmetricPositiveDefinite(3),
+           SymmetricPositiveDefinite(8), ScaledManifold(SymmetricPositiveDefinite(3), 4.0),
+           ScaledManifold(ScaledManifold(S2, 0.5), 3.0)]
+
+
+@pytest.mark.parametrize("count", [1, 2, 7])
+@pytest.mark.parametrize("m", SAMPLED, ids=[
+    "euclidean:3", "sphere:2", "sphere:5", "spd:2", "spd:3", "spd:8", "spd:3*4", "sphere:2*0.5*3",
+])
+def test_a_stacked_draw_is_count_single_draws_bit_for_bit(m, count):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng = np.random.default_rng(count)
+        stack = m._random_points(rng, count)
+        assert stack.shape == (count, *m.ambient_shape) and stack.dtype == np.float64
+        for single in (m.random_point, lambda r: _drawn_one_by_one(m, r)):
+            seq = np.random.default_rng(count)
+            rows = np.stack([single(seq) for _ in range(count)])
+            assert rows.tobytes() == stack.tobytes()
+            assert seq.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("m", [S2, Sphere(4)], ids=["sphere:2", "sphere:4"])
+def test_a_stacked_sphere_draw_redraws_short_rows_from_the_stream_in_order(m):
+    # rows 0, 3 and 4 of the stream are too short to normalise, and row 4
+    # is also the first redraw of the stacked draw
+    rows = np.random.default_rng(5).standard_normal((12, m.dim + 1))
+    rows[0] = 0.0
+    rows[3] = 1e-9
+    rows[4] = -1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for count in (1, 3, 5, 9):
+            seq = _Stream(rows)
+            expected = np.stack([_drawn_one_by_one(m, seq) for _ in range(count)])
+            stacked = _Stream(rows)
+            out = m._random_points(stacked, count)
+            assert out.tobytes() == expected.tobytes()
+            assert stacked.used == seq.used
+            one = _Stream(rows)
+            assert m.random_point(one).tobytes() == expected[0].tobytes()
+            assert one.used == 2 * (m.dim + 1)

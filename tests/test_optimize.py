@@ -611,6 +611,79 @@ def test_spd_pairwise_distances_factor_each_base_once_per_block(monkeypatch, sid
     assert sum(factored) <= n - 1 + blocks - 1
 
 
+@pytest.mark.parametrize("n", [1, 9, 40])
+def test_spd_random_frechet_problem_factors_its_points_once(monkeypatch, n):
+    manifold = SymmetricPositiveDefinite(3)
+    counts = Counter()
+    monkeypatch.setattr(manifolds, "np", _Counting(
+        np, counts, linalg=_Counting(np.linalg, counts),
+    ))
+    random_frechet_problem(manifold, n, np.random.default_rng(n))
+    monkeypatch.undo()
+    # one eigh draws every point, one cholesky checks them all
+    assert dict(counts) == {"eigh": 1, "cholesky": 1}
+
+
+PROBLEMS = [Euclidean(3), S2, SymmetricPositiveDefinite(2), SymmetricPositiveDefinite(4),
+            ScaledManifold(S2, 4.0)]
+
+
+def _points_one_by_one(manifold, n, seed):
+    rng = np.random.default_rng(seed)
+    points = [ManifoldPoint(manifold, manifold.random_point(rng)) for _ in range(n)]
+    return points, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("stacked_check", [True, False])
+@pytest.mark.parametrize(
+    "manifold", PROBLEMS, ids=["euclidean:3", "sphere:2", "spd:2", "spd:4", "sphere:2*4"]
+)
+def test_random_frechet_problem_gives_the_points_of_single_draws(
+    monkeypatch, manifold, stacked_check
+):
+    if not stacked_check:  # every family validates its points row by row
+        for cls in (Euclidean, Sphere, SymmetricPositiveDefinite):
+            monkeypatch.setattr(cls, "_points_pass", lambda self, X: False)
+    for n in (1, 2, 7):
+        expected, state = _points_one_by_one(manifold, n, seed=n)
+        rng = np.random.default_rng(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            points, objective, x0 = random_frechet_problem(manifold, n, rng)
+        assert rng.bit_generator.state == state
+        assert isinstance(points, tuple) and len(points) == n and x0 is points[0]
+        for point, single in zip(points, expected):
+            assert type(point) is ManifoldPoint and point.manifold is manifold
+            assert point.coordinates.tobytes() == single.coordinates.tobytes()
+            assert point.coordinates.dtype == np.float64
+            assert not point.coordinates.flags.writeable
+        assert objective.value_fn(x0) == frechet_objective(expected).value_fn(expected[0])
+
+
+def test_random_frechet_problem_validates_a_failing_draw_row_by_row(monkeypatch):
+    # row 2 of the draw is not finite: the stacked check fails, and the row
+    # meets the error its own ManifoldPoint raises
+    spd = SymmetricPositiveDefinite(2)
+    drawn = np.stack([np.eye(2)] * 4)
+    drawn[2, 0, 1] = np.nan
+    monkeypatch.setattr(
+        SymmetricPositiveDefinite, "_random_points", lambda self, rng, count: drawn[:count]
+    )
+    with pytest.raises(ContractViolationError) as single:
+        ManifoldPoint(spd, drawn[2])
+    with pytest.raises(ContractViolationError) as stacked:
+        random_frechet_problem(spd, 4, np.random.default_rng(0))
+    assert str(stacked.value) == str(single.value)
+    # without the bad row, the stacked check passes
+    points, _, _ = random_frechet_problem(spd, 2, np.random.default_rng(0))
+    assert [p.coordinates.tobytes() for p in points] == [np.eye(2).tobytes()] * 2
+
+
+def test_random_frechet_problem_rejects_a_non_manifold():
+    with pytest.raises(ContractViolationError, match="expected a Manifold"):
+        random_frechet_problem("sphere:2", 3, np.random.default_rng(0))
+
+
 def _count_dist_calls(monkeypatch) -> Counter:
     """Count every ``dist`` call of the three families and of
     ``ScaledManifold`` from here on, by class name."""
