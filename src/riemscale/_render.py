@@ -16,6 +16,8 @@ import numpy as np
 
 
 def _scalar(value) -> str:
+    if type(value) is float:  # the common cell, tested before the isinstance chain
+        return format(value, ".17g")
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -26,6 +28,10 @@ def _scalar(value) -> str:
 
 
 def _render_value(value, indent: int, pad: str) -> str:
+    if type(value) is float:  # as in _scalar
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite value {value!r}")
+        return format(value, ".17g")
     if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
     if isinstance(value, (bool, int, float, np.integer, np.floating)):

@@ -32,6 +32,13 @@ argument was single.  Only ``inner`` and ``exp`` keep a
 second body for single inputs, because every descent iterate calls each
 of them once on one point, where a stack of one costs several times as
 much.
+A row equal to its base point is the one case the ``dist`` and ``log``
+bodies mask (on the sphere, also a row whose component orthogonal to the
+base rounds to zero): its distance is exactly zero and its logarithm
+the zero array.  Each body builds that mask and takes its masked path
+only when the mask has a true entry, so a batch without such a row (every
+descent iterate after the first, every pair ``pairwise_distances``
+measures) makes no masked copy or store, with the same bits on every row.
 ``curve_length`` takes a ``(C, S, *ambient_shape)`` stack of C curves.
 The sampler is stacked too: ``_random_points(rng, count)`` draws
 ``count`` points as one ``(count, *ambient_shape)`` stack, taking from
@@ -172,7 +179,8 @@ def _readonly(validated: np.ndarray, given) -> np.ndarray:
 def _sym(a: np.ndarray) -> np.ndarray:
     # halved before the sum, which then stays finite wherever the result
     # is; the same bits as 0.5 * (a + a.mT) away from the subnormal range
-    return 0.5 * a + 0.5 * a.mT
+    half = 0.5 * a
+    return half + half.mT
 
 
 def _runs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -533,7 +541,8 @@ class Sphere(Manifold):
     def _stacked_dist(self, p, q):
         same, c, u, nu = self._chords(p, q)
         # atan2 keeps full accuracy near both coincident and antipodal pairs
-        return np.where(same, 0.0, np.arctan2(nu, c))
+        theta = np.arctan2(nu, c)
+        return np.where(same, 0.0, theta) if same.any() else theta
 
     def exp(self, p, v):
         if p.ndim > 1 or v.ndim > 1:
@@ -570,6 +579,8 @@ class Sphere(Manifold):
             )
         zero = same | (nu == 0.0)
         theta = np.arctan2(nu, c)
+        if not zero.any():  # no row to mask, as in every descent iterate after the first
+            return theta, (theta / nu)[:, np.newaxis] * u
         ratio = np.divide(theta, nu, out=np.zeros_like(theta), where=~zero)
         out = ratio[:, np.newaxis] * u
         out[zero] = 0.0
@@ -581,7 +592,7 @@ class Sphere(Manifold):
         of rows paired with ``rows``), the clipped cosine ``c``, the
         component ``u`` orthogonal to ``p`` and its norm."""
         same = (rows == p).all(axis=-1)
-        c = np.clip(np.vecdot(rows, p), -1.0, 1.0)
+        c = np.minimum(np.maximum(np.vecdot(rows, p), -1.0), 1.0)  # np.clip, without its dispatch
         u = rows - c[:, np.newaxis] * p
         return same, c, u, np.sqrt(np.vecdot(u, u))
 
@@ -714,6 +725,8 @@ class SymmetricPositiveDefinite(Manifold):
 
     def _stacked_dist(self, p, q):
         other = ~(q == p).all(axis=(-2, -1))
+        if other.all():
+            return self._distances(other, self._whiten(p, q)[2])
         white = self._whiten(p[other], q[other])[2] if other.any() else None
         return self._distances(other, white)
 
@@ -739,12 +752,16 @@ class SymmetricPositiveDefinite(Manifold):
         return self._batched(self.log, lambda p, q: self._dist_log(p, q)[1], p, q)
 
     def _dist_log(self, p, rows):
-        out = np.zeros_like(rows)
         other = ~(rows == p).all(axis=(-2, -1))
+        if other.all():  # no row to mask, as in every descent iterate after the first
+            low, _, white = self._whiten(p, rows)
+            d = self._distances(other, white)  # raises dist's error before log's
+            return d, self._unwhiten(low, _sym_apply(white, np.log))
+        out = np.zeros_like(rows)
         if not other.any():
             return self._distances(other, None), out
         low, _, white = self._whiten(p if p.ndim == 2 else p[other], rows[other])
-        d = self._distances(other, white)  # raises dist's error before log's
+        d = self._distances(other, white)
         out[other] = self._unwhiten(low, _sym_apply(white, np.log))
         return d, out
 
@@ -777,7 +794,7 @@ class SymmetricPositiveDefinite(Manifold):
 
     def validate_point(self, coordinates) -> np.ndarray:
         out = self._check_shape(coordinates, "point")
-        asym = float(np.max(np.abs(out - out.T)))
+        asym = float(np.abs(out - out.T).max())
         if asym > POINT_TOL:
             raise ContractViolationError(
                 f"matrix is asymmetric by {asym:.3e} (tolerance {POINT_TOL})"
@@ -791,7 +808,7 @@ class SymmetricPositiveDefinite(Manifold):
 
     def validate_tangent(self, p, components) -> np.ndarray:
         out = self._check_shape(components, "tangent vector")
-        asym = float(np.max(np.abs(out - out.T)))
+        asym = float(np.abs(out - out.T).max())
         if asym > POINT_TOL:
             raise ContractViolationError(
                 f"tangent matrix is asymmetric by {asym:.3e} (tolerance {POINT_TOL})"
@@ -839,20 +856,19 @@ class SymmetricPositiveDefinite(Manifold):
             low.setflags(write=False)  # shared through the memo
             memo = (key, low, None)
         _, low, inv_low = memo
-        if x is not None and inv_low is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                inv_low = np.linalg.inv(low)
-            inv_low.setflags(write=False)
-            memo = (key, low, inv_low)
-        if key is not None:
-            _last_factor = memo
-        if runs is not None:
-            low = np.repeat(low, runs[1], axis=0)
-            if inv_low is not None:
-                inv_low = np.repeat(inv_low, runs[1], axis=0)
         if x is None:
-            return low
+            if key is not None:
+                _last_factor = memo
+            return low if runs is None else np.repeat(low, runs[1], axis=0)
         with np.errstate(over="ignore", invalid="ignore"):
+            if inv_low is None:
+                inv_low = np.linalg.inv(low)
+                inv_low.setflags(write=False)
+                memo = (key, low, inv_low)
+            if key is not None:
+                _last_factor = memo
+            if runs is not None:
+                low, inv_low = (np.repeat(a, runs[1], axis=0) for a in (low, inv_low))
             white = inv_low @ x @ inv_low.mT
         if not np.isfinite(white).all():
             raise DomainError("whitened matrix L^-1 x L^-T overflowed, with p = L L^T")
@@ -873,12 +889,16 @@ class SymmetricPositiveDefinite(Manifold):
         logarithms of the eigenvalues of the whitened rows, which are
         those of p^-1 q.  Rows equal to their base read eigenvalues of one,
         so their distance is exactly zero."""
-        w = np.ones(other.shape + (self.side,))
-        if white is not None:
-            w[other] = vals = np.linalg.eigvalsh(white)
-            if not np.all(vals > 0.0):
-                raise DomainError("matrix is not positive definite")
-        return np.sqrt(np.sum(np.log(w) ** 2, axis=1))
+        if white is None:
+            return np.zeros(other.shape)
+        vals = np.linalg.eigvalsh(white)
+        if not (vals > 0.0).all():
+            raise DomainError("matrix is not positive definite")
+        if len(vals) < len(other):  # some rows equal their base: they read ones
+            w = np.ones(other.shape + (self.side,))
+            w[other] = vals
+            vals = w
+        return np.sqrt((np.log(vals) ** 2).sum(axis=1))
 
     def _unwhiten(self, low: np.ndarray, f: np.ndarray) -> np.ndarray:
         """``L f L^T``, the whitened result ``f`` mapped back, symmetrized."""
@@ -894,10 +914,10 @@ class SymmetricPositiveDefinite(Manifold):
         so the budget is ``RENORM_TOL`` times ``size``, never less than
         ``RENORM_TOL`` itself.  A non-finite entry always fails.
         """
-        drift = np.atleast_1d(np.abs(out - out.mT).max(axis=(-2, -1)))
+        drift = np.abs(out - out.mT).max(axis=(-2, -1))
         ok = np.isfinite(drift) & (drift <= RENORM_TOL * np.maximum(size, 1.0))
-        bad = drift[~ok]
-        if bad.size:
+        if not ok.all():
+            bad = np.atleast_1d(drift)[~np.atleast_1d(ok)]
             raise InternalConsistencyError(
                 f"matrix result drifted {float(bad[0]):.3e} from symmetry"
             )
@@ -1030,7 +1050,7 @@ class SampledCurve:
             raise ContractViolationError("a sampled curve needs at least 2 points")
         _require(ManifoldPoint, *points)
         m = points[0].manifold
-        if any(pt.manifold != m for pt in points[1:]):
+        if any(pt.manifold is not m and pt.manifold != m for pt in points[1:]):
             raise ContractViolationError("curve samples live on different manifolds")
         object.__setattr__(self, "points", points)
 
@@ -1041,7 +1061,7 @@ class SampledCurve:
 
 def _require_same_manifold(p: ManifoldPoint, q: ManifoldPoint) -> Manifold:
     _require(ManifoldPoint, p, q)
-    if p.manifold != q.manifold:
+    if p.manifold is not q.manifold and p.manifold != q.manifold:
         raise ContractViolationError(
             f"points live on different manifolds: {p.manifold} vs {q.manifold}"
         )

@@ -30,8 +30,9 @@ form because rescaling multiplies every distance by the same root.
 :func:`pairwise_distances` remembers the last matrix it computed, so a
 caller that builds its targets from the base distances and then
 calibrates measures the point set once.  The memo holds one entry, keyed
-on the manifold (compared with ``==``) and the exact bytes of the
-points' stacked coordinates, not on object identity.  A call that hits
+on the manifold (the same object, or one equal to it under ``==``) and
+the exact bytes of the points' stacked coordinates, not on the points'
+identity.  A call that hits
 returns a fresh copy of the stored read-only matrix; a call that misses
 computes the matrix and replaces the entry; a call that raises leaves it
 as it was.  The memo is one tuple, replaced whole and never changed in
@@ -42,6 +43,7 @@ points.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -215,7 +217,8 @@ def riemannian_gd_many(
             f"{len(manifolds)} manifolds, {len(starts)} starts and {len(configs)} configs"
         )
     arms = [_Arm(m, x, c) for m, x, c in zip(manifolds, starts, configs)]
-    if any(arm.root != arms[0].root for arm in arms[1:]):
+    root = arms[0].root
+    if any(arm.root is not root and arm.root != root for arm in arms[1:]):
         raise ContractViolationError("arms run in lockstep must share a root manifold")
 
     live, k = arms, 0
@@ -256,7 +259,7 @@ class _Arm:
         _require(ManifoldPoint, x0)
         _require(OptimizerConfig, config)
         root, self.factors = _unwrap(manifold)
-        if x0.manifold != root:
+        if x0.manifold is not root and x0.manifold != root:
             raise ContractViolationError(f"x0 lives on {x0.manifold}, expected {root}")
         self.manifold, self.root, self.config, self.x = manifold, root, config, x0
         self.iterates, self.values, self.grad_norms = [], [], []
@@ -361,7 +364,8 @@ def _on_one_manifold(points: tuple[ManifoldPoint, ...]) -> tuple[Manifold, np.nd
     coordinates stacked along a leading batch axis."""
     _require(ManifoldPoint, *points)
     manifold = points[0].manifold
-    if any(pt.manifold != manifold for pt in points[1:]):
+    # identity first: a frozen dataclass's == compares field by field
+    if any(pt.manifold is not manifold and pt.manifold != manifold for pt in points[1:]):
         raise ContractViolationError("points live on different manifolds")
     return manifold, np.stack([pt.coordinates for pt in points])
 
@@ -416,14 +420,14 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
         measured = (x, d)
         # a running sum adds the rows strictly left to right (np.sum may
         # pair them up); + 0.0 gives the +0.0 a sum started at zero gives
-        total = logs.cumsum(axis=0)[-1] + 0.0
+        total = np.add.accumulate(logs)[-1] + 0.0
         return gradient_from(x, -total / n)
 
     def measure_many(xs: list[ManifoldPoint]) -> list[tuple[TangentVector, float]]:
         k = len(xs)
         at = np.array([x.coordinates for x in xs])
         d, logs = manifold._dist_log(np.repeat(at, n, axis=0), np.concatenate((coords,) * k))
-        totals = logs.reshape(k, n, *logs.shape[1:]).cumsum(axis=1)[:, -1] + 0.0
+        totals = np.add.accumulate(logs.reshape(k, n, *logs.shape[1:]), axis=1)[:, -1] + 0.0
         components = -totals / n
         gradients = _tangents(xs, at, components)
         if gradients is None:  # the stacked check failed: each row meets its own error
@@ -500,6 +504,16 @@ def equivalence_check(
     return next(_twin_deviations(manifold, traces))
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, the pairs ``i < j`` in row-major order,
+    as read-only arrays shared by every caller with ``n`` points."""
+    rows, cols = np.triu_indices(n, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def pairwise_distances(points: Sequence[ManifoldPoint]) -> np.ndarray:
     """Symmetric matrix of base-metric distances between points on one
     manifold.
@@ -521,10 +535,10 @@ def pairwise_distances(points: Sequence[ManifoldPoint]) -> np.ndarray:
     manifold, coords = _on_one_manifold(points)
     key = coords.tobytes()
     memo = _last_distances
-    if memo[1] == key and memo[0] == manifold:
+    if memo[1] == key and (memo[0] is manifold or memo[0] == manifold):
         return memo[2].copy()
     out = np.zeros((n, n))
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = _pair_indices(n)
     block = max(1, _PAIR_BLOCK_BYTES // coords[0].nbytes)
     for start in range(0, len(rows), block):
         i, j = rows[start : start + block], cols[start : start + block]
@@ -564,7 +578,7 @@ def calibrate_scale(
         raise ContractViolationError("target matrix must be symmetric")
 
     base = pairwise_distances(points)
-    iu = np.triu_indices(n, k=1)
+    iu = _pair_indices(n)
     d = base[iu]
     t = targets[iu]
     denom = float(np.dot(d, d))

@@ -36,7 +36,7 @@ from riemscale import (
     pairwise_distances,
     riemannian_gradient,
 )
-from riemscale import verify
+from riemscale import manifolds, verify
 from riemscale.manifolds import ANTIPODE_MARGIN, RENORM_TOL
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=50)
@@ -231,6 +231,80 @@ def test_stacked_drift_guard_raises_with_the_first_drifted_rows_drift():
     stack[1, 0, 1], stack[2, 0, 1], stack[3, 0, 1] = 1e-10, 3e-9, 2e-9
     with pytest.raises(InternalConsistencyError, match="drifted 3.000e-09"):
         SymmetricPositiveDefinite._resymmetrize(stack)
+
+
+# each body that masks rows equal to their base runs its masked branch
+# only when such a row is there; both branches give every row its bits
+_MASKED_OPS = {
+    "dist": lambda m, p, q: m.dist(p, q),
+    "log": lambda m, p, q: m.log(p, q),
+    "fused-dist": lambda m, p, q: m._dist_log(p, q)[0],
+    "fused-log": lambda m, p, q: m._dist_log(p, q)[1],
+}
+
+
+@pytest.mark.parametrize("op", list(_MASKED_OPS))
+@pytest.mark.parametrize(
+    "m", [SymmetricPositiveDefinite(2), SymmetricPositiveDefinite(8), Sphere(2)], ids=str
+)
+def test_rows_that_all_differ_from_their_base_keep_the_masked_branchs_bits(m, op):
+    fn = _MASKED_OPS[op]
+    rng = np.random.default_rng(m.ambient_shape[0])
+    p, *rows = m._random_points(rng, 7)
+    rows, bases = np.stack(rows), m._random_points(rng, 6)
+    axes = tuple(range(1, rows.ndim))
+    assert not (rows == p).all(axis=axes).any() and not (rows == bases).all(axis=axes).any()
+    keep = np.arange(7) != 2  # all but the inserted row, which equals its base
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base, masked_base in ((p, p), (bases, np.insert(bases, 2, p, axis=0))):
+            plain = fn(m, base, rows)
+            masked = fn(m, masked_base, np.insert(rows, 2, p, axis=0))
+            assert plain.tobytes() == masked[keep].tobytes()
+            assert not masked[2].any()  # the masked row: distance 0, logarithm zero
+
+
+def _drifted(stacked: bool, seed: int, entry: float) -> np.ndarray:
+    """A symmetric 3 x 3 matrix whose (0, 2) entry is then set to
+    ``entry`` and (2, 0) entry to 0; stacked, it is matrix 1 of four,
+    and matrix 3 drifts by 1, so that a failure must name matrix 1."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 3, 3))
+    out = a + a.mT
+    out[:, 0, 2], out[:, 2, 0] = 0.0, 0.0
+    out[1, 0, 2] = entry
+    out[3, 0, 2] = 1.0
+    return out if stacked else out[1]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+def test_the_symmetry_guard_raises_its_errors_and_passes_the_symmetric_part(stacked):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry, size, message in (
+            (5e-9, 1.0, "matrix result drifted 5.000e-09 from symmetry"),
+            (5e-9, 4.0, "matrix result drifted 5.000e-09 from symmetry"),
+            (math.nan, 1.0, "matrix result drifted nan from symmetry"),
+            (math.inf, 1.0, "matrix result drifted inf from symmetry"),
+            (math.inf, math.inf, "matrix result drifted inf from symmetry"),
+        ):
+            with pytest.raises(InternalConsistencyError) as caught:
+                SymmetricPositiveDefinite._resymmetrize(_drifted(stacked, 0, entry), size)
+            assert str(caught.value) == message
+        out = _drifted(stacked, 1, 5e-10)
+        if stacked:
+            out[3, 0, 2] = 3e-9  # within the budget of a size of 4
+        for size in (4.0, math.inf):
+            got = SymmetricPositiveDefinite._resymmetrize(out, size)
+            assert got.tobytes() == manifolds._sym(out).tobytes()
+            assert got.tobytes() == (0.5 * out + 0.5 * out.mT).tobytes()
+
+
+def test_symmetrizing_halves_each_side_as_before_across_the_range():
+    rng = np.random.default_rng(2)
+    for scale in (1.0, 1e-310, 1e300, 1.7e308):
+        a = scale * rng.uniform(-1.0, 1.0, (5, 4, 4))
+        assert manifolds._sym(a).tobytes() == (0.5 * a + 0.5 * a.mT).tobytes()
 
 
 def _loop_value(m, x, coords):

@@ -19,11 +19,13 @@ from riemscale import (
     ManifoldPoint,
     Objective,
     OptimizerConfig,
+    SampledCurve,
     ScaledManifold,
     Sphere,
     SymmetricPositiveDefinite,
     TangentVector,
     calibrate_scale,
+    distance,
     equivalence_check,
     frechet_objective,
     joint_descent,
@@ -976,3 +978,101 @@ def test_random_frechet_problem_shapes(manifold, rng):
     for bad in (0, 2.5, True):
         with pytest.raises(ContractViolationError):
             random_frechet_problem(manifold, bad, rng)
+
+
+def _count_manifold_eq(monkeypatch) -> Counter:
+    """Count every ``==``/``!=`` between sphere manifolds, and between
+    scaled ones, from here on, by class name."""
+    counts = Counter()
+    for cls in (Sphere, ScaledManifold):
+
+        def eq(self, other, _cls=cls, _eq=cls.__eq__):
+            counts[_cls.__name__] += 1
+            return _eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", eq)
+    return counts
+
+
+def _every_one_manifold_check(points, arm):
+    """Run each entry point that checks that points, arms or samples
+    share a manifold; ``arm`` is the manifold the descents run on."""
+    objective = frechet_objective(points)
+    config = OptimizerConfig(step_size=0.1, max_iters=3, grad_tol=0.0)
+    pairwise_distances(points)
+    calibrate_scale(points, 2.0 * pairwise_distances(points))  # a memo hit
+    SampledCurve(points)
+    distance(points[0], points[1])
+    riemannian_gd(arm, objective, points[0], config)
+    riemannian_gd_many([arm, ScaledManifold(arm, 4.0)], objective, points[:2], [config] * 2)
+
+
+def test_points_on_one_manifold_object_make_no_manifold_comparison(monkeypatch):
+    points, _, _ = random_frechet_problem(S2, 6, np.random.default_rng(4))
+    pairwise_distances(points[:2])  # so that the counted calls meet a memo miss first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _count_manifold_eq(monkeypatch)
+        _every_one_manifold_check(points, S2)
+    assert counts == {}
+
+
+def test_equal_but_distinct_manifolds_are_still_one_manifold(monkeypatch):
+    a, b = Sphere(2), Sphere(2)
+    assert a is not b
+    drawn, _, _ = random_frechet_problem(a, 6, np.random.default_rng(4))
+    points = [ManifoldPoint(a if i % 2 else b, p.coordinates) for i, p in enumerate(drawn)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _count_manifold_eq(monkeypatch)
+        _every_one_manifold_check(points, a)
+    assert counts["Sphere"] > 0  # the comparisons ran, and found the manifolds equal
+
+
+def test_points_on_different_manifolds_are_still_rejected_with_the_same_messages():
+    p2 = ManifoldPoint(S2, [1.0, 0.0, 0.0])
+    p3 = ManifoldPoint(Sphere(3), [1.0, 0.0, 0.0, 0.0])
+    config = OptimizerConfig(step_size=0.1, max_iters=3)
+    objective = frechet_objective([p2])
+    for call, message in (
+        (lambda: frechet_objective([p2, p3]), "points live on different manifolds"),
+        (lambda: pairwise_distances([p2, p3]), "points live on different manifolds"),
+        (lambda: SampledCurve((p2, p2, p3)), "curve samples live on different manifolds"),
+        (lambda: distance(p2, p3),
+         "points live on different manifolds: Sphere(dim=2) vs Sphere(dim=3)"),
+        (lambda: riemannian_gd(Sphere(3), objective, p2, config),
+         "x0 lives on Sphere(dim=2), expected Sphere(dim=3)"),
+        (lambda: riemannian_gd_many([S2, Sphere(3)], objective, [p2, p3], [config] * 2),
+         "arms run in lockstep must share a root manifold"),
+    ):
+        with pytest.raises(ContractViolationError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 130])
+def test_pair_indices_are_read_only_triu_indices(n):
+    rows, cols = optimize._pair_indices(n)
+    for got, expected in zip((rows, cols), np.triu_indices(n, k=1)):
+        assert not got.flags.writeable
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+    assert optimize._pair_indices(n)[0] is rows  # computed once per point count
+    assert optimize._pair_indices.cache_info().maxsize == 8
+
+
+@pytest.mark.parametrize("manifold", [S2, SymmetricPositiveDefinite(2)])
+def test_distances_and_fit_over_cached_pair_indices_match_recomputed_indices(manifold):
+    points, _, _ = random_frechet_problem(manifold, 9, np.random.default_rng(8))
+    targets = np.abs(np.random.default_rng(9).standard_normal((9, 9)))
+    targets = targets + targets.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairwise_distances(points[:2])  # a miss, so the indices are used again
+        assert pairwise_distances(points).tobytes() == _single_distances(points).tobytes()
+        scale, residual = calibrate_scale(points, targets)
+    iu = np.triu_indices(9, k=1)
+    d, t = _single_distances(points)[iu], targets[iu]
+    sqrt_lam = float(np.dot(t, d)) / float(np.dot(d, d))
+    assert scale.value == sqrt_lam**2
+    assert residual == float(np.sum((sqrt_lam * d - t) ** 2))
