@@ -297,17 +297,19 @@ def _first_failed(ok: np.ndarray) -> int | None:
     return None if ok[a] else a
 
 
-def _inside(box, X: np.ndarray) -> np.ndarray:
-    """Whether each row of ``X`` lies in its row of ``box``, a pair of
-    lower and upper bounds that broadcast against ``X``."""
+def _first_outside(box, X: np.ndarray) -> int | None:
+    """The index of the first row of ``X`` that does not lie in its row
+    of ``box``, a pair of lower and upper bounds that broadcast against
+    ``X``, or ``None`` when every row does (one ``all`` over the stack)."""
     lower, upper = box
-    return ((X >= lower) & (X <= upper)).all(axis=1)
+    inside = (X >= lower) & (X <= upper)
+    return None if inside.all() else _first_failed(inside.all(axis=1))
 
 
 def _metrics_inside(chart: Chart, X: np.ndarray) -> np.ndarray:
     """Validated metrics of ``chart`` at each row of ``X``, from one call
     of its metric function; every row must lie in the chart's box."""
-    a = _first_failed(_inside((chart.lower, chart.upper), X))
+    a = _first_outside((chart.lower, chart.upper), X)
     if a is not None:
         raise DomainError(f"{X[a]} is outside the domain of {chart.name}")
     return _validated((chart,) * len(X), X, _evaluate(_plan((chart,)), X[None])[0])
@@ -405,7 +407,7 @@ def _connection(charts, plan, box, X: np.ndarray, block=None) -> np.ndarray:
     A non-finite inverse needs no test there: it makes every coefficient
     of its row non-finite, which fails the symmetry test.
     """
-    a = _first_failed(_inside(box, X))
+    a = _first_outside(box, X)
     if a is not None:
         raise _StencilExit(
             f"{X[a]} is within {FD_STEP} of the boundary of {charts[a].name}; "
@@ -596,7 +598,7 @@ def _rk4_lockstep(charts, X: np.ndarray, V: np.ndarray, steps: int):
             except DomainError as exc:  # a metric function's own, or an overflowing inverse
                 stop = f"on {charts[0].name} stopped near t={k * dt:.6g}: {exc}"
                 break
-            if _first_failed(_inside(box, X)) is not None:
+            if _first_outside(box, X) is not None:
                 stop = f"left the domain of {charts[0].name} at t={(k + 1) * dt:.6g}"
                 break
             made = k + 1
@@ -894,7 +896,15 @@ def builtin_charts() -> tuple[Chart, ...]:
 
 def spherical_to_ambient(x) -> np.ndarray:
     """Map sphere-chart coordinates (theta, phi) to a unit vector in R^3."""
-    theta, phi = _as_coords(x, 2, "sphere-chart coordinates")
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+    return _spherical_rows(_as_coords(x, 2, "sphere-chart coordinates")[None])[0]
+
+
+def _spherical_rows(X: np.ndarray) -> np.ndarray:
+    """``spherical_to_ambient`` of each row of an ``(m, 2)`` stack of
+    finite sphere-chart coordinates, as an ``(m, 3)`` stack, with one
+    ``sin`` and one ``cos`` per coordinate column."""
+    theta, phi = X.T
+    sin_theta = np.sin(theta)
+    return np.stack(
+        (sin_theta * np.cos(phi), sin_theta * np.sin(phi), np.cos(theta)), axis=1
     )

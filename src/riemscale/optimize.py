@@ -367,7 +367,8 @@ def _on_one_manifold(points: tuple[ManifoldPoint, ...]) -> tuple[Manifold, np.nd
     # identity first: a frozen dataclass's == compares field by field
     if any(pt.manifold is not manifold and pt.manifold != manifold for pt in points[1:]):
         raise ContractViolationError("points live on different manifolds")
-    return manifold, np.stack([pt.coordinates for pt in points])
+    # np.array makes np.stack's copy, byte for byte, without its per-array Python loop
+    return manifold, np.array([pt.coordinates for pt in points])
 
 
 def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
@@ -466,8 +467,8 @@ def _twin_deviations(manifold: Manifold, traces: Sequence[OptimizerTrace]) -> It
         common = min(len(run_scaled), len(run_base))
         deviation = 0.0
         if common:
-            a = np.stack([pt.coordinates for pt in run_scaled.iterates[:common]])
-            b = np.stack([pt.coordinates for pt in run_base.iterates[:common]])
+            a = np.array([pt.coordinates for pt in run_scaled.iterates[:common]])
+            b = np.array([pt.coordinates for pt in run_base.iterates[:common]])
             # Python's max from 0.0, row by row, as one max call per pair takes it
             deviation = max(deviation, *manifold.dist(a, b).tolist())
         if {run_scaled.stop_reason, run_base.stop_reason} & {STOP_ERROR, STOP_DIVERGED}:

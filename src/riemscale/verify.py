@@ -39,13 +39,13 @@ from ._version import __version__
 from .charts import (
     _connections,
     _densities,
+    _spherical_rows,
     builtin_charts,
     chart_from_string,
     christoffel_at,
     geodesic_integrate_many,
     scale_chart_constant,
     scale_chart_pointwise,
-    spherical_to_ambient,
     chart_curve_length,
 )
 from .manifolds import Manifold, ManifoldPoint, Sphere, manifold_from_string
@@ -144,7 +144,7 @@ def _angles_between(m: Manifold, p: np.ndarray, u: np.ndarray, v: np.ndarray) ->
 def _draw(draw, m: Manifold, rng: np.random.Generator, count: int) -> list[np.ndarray]:
     """``count`` cases of ``draw(m, rng)``, drawn one after another and
     stacked per argument."""
-    return [np.stack(column) for column in zip(*(draw(m, rng) for _ in range(count)))]
+    return [np.array(column) for column in zip(*(draw(m, rng) for _ in range(count)))]
 
 
 def _point_and_tangent(m, rng):
@@ -181,7 +181,7 @@ def _random_curves(m: Manifold, rng: np.random.Generator) -> tuple[np.ndarray]:
     for _ in range(CASES_PER_SWEEP):
         starts.append(m.random_point(rng))
         raw.append([rng.standard_normal(m.ambient_shape) for _ in range(3)])
-    pts = [np.stack(starts)]
+    pts = [np.array(starts)]
     column = (...,) + (np.newaxis,) * len(m.ambient_shape)
     for w in np.stack(raw, axis=1):
         v = m.to_tangent(pts[-1], w)
@@ -378,10 +378,9 @@ def _run_nonconstant_scaling(rng):
 
 def _run_chart_matches_closed_form(rng):
     path = _suite_geodesics()[1]
-    start = spherical_to_ambient(path.positions[0])
+    ambient = _spherical_rows(path.positions)
     # one exp from the start, broadcast over the tangents t * (0, 1, 0)
-    references = Sphere(2).exp(start, path.times[:, np.newaxis] * np.array([0.0, 1.0, 0.0]))
-    ambient = np.array([spherical_to_ambient(x) for x in path.positions])
+    references = Sphere(2).exp(ambient[0], path.times[:, np.newaxis] * np.array([0.0, 1.0, 0.0]))
     yield from np.max(np.abs(ambient - references), axis=1).tolist()
 
 
@@ -415,12 +414,12 @@ def _run_iterate_gradient_direction(rng):
         sm = ScaledManifold(m, 4.0)
         config = OptimizerConfig(step_size=0.1, max_iters=50, grad_tol=0.0)
         trace = riemannian_gd(sm, objective, x0, config)
-        points = np.stack([point.coordinates for point in trace.iterates])
+        points = np.array([point.coordinates for point in trace.iterates])
         if objective._measure_many is None:  # no stacked pass: one call per iterate
             gradients = [objective.gradient_fn(point) for point in trace.iterates]
         else:
             gradients = [g for g, _ in objective._measure_many(list(trace.iterates))]
-        grad = np.stack([g.components for g in gradients])
+        grad = np.array([g.components for g in gradients])
         kept = ~(m.norm(points, grad) < 1e-12)
         points, grad = points[kept], grad[kept]
         yield from _angles_between(m, points, sm.rescale_gradient(grad), grad)

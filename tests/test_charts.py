@@ -724,6 +724,59 @@ def test_stacked_chart_helpers_raise_the_error_of_their_first_failing_row():
     )
 
 
+def test_first_outside_is_the_first_row_outside_its_box():
+    rng = np.random.default_rng(23)
+    lower, upper = np.array([0.1, -np.pi]), np.array([10.0, np.pi])
+    stacked = (rng.uniform(0.0, 1.0, (9, 2)), rng.uniform(5.0, 11.0, (9, 2)))
+    for box in ((lower, upper), stacked):
+        for _ in range(200):
+            # each row the box's midpoint, or with odds 1 in 10 a random row
+            mid = np.broadcast_to((box[0] + box[1]) / 2.0, (9, 2))
+            X = np.where(rng.random((9, 1)) < 0.1, rng.uniform(-1.0, 12.0, (9, 2)), mid)
+            if rng.random() < 0.2:
+                X[rng.integers(9), rng.integers(2)] = math.nan
+            inside = ((X >= box[0]) & (X <= box[1])).all(axis=1)
+            expected = None if inside.all() else int(np.flatnonzero(~inside)[0])
+            assert charts_module._first_outside(box, X) == expected
+
+
+def test_stacked_box_tests_name_the_first_row_that_fails_them():
+    polar = polar_chart()
+    FD_STEP = charts_module.FD_STEP
+    X = np.tile([3.0, 0.0], (7, 1))
+    X[2, 0] = polar.lower[0] + FD_STEP / 2.0  # both within FD_STEP of the boundary
+    X[5, 1] = polar.upper[1] - FD_STEP / 4.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error = _error_of(lambda: charts_module._connections(polar, X))
+        assert error == _error_of(lambda: christoffel_at(polar, X[2]))
+        assert issubclass(error[0], DomainError)
+        assert error[1].startswith(f"{X[2]} is within {FD_STEP} of the boundary of polar")
+        assert charts_module._densities(polar, X).tobytes() == np.array(
+            [volume_density(polar, x) for x in X]
+        ).tobytes()  # within the box itself, the densities pass
+        X[3, 0], X[6, 0] = polar.upper[0] + 1.0, polar.lower[0] / 2.0
+        error = _error_of(lambda: charts_module._densities(polar, X))
+    assert error == _error_of(lambda: volume_density(polar, X[3]))
+    assert error == (DomainError, f"{X[3]} is outside the domain of polar")
+
+
+def test_stacked_spherical_rows_are_each_single_conversion_bit_for_bit():
+    rng = np.random.default_rng(29)
+    chart = sphere_chart()
+    X = np.concatenate((
+        rng.uniform(chart.lower, chart.upper, (1000, 2)),
+        rng.uniform(-10.0, 10.0, (500, 2)),
+        [[0.0, 0.0], [-0.0, -0.0], [math.pi / 2, math.pi], [math.pi, -math.pi]],
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = charts_module._spherical_rows(X)
+        singles = np.array([spherical_to_ambient(x) for x in X])
+    assert rows.shape == (len(X), 3) and rows.dtype == np.float64
+    assert rows.tobytes() == singles.tobytes()
+
+
 def test_overflowing_chart_results_raise_a_domain_error_without_a_warning():
     huge = scale_chart_constant(euclidean_chart(2), 1e300)
     with warnings.catch_warnings():

@@ -585,6 +585,33 @@ def test_spd_descent_factors_each_iterate_once(monkeypatch, side):
         }
 
 
+@pytest.mark.parametrize("side", [2, 8])
+def test_spd_descent_sizes_each_iterates_factor_once(monkeypatch, side):
+    manifold = SymmetricPositiveDefinite(side)
+    _, objective, x0 = random_frechet_problem(manifold, 5, np.random.default_rng(side))
+    config = OptimizerConfig(step_size=0.1, max_iters=12, grad_tol=0.0)
+    size = manifolds._size
+    for arm in (manifold, ScaledManifold(manifold, 4.0)):
+        with monkeypatch.context() as patch:  # every factor's size taken afresh
+            patch.setattr(manifolds, "_factor_size", size)
+            fresh = riemannian_gd(arm, objective, x0, config)
+        sized = []
+        monkeypatch.setattr(manifolds, "_size", lambda a: sized.append(a.shape) or size(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = riemannian_gd(arm, objective, x0, config)
+        monkeypatch.undo()
+        assert trace.stop_reason == "max_iters"
+        # per iterate the factor and the stacked logarithms (gradient); per
+        # step the exponential, whose factor's size is the one kept in the memo
+        iterates, steps = len(trace), len(trace) - 1
+        assert len(sized) == 2 * iterates + steps
+        assert sized.count((side, side)) == iterates + steps
+        for a, b in zip(trace.iterates, fresh.iterates):
+            assert a.coordinates.tobytes() == b.coordinates.tobytes()
+        assert trace.values == fresh.values and trace.grad_norms == fresh.grad_norms
+
+
 @pytest.mark.parametrize("side, n", [(2, 70), (8, 40)])
 def test_spd_pairwise_distances_factor_each_base_once_per_block(monkeypatch, side, n):
     manifold = SymmetricPositiveDefinite(side)
@@ -1076,3 +1103,63 @@ def test_distances_and_fit_over_cached_pair_indices_match_recomputed_indices(man
     sqrt_lam = float(np.dot(t, d)) / float(np.dot(d, d))
     assert scale.value == sqrt_lam**2
     assert residual == float(np.sum((sqrt_lam * d - t) ** 2))
+
+
+ONE_MANIFOLD_CASES = [Euclidean(3), S2, SymmetricPositiveDefinite(2),
+                      SymmetricPositiveDefinite(8), ScaledManifold(S2, 4.0)]
+
+
+def _points_built(how, manifold, n, seed):
+    """``n`` points on ``manifold``: rows of the read-only stack that
+    ``random_frechet_problem`` draws, separately built points, or the two
+    alternating."""
+    drawn, _, _ = random_frechet_problem(manifold, n, np.random.default_rng(seed))
+    separate = [ManifoldPoint(manifold, np.array(p.coordinates)) for p in drawn]
+    if how == "stack-rows":
+        return list(drawn)
+    if how == "separate":
+        return separate
+    return [a if i % 2 else b for i, (a, b) in enumerate(zip(drawn, separate))]
+
+
+@pytest.mark.parametrize("how", ["stack-rows", "separate", "mixed"])
+@pytest.mark.parametrize("n", [1, 2, 130])
+@pytest.mark.parametrize("manifold", ONE_MANIFOLD_CASES, ids=repr)
+def test_one_manifold_coordinates_are_a_fresh_copy_with_np_stacks_bytes(manifold, n, how):
+    points = _points_built(how, manifold, n, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_manifold, coords = optimize._on_one_manifold(tuple(points))
+        expected = np.stack([p.coordinates for p in points])
+    assert got_manifold is points[0].manifold
+    assert coords.shape == expected.shape == (n, *manifold.ambient_shape)
+    assert coords.dtype == np.float64 and coords.tobytes() == expected.tobytes()
+    assert coords.flags.c_contiguous and coords.flags.writeable
+    assert not any(np.shares_memory(coords, p.coordinates) for p in points)
+
+
+@pytest.mark.parametrize("how", ["stack-rows", "separate", "mixed"])
+def test_points_on_different_manifolds_are_rejected_however_they_were_built(how):
+    points = _points_built(how, S2, 4, 3)
+    stray = ManifoldPoint(ScaledManifold(S2, 4.0), points[1].coordinates)
+    with pytest.raises(ContractViolationError) as caught:
+        optimize._on_one_manifold((*points, stray))
+    assert str(caught.value) == "points live on different manifolds"
+
+
+@pytest.mark.parametrize("manifold", ONE_MANIFOLD_CASES, ids=repr)
+def test_equal_point_sets_built_apart_hit_the_distance_memo(monkeypatch, manifold):
+    first = _points_built("stack-rows", manifold, 12, 5)
+    second = _points_built("separate", manifold, 12, 5)
+    assert all(a.coordinates is not b.coordinates for a, b in zip(first, second))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = pairwise_distances(first)
+        calls = []
+        dist = type(manifold).dist
+        monkeypatch.setattr(type(manifold), "dist", lambda self, p, q: calls.append(1) or dist(self, p, q))
+        got = pairwise_distances(second)
+        scale, _ = calibrate_scale(second, 2.0 * got)
+    assert calls == []
+    assert got.tobytes() == expected.tobytes()
+    assert scale.value == 4.0
