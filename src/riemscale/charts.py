@@ -28,11 +28,11 @@ chart is the one-arm case of the same engine, and every path is
 bit-identical to a run of its chart on its own.
 
 The checks run a block of steps at a time.  Every stage tests its
-stencil points against the box before any metric call, but the checks
-that feed no later stage (the metric, its inverse, the symmetry of the
-connection, the box after each step) run once per block over the
-stacked stages.  A block that fails one of them, raises, or meets a
-floating-point condition the caller's ``np.geterr()`` does not ignore
+stencil points against the box before any metric call; the checks that
+feed no later stage (the metric, its inverse, the connection's symmetry,
+the box after each step) run once per block over the stacked stages, by
+the functions a stage calls.  A block that fails one, raises, or meets
+a floating-point condition the caller's ``np.geterr()`` does not ignore
 is redone stage by stage, so its error, message and warnings are those
 of a run that checks every stage as it goes.
 """
@@ -128,7 +128,7 @@ class ChristoffelField:
             raise ContractViolationError(
                 f"coefficients of shape {symbols.shape} do not match point shape {pt.shape}"
             )
-        asym = float(np.max(np.abs(symbols - symbols.transpose(0, 2, 1))))
+        asym = float(np.max(_asymmetry(symbols)))
         if not asym <= CHRISTOFFEL_SYMMETRY_TOL:
             raise InternalConsistencyError(
                 f"connection coefficients asymmetric by {asym:.3e}"
@@ -267,28 +267,40 @@ def _evaluate(plan, P: np.ndarray) -> np.ndarray:
 
 
 def _validated(charts, X: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """``G``, the stacked metrics of ``charts[a]`` at ``X[a]``, once each
-    check (finiteness, symmetry, positive definiteness) has run over all
-    rows in turn; the first row that fails one raises
-    ``InvalidChartError`` naming its chart and point.
+    """``G``, the stacked metrics of ``charts[a]`` at ``X[a]``, once
+    ``_bad_metric`` accepts every row; the first row it rejects raises
+    ``InvalidChartError`` naming its chart and point."""
+    bad = _bad_metric(G)
+    if bad is not None:
+        a, what = bad
+        raise InvalidChartError(f"metric of {charts[a].name} at {X[a]} {what}")
+    return G
 
-    Positive definiteness is one stacked Cholesky factorization; only
+
+def _bad_metric(G: np.ndarray) -> tuple[int, str] | None:
+    """The first row of the metric stack ``G`` that fails a check, and
+    why, or ``None``: finiteness, symmetry, then positive definiteness,
+    each over all rows in turn.  The last is one stacked Cholesky; only
     when it fails are the eigenvalues computed, to name the first row
     with one ``<= 0``."""
-
-    def reject(ok: np.ndarray, what: str) -> None:
-        a = _first_failed(ok)
-        if a is not None:
-            raise InvalidChartError(f"metric of {charts[a].name} at {X[a]} {what}")
-
-    reject(np.isfinite(G).all(axis=(1, 2)), "has non-finite entries")
-    asym = np.abs(G - G.transpose(0, 2, 1)).max(axis=(1, 2))
-    reject(asym <= METRIC_SYMMETRY_TOL, "is not symmetric")
+    a = _first_failed(np.isfinite(G).all(axis=(1, 2)))
+    if a is not None:
+        return a, "has non-finite entries"
+    a = _first_failed(_asymmetry(G).max(axis=(1, 2)) <= METRIC_SYMMETRY_TOL)
+    if a is not None:
+        return a, "is not symmetric"
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        reject(np.linalg.eigvalsh(G)[:, 0] > 0.0, "is not positive definite")
-    return G
+        a = _first_failed(np.linalg.eigvalsh(G)[:, 0] > 0.0)
+    return None if a is None else (a, "is not positive definite")
+
+
+def _asymmetry(A: np.ndarray) -> np.ndarray:
+    """``|A - A^T|`` over the last two axes of the stack ``A``, with one
+    temporary the size of ``A``."""
+    gap = A - A.swapaxes(-1, -2)
+    return np.abs(gap, out=gap)
 
 
 def _first_failed(ok: np.ndarray) -> int | None:
@@ -300,10 +312,11 @@ def _first_failed(ok: np.ndarray) -> int | None:
 def _first_outside(box, X: np.ndarray) -> int | None:
     """The index of the first row of ``X`` that does not lie in its row
     of ``box``, a pair of lower and upper bounds that broadcast against
-    ``X``, or ``None`` when every row does (one ``all`` over the stack)."""
+    ``X`` (counted in C order over its leading axes), or ``None`` when
+    every row does (one ``all`` over the stack)."""
     lower, upper = box
     inside = (X >= lower) & (X <= upper)
-    return None if inside.all() else _first_failed(inside.all(axis=1))
+    return None if inside.all() else _first_failed(inside.all(axis=-1).ravel())
 
 
 def _metrics_inside(chart: Chart, X: np.ndarray) -> np.ndarray:
@@ -403,9 +416,10 @@ def _connection(charts, plan, box, X: np.ndarray, block=None) -> np.ndarray:
 
     With ``block``, a ``_Block``, only the stencil test runs here: the
     center metrics and the coefficients are stored in ``block``, whose
-    ``passes`` runs the other checks once over all the stages of a block.
-    A non-finite inverse needs no test there: it makes every coefficient
-    of its row non-finite, which fails the symmetry test.
+    ``passes`` runs the other checks once over a block's stages, with the
+    same ``_bad_metric`` and ``_asymmetry``.  A non-finite inverse needs
+    no test there: it makes its row's coefficients non-finite, which
+    fails the symmetry test.
     """
     a = _first_outside(box, X)
     if a is not None:
@@ -432,7 +446,7 @@ def _connection(charts, plan, box, X: np.ndarray, block=None) -> np.ndarray:
     if block is not None:
         block.store(center, gamma)
         return gamma
-    asym = np.abs(gamma - gamma.transpose(0, 1, 3, 2)).max(axis=(1, 2, 3))
+    asym = _asymmetry(gamma).max(axis=(1, 2, 3))
     a = _first_failed(asym <= CHRISTOFFEL_SYMMETRY_TOL)
     if a is not None:
         raise InternalConsistencyError(
@@ -481,7 +495,7 @@ _BLOCK_STEPS = 64
 class _Block:
     """The center metrics and connection coefficients of up to ``steps``
     RK4 steps of ``K`` arms, four stages a step, stored by
-    ``_connection`` in stage order for the checks of ``passes``."""
+    ``_connection`` in stage order for ``passes`` to check."""
 
     def __init__(self, steps: int, K: int, n: int):
         self.metrics = np.empty((4 * steps, K, n, n))
@@ -495,31 +509,17 @@ class _Block:
 
     def passes(self, box, positions: np.ndarray) -> bool:
         """Whether every check a stage-by-stage run makes besides its
-        stencil tests holds on the ``stages`` stored: the center metrics
-        are finite, symmetric and positive definite (one stacked Cholesky
-        factorization), the coefficients are symmetric in the lower index
-        pair (a non-finite inverse metric fails this, see ``_connection``),
-        and the ``positions`` after each step lie in ``box``."""
-        s = self.stages
-        G = self.metrics[:s]
-        if not (np.isfinite(G).all() and _symmetric(G, METRIC_SYMMETRY_TOL)):
-            return False
-        try:
-            np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            return False
-        lower, upper = box
+        stencil tests holds on the ``stages`` stored, made by the stage's
+        own code: ``_bad_metric`` on the center metrics as one stack, the
+        coefficient symmetry test (a non-finite inverse metric fails it,
+        see ``_connection``) and ``_first_outside`` on the ``positions``
+        after each step."""
+        s, n = self.stages, self.metrics.shape[-1]
         return bool(
-            _symmetric(self.coefficients[:s], CHRISTOFFEL_SYMMETRY_TOL)
-            and ((positions >= lower) & (positions <= upper)).all()
+            _bad_metric(self.metrics[:s].reshape(-1, n, n)) is None
+            and (_asymmetry(self.coefficients[:s]) <= CHRISTOFFEL_SYMMETRY_TOL).all()
+            and _first_outside(box, positions) is None
         )
-
-
-def _symmetric(A: np.ndarray, tol: float) -> bool:
-    """Whether every matrix of the stack ``A`` is symmetric to within
-    ``tol`` in each entry, with one temporary the size of ``A``."""
-    gap = A - A.swapaxes(-1, -2)
-    return bool((np.abs(gap, out=gap) <= tol).all())
 
 
 def _rk4_step(charts, plan, box, X: np.ndarray, V: np.ndarray, dt: float, block=None):
@@ -618,9 +618,8 @@ def _start_rows(charts, x, name: str) -> np.ndarray:
         raise ContractViolationError(
             f"{name} has shape {rows.shape}, expected ({n},) or ({K}, {n}) for {K} charts"
         )
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        a = int(np.argmax(bad))
+    a = _first_failed(np.isfinite(rows).all(axis=1))
+    if a is not None:
         raise ContractViolationError(f"{name} of arm {a} has non-finite entries: {rows[a]}")
     return rows
 

@@ -10,7 +10,11 @@ gradients to metric gradients, and chordal curve length.
 
 Everything here is closed form: sphere operations use trigonometric
 formulas, and every SPD operation factors its base point once, as
-``p = L L^T`` by Cholesky, and whitens with ``L^-1 · L^-T``.
+``p = L L^T`` by Cholesky, and whitens with ``L^-1 · L^-T``.  ``exp``,
+``log`` and ``transport`` map their results back out of the whitened
+frame one way, ``_map_back``: the congruence ``a m a^T``, symmetrized
+within a drift budget, and a ``DomainError`` without a warning if it
+overflows.
 All values are immutable and all operations are pure functions, so the
 module is safe for unrestricted concurrent use.
 
@@ -754,13 +758,9 @@ class SymmetricPositiveDefinite(Manifold):
         low, _, white = self._whiten(p, v)
         with np.errstate(over="ignore", invalid="ignore"):
             f = _sym_apply(white, np.exp)
-            out = low @ f @ low.mT
-            size = _factor_size(low) ** 2 * _size(f)
         if not np.isfinite(f).all():
             raise DomainError("exp of the whitened tangent L^-1 v L^-T overflowed, with p = L L^T")
-        if not np.isfinite(out).all():
-            raise DomainError("exp mapped back to L f L^T overflowed, with p = L L^T")
-        return self._resymmetrize(out, size)
+        return self._map_back(low, f, "exp mapped back to L f L^T")
 
     def log(self, p, q):
         return self._batched(self.log, lambda p, q: self._dist_log(p, q)[1], p, q)
@@ -770,13 +770,13 @@ class SymmetricPositiveDefinite(Manifold):
         if other.all():  # no row to mask, as in every descent iterate after the first
             low, _, white = self._whiten(p, rows)
             d = self._distances(other, white)  # raises dist's error before log's
-            return d, self._unwhiten(low, _sym_apply(white, np.log))
+            return d, self._map_back(low, _sym_apply(white, np.log), "log mapped back to L f L^T")
         out = np.zeros_like(rows)
         if not other.any():
             return self._distances(other, None), out
         low, _, white = self._whiten(p if p.ndim == 2 else p[other], rows[other])
         d = self._distances(other, white)
-        out[other] = self._unwhiten(low, _sym_apply(white, np.log))
+        out[other] = self._map_back(low, _sym_apply(white, np.log), "log mapped back to L f L^T")
         return d, out
 
     def transport(self, p, q, v):
@@ -791,7 +791,7 @@ class SymmetricPositiveDefinite(Manifold):
             # principal square root of q p^-1 = L W L^-1, with W the whitened
             # q, whose eigenvalues are positive when q is positive definite
             e = low @ _sym_apply(white, np.sqrt, positive=True) @ inv_low
-            out[moving] = self._resymmetrize(e @ v @ e.mT, _size(e) ** 2 * _size(v))
+            out[moving] = self._map_back(e, v, "transport E v E^T")
         return out
 
     def to_tangent(self, p, w):
@@ -914,9 +914,19 @@ class SymmetricPositiveDefinite(Manifold):
             vals = w
         return np.sqrt((np.log(vals) ** 2).sum(axis=1))
 
-    def _unwhiten(self, low: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """``L f L^T``, the whitened result ``f`` mapped back, symmetrized."""
-        return self._resymmetrize(low @ f @ low.mT, _factor_size(low) ** 2 * _size(f))
+    def _map_back(self, a: np.ndarray, m: np.ndarray, what: str) -> np.ndarray:
+        """``a m a^T``, a result ``m`` mapped back out of the whitened frame
+        (``a`` is ``L``, or the transport's ``L W^1/2 L^-1``), symmetrized
+        by ``_resymmetrize``; ``DomainError`` naming ``what``, with no
+        warning, if an entry overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = a @ m @ a.mT
+            try:
+                return self._resymmetrize(out, _factor_size(a) ** 2 * _size(m))
+            except InternalConsistencyError:
+                if np.isfinite(out).all():
+                    raise
+        raise DomainError(f"{what} overflowed, with p = L L^T")
 
     @staticmethod
     def _resymmetrize(out: np.ndarray, size=1.0) -> np.ndarray:

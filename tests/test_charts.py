@@ -607,6 +607,94 @@ def test_a_stage_overflow_is_alike_for_every_block_size(
     assert recorded == [pair * warned] * 4
 
 
+# A metric that Cholesky rejects but that is positive definite: its smallest
+# eigenvalue is 5.6e-17 > 0, so a stage's check accepts it
+G0 = np.array([[3.67156589071382, -1.1616639570428582],
+               [-1.1616639570428582, 0.36754430922935477]])
+
+
+def test_a_metric_cholesky_rejects_but_the_stage_accepts_costs_no_redone_block(monkeypatch):
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(G0)
+    assert np.linalg.eigvalsh(G0)[0] > 0.0
+    calls = []
+
+    def metric(X):
+        calls.append(len(X))
+        return np.tile(G0, (len(X), 1, 1))
+
+    chart = Chart("g0", 2, [-10.0, -10.0], [10.0, 10.0], metric)
+    paths = []
+    for size in (1, 3, 64):
+        monkeypatch.setattr(charts_module, "_BLOCK_STEPS", size)
+        calls.clear()
+        paths.append(_path_bytes(geodesic_integrate(chart, [0.0, 0.0], [0.5, -0.3])))
+        assert len(calls) == 4 * charts_module.DEFAULT_STEPS  # no block was redone
+    assert paths[0] == paths[1] == paths[2]
+
+
+def _ulps(x: float, k: int) -> float:
+    return x + k * np.spacing(x)
+
+
+def _stages_accept(charts, box, X, metrics, coefficients, positions) -> bool:
+    """Whether the checks of a stage-by-stage run accept stored stages:
+    ``_validated`` on each stage's metrics, the coefficients' symmetry
+    test (``ChristoffelField`` makes the one ``_connection`` makes) on
+    each arm of each stage, and ``_first_outside`` on each step's end."""
+    try:
+        for G, gamma in zip(metrics, coefficients):
+            charts_module._validated(charts, X, G)
+            for x, symbols in zip(X, gamma):
+                ChristoffelField(x, symbols)
+    except GeometryError:
+        return False
+    return all(charts_module._first_outside(box, P) is None for P in positions)
+
+
+METRIC_TOL = charts_module.METRIC_SYMMETRY_TOL
+COEFFICIENT_TOL = charts_module.CHRISTOFFEL_SYMMETRY_TOL
+
+
+BLOCK_CHARTS = (polar_chart(), sphere_chart())
+BLOCK_BOX = charts_module._stencil_box(BLOCK_CHARTS)
+EDGE = BLOCK_BOX[1][1, 0]  # the largest x0 of arm 1 whose stencil stays in its box
+
+
+# Each fault is set in stage 5 of 8, arm 1 of 2, or in the end of step 1 of 2.
+@pytest.mark.parametrize("stored, index, value, accepted", [
+    ("metrics", (), None, True),
+    ("metrics", (5, 1, 1, 1), math.nan, False),
+    ("metrics", (5, 1, 0, 1), _ulps(METRIC_TOL, -3), True),
+    ("metrics", (5, 1, 0, 1), METRIC_TOL, True),
+    ("metrics", (5, 1, 0, 1), _ulps(METRIC_TOL, 3), False),
+    ("metrics", (5, 1), np.diag([1.0, -1.0]), False),
+    ("metrics", (5, 1), G0, True),
+    ("coefficients", (5, 1, 1, 0, 1), _ulps(COEFFICIENT_TOL, -3), True),
+    ("coefficients", (5, 1, 1, 0, 1), COEFFICIENT_TOL, True),
+    ("coefficients", (5, 1, 1, 0, 1), _ulps(COEFFICIENT_TOL, 3), False),
+    ("positions", (1, 1, 0), EDGE, True),
+    ("positions", (1, 1, 0), _ulps(EDGE, 1), False),
+], ids=["valid", "non-finite-metric", "metric-asymmetric-below", "metric-asymmetric-at",
+        "metric-asymmetric-above", "indefinite-metric", "cholesky-rejects-G0",
+        "coefficients-asymmetric-below", "coefficients-asymmetric-at",
+        "coefficients-asymmetric-above", "position-on-the-box", "position-outside-the-box"])
+def test_a_block_passes_exactly_when_its_stages_checks_accept(stored, index, value, accepted):
+    X = np.array([[3.0, 0.0], [1.2, 0.3]])
+    arrays = {
+        "metrics": np.tile(np.eye(2), (8, 2, 1, 1)),
+        "coefficients": np.zeros((8, 2, 2, 2, 2)),
+        "positions": np.tile(X, (2, 1, 1)),
+    }
+    if value is not None:
+        arrays[stored][index] = value
+    block = charts_module._Block(2, 2, 2)
+    for G, gamma in zip(arrays["metrics"], arrays["coefficients"]):
+        block.store(G, gamma)
+    assert _stages_accept(BLOCK_CHARTS, BLOCK_BOX, X, *arrays.values()) is accepted
+    assert block.passes(BLOCK_BOX, arrays["positions"]) is accepted
+
+
 START = ([3.0, 0.0], [0.5, 0.2])
 
 

@@ -2,6 +2,7 @@
 randomized structural properties."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -158,6 +159,43 @@ def test_exp_spd_overflow_mapping_back_is_a_domain_error_without_a_warning():
                          (exp_map, (_vector(p, 2e301 * np.eye(2)),))):
             with pytest.raises(DomainError, match="L f L\\^T overflowed"):
                 op(*args)
+
+
+# Each SPD operation that maps a whitened result back, with a base and an
+# argument whose result overflows there: exp as above; log from 1.7e308 I,
+# which whitens I to 5.9e-309 I, whose logarithm -709 I maps back to
+# -1.2e311 I; and transport to 4 I, whose 2 I map scales 1e308 I by 4.
+_MAP_BACK_OVERFLOWS = {
+    "exp": (SPD2.exp, 1e300 * np.eye(2), 2e301 * np.eye(2), "exp mapped back to L f L^T"),
+    "log": (SPD2.log, 1.7e308 * np.eye(2), np.eye(2), "log mapped back to L f L^T"),
+    "transport": (lambda p, v: SPD2.transport(p, 4.0 * np.eye(2), v), np.eye(2),
+                  1e308 * np.eye(2), "transport E v E^T"),
+}
+
+
+@pytest.mark.parametrize("op", list(_MAP_BACK_OVERFLOWS))
+def test_spd_results_mapped_back_past_the_range_are_a_domain_error_without_a_warning(op):
+    fn, p, x, what = _MAP_BACK_OVERFLOWS[op]
+    eye, indefinite = np.eye(2), np.diag([1.0, -1.0])
+    message = "^" + re.escape(f"{what} overflowed, with p = L L^T") + "$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            fn(p, x)
+        # row 1 overflows, and row 2's base fails the batch's factorization
+        # first; the batch raises row 1's own error
+        with pytest.raises(DomainError, match=message):
+            fn(np.stack([eye, p, indefinite]), np.stack([0.5 * eye, x, eye]))
+
+
+def test_typed_spd_log_and_transport_past_the_range_are_a_domain_error_without_a_warning():
+    huge, eye = _point(SPD2, 1.7e308 * np.eye(2)), _point(SPD2, np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^log mapped back to L f L\\^T overflowed"):
+            log_map(huge, eye)
+        with pytest.raises(DomainError, match="^transport E v E\\^T overflowed"):
+            parallel_transport(_vector(eye, 1e308 * np.eye(2)), _point(SPD2, 4.0 * np.eye(2)))
 
 
 def test_exp_sphere_overflow_raises_instead_of_a_math_error():
