@@ -55,15 +55,14 @@ A barycenter iterate measures all data points in one pass: the private
 ``_dist_log(p, rows)`` gives ``dist(p, rows)`` and ``log(p, rows)``
 together, bit for bit, sharing the row set-up, the sphere chords and
 the SPD whitening.  The SPD cone also remembers the Cholesky factor
-(and, once needed, its inverse and its largest entry) of the last
-single base matrix it factored, keyed on the matrix's exact bytes, so
-validating a descent iterate, measuring from it, taking its norm and
-stepping from it factor it once.  The memo is one tuple, replaced
-whole, so concurrent callers stay safe.  A stack of base points is not
-remembered, but each run of equal consecutive base matrices in it is
-factored once: the base side of the pairs ``pairwise_distances`` walks
-repeats each point over a run of rows, and a single base point
-broadcast against a stack is one run.
+(and, once needed, its inverse) of the last single base matrix it
+factored, keyed on the matrix's exact bytes, so validating a descent
+iterate, measuring from it, taking its norm and stepping from it factor
+it once.  The memo is one tuple, replaced whole, so concurrent callers
+stay safe.  A stack of base points is not remembered, but each run of
+equal consecutive base matrices in it is factored once: the base side
+of the pairs ``pairwise_distances`` walks repeats each point over a run
+of rows, and a single base point broadcast against a stack is one run.
 
 Each family also has two private stacked checks, ``_points_pass(X)`` and
 ``_tangents_pass(P, V)``: one call tells whether every row of a stack
@@ -203,18 +202,6 @@ def _runs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def _size(a: np.ndarray) -> np.ndarray:
     """Largest absolute entry of a matrix, or of each matrix in a stack."""
     return np.abs(a).max(axis=(-2, -1))
-
-
-def _factor_size(low: np.ndarray) -> np.ndarray:
-    """``_size(low)`` of a Cholesky factor, taken once for the factor the
-    SPD memo remembers and kept beside it."""
-    global _last_factor
-    memo = _last_factor
-    if low is not memo[1]:
-        return _size(low)
-    if memo[3] is None:
-        memo = _last_factor = (*memo[:3], _size(low))
-    return memo[3]
 
 
 def _dot_inner(self: "Manifold", p, u, v) -> float | np.ndarray:
@@ -691,10 +678,9 @@ class Sphere(Manifold):
         return out / n
 
 
-# The last single SPD base matrix factored: (its bytes, L, L^-1 and L's
-# largest absolute entry, each None until a caller needs it).  Replaced
-# whole, never changed in place.
-_last_factor: tuple = (None, None, None, None)
+# The last single SPD base matrix factored: (its bytes, L, L^-1 or None
+# until a caller needs it).  Replaced whole, never changed in place.
+_last_factor: tuple = (None, None, None)
 
 
 @dataclass(frozen=True)
@@ -868,8 +854,8 @@ class SymmetricPositiveDefinite(Manifold):
             except np.linalg.LinAlgError:
                 raise DomainError("matrix is not positive definite") from None
             low.setflags(write=False)  # shared through the memo
-            memo = (key, low, None, None)
-        _, low, inv_low, _ = memo
+            memo = (key, low, None)
+        _, low, inv_low = memo
         if x is None:
             if key is not None:
                 _last_factor = memo
@@ -878,7 +864,7 @@ class SymmetricPositiveDefinite(Manifold):
             if inv_low is None:
                 inv_low = np.linalg.inv(low)
                 inv_low.setflags(write=False)
-                memo = (key, low, inv_low, memo[3])
+                memo = (key, low, inv_low)
             if key is not None:
                 _last_factor = memo
             if runs is not None:
@@ -922,7 +908,7 @@ class SymmetricPositiveDefinite(Manifold):
         with np.errstate(over="ignore", invalid="ignore"):
             out = a @ m @ a.mT
             try:
-                return self._resymmetrize(out, _factor_size(a) ** 2 * _size(m))
+                return self._resymmetrize(out, _size(a) ** 2 * _size(m))
             except InternalConsistencyError:
                 if np.isfinite(out).all():
                     raise

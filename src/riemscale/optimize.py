@@ -137,7 +137,10 @@ class OptimizerTrace:
         return len(self.iterates)
 
     def table(self) -> tuple[list[str], Iterator[list]]:
-        """Columns ``iter, f_value, grad_norm, coord_0..`` and a lazy row per iterate."""
+        """Columns ``iter, f_value, grad_norm, coord_0..`` and a lazy row per
+        iterate; ``DomainError`` for a run that stopped before its first."""
+        if not self.iterates:
+            raise DomainError(f"the run stopped ({self.stop_reason}) before its first iterate")
         d = int(np.prod(self.iterates[0].manifold.ambient_shape))
         columns = ["iter", "f_value", "grad_norm"] + [f"coord_{i}" for i in range(d)]
         rows = (

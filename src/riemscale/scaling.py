@@ -121,10 +121,6 @@ class ScaledManifold(Manifold):
     def dist(self, p, q) -> float | np.ndarray:
         return math.sqrt(self.lam) * self.base.dist(p, q)
 
-    def _dist_log(self, p, rows):
-        d, logs = self.base._dist_log(p, rows)
-        return math.sqrt(self.lam) * d, logs
-
     def curve_length(self, points: Sequence[np.ndarray]) -> float:
         return math.sqrt(self.lam) * self.base.curve_length(points)
 

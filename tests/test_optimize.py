@@ -95,6 +95,20 @@ def test_trace_columns_have_equal_length_and_csv_schema():
     assert float(first[3]) == 4.0
 
 
+def test_an_empty_trace_refuses_to_render_with_its_stop_reason():
+    def gradient_fn(x):
+        raise DomainError("no gradient here")
+
+    objective = Objective(lambda x: 0.0, gradient_fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = riemannian_gd(S2, objective, _e(2), OptimizerConfig(step_size=0.1))
+        assert len(trace) == 0 and trace.stop_reason == "error"
+        for render in (trace.table, trace.to_csv):
+            with pytest.raises(DomainError, match=r"stopped \(error\) before its first iterate"):
+                render()
+
+
 # ---------------------------------------------------------------------------
 # descent behaviour
 # ---------------------------------------------------------------------------
@@ -583,33 +597,6 @@ def test_spd_descent_factors_each_iterate_once(monkeypatch, side):
             "cholesky": iterates, "inv": iterates, "eigvalsh": iterates,
             "eigh": iterates + steps,
         }
-
-
-@pytest.mark.parametrize("side", [2, 8])
-def test_spd_descent_sizes_each_iterates_factor_once(monkeypatch, side):
-    manifold = SymmetricPositiveDefinite(side)
-    _, objective, x0 = random_frechet_problem(manifold, 5, np.random.default_rng(side))
-    config = OptimizerConfig(step_size=0.1, max_iters=12, grad_tol=0.0)
-    size = manifolds._size
-    for arm in (manifold, ScaledManifold(manifold, 4.0)):
-        with monkeypatch.context() as patch:  # every factor's size taken afresh
-            patch.setattr(manifolds, "_factor_size", size)
-            fresh = riemannian_gd(arm, objective, x0, config)
-        sized = []
-        monkeypatch.setattr(manifolds, "_size", lambda a: sized.append(a.shape) or size(a))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            trace = riemannian_gd(arm, objective, x0, config)
-        monkeypatch.undo()
-        assert trace.stop_reason == "max_iters"
-        # per iterate the factor and the stacked logarithms (gradient); per
-        # step the exponential, whose factor's size is the one kept in the memo
-        iterates, steps = len(trace), len(trace) - 1
-        assert len(sized) == 2 * iterates + steps
-        assert sized.count((side, side)) == iterates + steps
-        for a, b in zip(trace.iterates, fresh.iterates):
-            assert a.coordinates.tobytes() == b.coordinates.tobytes()
-        assert trace.values == fresh.values and trace.grad_norms == fresh.grad_norms
 
 
 @pytest.mark.parametrize("side, n", [(2, 70), (8, 40)])
