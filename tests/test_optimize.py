@@ -599,6 +599,34 @@ def test_spd_descent_factors_each_iterate_once(monkeypatch, side):
         }
 
 
+@pytest.mark.parametrize("side", [2, 8])
+def test_spd_descent_bits_do_not_depend_on_the_factor_memo(monkeypatch, side):
+    manifold = SymmetricPositiveDefinite(side)
+    _, objective, x0 = random_frechet_problem(manifold, 5, np.random.default_rng(side))
+    config = OptimizerConfig(step_size=0.1, max_iters=12, grad_tol=0.0)
+    whiten = SymmetricPositiveDefinite._whiten
+    misses = []
+
+    def cold(p, x=None):  # every factor taken afresh
+        manifolds._last_factor = (None, None, None)
+        misses.append(p.shape)
+        return whiten(p) if x is None else whiten(p, x)
+
+    for arm in (manifold, ScaledManifold(manifold, 4.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = riemannian_gd(arm, objective, x0, config)
+            with monkeypatch.context() as patch:
+                patch.setattr(SymmetricPositiveDefinite, "_whiten", staticmethod(cold))
+                fresh = riemannian_gd(arm, objective, x0, config)
+        assert trace.stop_reason == fresh.stop_reason == "max_iters"
+        assert misses.count((side, side)) > len(trace)  # the memo was bypassed
+        misses.clear()
+        for a, b in zip(trace.iterates, fresh.iterates, strict=True):
+            assert a.coordinates.tobytes() == b.coordinates.tobytes()
+        assert trace.values == fresh.values and trace.grad_norms == fresh.grad_norms
+
+
 @pytest.mark.parametrize("side, n", [(2, 70), (8, 40)])
 def test_spd_pairwise_distances_factor_each_base_once_per_block(monkeypatch, side, n):
     manifold = SymmetricPositiveDefinite(side)
