@@ -14,7 +14,10 @@ by the working tree's ``perfbench/workloads.py`` and warmed up.  Each
 tree keeps its own modules, which are put back in ``sys.modules`` before
 its rounds run.  Round ``i`` runs both trees' job lists, the revision
 first when ``i`` is even; every job's output passes the benchmark's own
-check.  Prints each tree's min and median round time.
+check.  Prints each tree's min and median round time and its median
+job time (the benchmark's ``job_s.p50``, unnormalized), then each job's
+min under both trees, so that a change which moves the median job by
+reordering the jobs around it shows which jobs crossed.
 
 The ``cli`` workload is out of scope: its jobs start subprocesses on the
 working tree's ``src``.  Like the benchmark, the process is pinned to one
@@ -64,17 +67,22 @@ def load(tree: Path, workload: str, path: list[str]):
     return jobs, {n: m for n, m in sys.modules.items() if _ours(n)}
 
 
-def run_round(jobs, modules) -> float:
+def run_round(jobs, modules) -> tuple[float, list[float]]:
+    """The round's time and each job's time in it."""
     sys.modules.update(modules)  # function-level imports resolve to this tree
     gc.collect()
+    outputs, job_times = [], []
     start = time.perf_counter()
-    outputs = [job.run(None, None) for job in jobs]
+    for job in jobs:
+        began = time.perf_counter()
+        outputs.append(job.run(None, None))
+        job_times.append(time.perf_counter() - began)
     elapsed = time.perf_counter() - start
     for job, output in zip(jobs, outputs):
         failure = job.check(output)
         if failure is not None:
             raise SystemExit(f"{job.label}: {failure}")
-    return elapsed
+    return elapsed, job_times
 
 
 def main(argv: list[str]) -> int:
@@ -95,13 +103,24 @@ def main(argv: list[str]) -> int:
             "working tree": load(ROOT, args.workload, path),
         }
         times = {label: [] for label in trees}
+        job_times = {label: [] for label in trees}  # one list per round
         labels = list(trees)
         for i in range(args.rounds):
             for label in labels if i % 2 == 0 else labels[::-1]:
-                times[label].append(run_round(*trees[label]))
+                elapsed, per_job = run_round(*trees[label])
+                times[label].append(elapsed)
+                job_times[label].append(per_job)
+        job_labels = [job.label for job in trees[labels[0]][0]]
     print(f"{args.workload}, seed {SEED}, {args.rounds} rounds")
     for label, ts in times.items():
-        print(f"{label}: min {min(ts) * 1e3:.1f} ms, median {statistics.median(ts) * 1e3:.1f} ms")
+        every_job = [t for per_job in job_times[label] for t in per_job]
+        print(f"{label}: min {min(ts) * 1e3:.1f} ms, median {statistics.median(ts) * 1e3:.1f} ms, "
+              f"median job {statistics.median(every_job) * 1e3:.2f} ms")
+    width = max(map(len, job_labels))
+    print(f"{'job min (ms)':<{width}}  " + "  ".join(f"{label:>12}" for label in labels))
+    for j, job_label in enumerate(job_labels):
+        mins = (min(per_job[j] for per_job in job_times[label]) * 1e3 for label in labels)
+        print(f"{job_label:<{width}}  " + "  ".join(f"{m:>12.2f}" for m in mins))
     return 0
 
 

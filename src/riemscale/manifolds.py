@@ -48,17 +48,23 @@ The sampler is stacked too: ``_random_points(rng, count)`` draws
 ``count`` points as one ``(count, *ambient_shape)`` stack, taking from
 the generator exactly what ``count`` single draws take, so its rows are
 theirs bit for bit; ``random_point`` is its one-row case.
-SPD distance reads the eigenvalues of ``L^-1 q L^-T``, one stacked
+SPD ``dist`` reads the eigenvalues of ``L^-1 q L^-T``, one stacked
 ``eigvalsh`` for the whole batch.
 
 A barycenter iterate measures all data points in one pass: the private
 ``_dist_log(p, rows)`` gives ``dist(p, rows)`` and ``log(p, rows)``
-together, bit for bit, sharing the row set-up, the sphere chords and
-the SPD whitening.  The SPD cone also remembers the Cholesky factor
-(and, once needed, its inverse) of the last single base matrix it
-factored, keyed on the matrix's exact bytes, so validating a descent
-iterate, measuring from it, taking its norm and stepping from it factor
-it once.  The memo is one tuple, replaced whole, so concurrent callers
+together, sharing the row set-up, the sphere chords and the SPD
+whitening.  Its logarithms are ``log``'s bit for bit, and so are its
+distances on Euclidean space and the sphere.  On the SPD cone one
+``eigh`` of each whitened row gives both: the logarithm from its
+eigenvectors and the logs of its eigenvalues, the distance as the root
+sum of those logs squared (Pennec et al., IJCV 2006), so these distances
+may differ from ``dist``'s ``eigvalsh`` ones in their last bits; each
+row still reads what it reads alone.  The SPD cone also remembers the
+Cholesky factor (and, once needed, its inverse) of the last single base
+matrix it factored, keyed on the matrix's exact bytes, so validating a
+descent iterate, measuring from it, taking its norm and stepping from it
+factor it once.  The memo is one tuple, replaced whole, so concurrent callers
 stay safe.  A stack of base points is not remembered, but each run of
 equal consecutive base matrices in it is factored once: the base side
 of the pairs ``pairwise_distances`` walks repeats each point over a run
@@ -303,9 +309,11 @@ class Manifold(ABC):
 
     def _dist_log(self, p: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``dist(p, rows)`` and ``log(p, rows)`` for a point (or a stack
-        paired row by row) and an ``(N, *ambient_shape)`` stack, bit for
-        bit, raising what calling ``dist`` and then ``log`` raises.
-        Families override it to share the work of the two calls."""
+        paired row by row) and an ``(N, *ambient_shape)`` stack, raising
+        what calling ``dist`` and then ``log`` raises.  Families override
+        it to share the work of the two calls; the logarithms keep
+        ``log``'s bits, and the distances ``dist``'s except on the SPD
+        cone, which reads them from the logarithm's ``eigh``."""
         return self.dist(p, rows), self.log(p, rows)
 
     @abstractmethod
@@ -752,18 +760,30 @@ class SymmetricPositiveDefinite(Manifold):
         return self._batched(self.log, lambda p, q: self._dist_log(p, q)[1], p, q)
 
     def _dist_log(self, p, rows):
+        """Distances and logarithms from one ``eigh`` of each whitened row:
+        the logarithm is ``_sym_apply(white, np.log)`` bit for bit, and
+        the distance the root sum of the same squared ``log(w)``, so it
+        may differ from ``dist``, which reads ``eigvalsh``, in its last
+        bits.  A row that is not positive definite raises ``dist``'s
+        error before the logarithm is mapped back."""
         other = ~(rows == p).all(axis=(-2, -1))
         if other.all():  # no row to mask, as in every descent iterate after the first
             low, _, white = self._whiten(p, rows)
-            d = self._distances(other, white)  # raises dist's error before log's
-            return d, self._map_back(low, _sym_apply(white, np.log), "log mapped back to L f L^T")
-        out = np.zeros_like(rows)
-        if not other.any():
-            return self._distances(other, None), out
-        low, _, white = self._whiten(p if p.ndim == 2 else p[other], rows[other])
-        d = self._distances(other, white)
-        out[other] = self._map_back(low, _sym_apply(white, np.log), "log mapped back to L f L^T")
+            return self._white_dist_log(low, white)
+        d, out = np.zeros(len(rows)), np.zeros_like(rows)
+        if other.any():
+            low, _, white = self._whiten(p if p.ndim == 2 else p[other], rows[other])
+            d[other], out[other] = self._white_dist_log(low, white)
         return d, out
+
+    def _white_dist_log(self, low, white):
+        """``_dist_log`` of rows whitened by the factors ``low``."""
+        w, v = np.linalg.eigh(_sym(white))
+        if not (w > 0.0).all():
+            raise DomainError("matrix is not positive definite")
+        f = np.log(w)
+        out = self._map_back(low, (v * f[..., np.newaxis, :]) @ v.mT, "log mapped back to L f L^T")
+        return np.sqrt((f**2).sum(axis=1)), out
 
     def transport(self, p, q, v):
         return self._batched(self.transport, self._stacked_transport, p, q, v)
@@ -1100,16 +1120,28 @@ def norm(v: TangentVector) -> float:
 
 
 def exp_map(v: TangentVector) -> ManifoldPoint:
-    """Endpoint of the unit-time geodesic with initial velocity ``v``."""
+    """Endpoint of the unit-time geodesic with initial velocity ``v``;
+    ``DomainError``, with no warning, if it is not finite."""
     _require(TangentVector, v)
     m = v.manifold
-    return ManifoldPoint(m, m.exp(v.base.coordinates, v.components))
+    # Euclidean exp is a bare sum, which the descent keeps unchecked
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = m.exp(v.base.coordinates, v.components)
+    if not np.isfinite(out).all():
+        raise DomainError("exponential map is not finite")
+    return ManifoldPoint(m, out)
 
 
 def log_map(p: ManifoldPoint, q: ManifoldPoint) -> TangentVector:
-    """Tangent vector at ``p`` whose geodesic reaches ``q`` at time 1."""
+    """Tangent vector at ``p`` whose geodesic reaches ``q`` at time 1;
+    ``DomainError``, with no warning, if it is not finite."""
     m = _require_same_manifold(p, q)
-    return TangentVector(p, m.log(p.coordinates, q.coordinates))
+    # Euclidean log is a bare difference, which the descent keeps unchecked
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = m.log(p.coordinates, q.coordinates)
+    if not np.isfinite(out).all():
+        raise DomainError("logarithm is not finite")
+    return TangentVector(p, out)
 
 
 def distance(p: ManifoldPoint, q: ManifoldPoint) -> float:

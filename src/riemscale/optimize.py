@@ -384,6 +384,9 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
     point; ``value_fn`` reuses them when called with that same point
     object, as :func:`riemannian_gd` does, and otherwise makes one
     batched ``dist`` call, so it is defined wherever the distance is.
+    On the SPD cone that pass reads the distances from the logarithms'
+    ``eigh`` where ``dist`` reads ``eigvalsh``, so the value after the
+    gradient may differ from the value alone in its last bits.
     The objective's stacked pass measures K points in one batched pass
     over the K·N (point, data point) pairs, then sums each point's
     logarithms and squared distances as a single point's are summed, and

@@ -162,6 +162,31 @@ def _joined(d, logs):
 _P122 = np.array([1.0, 2.0, 2.0]) / np.linalg.norm([1.0, 2.0, 2.0])
 
 
+# SPD's fused pass reads its distances from the eigenvalues of the
+# logarithm's eigh, where dist reads eigvalsh, so the two may differ.
+# Both lose accuracy as the condition numbers grow (near 1e8, each can be
+# off by 1e-4 relative to a 60-digit reference), and so does their gap.
+# Over the derandomized batches of this file (condition numbers up to 1e8)
+# the largest gap is 5.8e-8 times max(dist, 1), at a distance of 24; the
+# bound is that floor rounded up to one significant digit.
+SPD_FUSED_DIST_TOL = 1e-7
+
+
+def _assert_near_dist(fused, exact):
+    """SPD fused distances within the bound of ``dist``'s: each within
+    ``SPD_FUSED_DIST_TOL * max(d, 1)`` of its ``d``."""
+    assert fused.shape == exact.shape
+    assert np.all(np.abs(fused - exact) <= SPD_FUSED_DIST_TOL * np.maximum(exact, 1.0))
+
+
+def _assert_near_value(fused, exact):
+    """A Fréchet value from fused SPD distances within the bound of one
+    from ``dist``: a squared distance moves by at most about
+    ``2 * tol * max(d * d, 1)``, so their halved mean by
+    ``tol * (2 * value + 1)``."""
+    assert abs(fused - exact) <= SPD_FUSED_DIST_TOL * (2.0 * exact + 1.0)
+
+
 @SETTINGS
 @given(batches(), st.floats(-3.0, 3.0))
 @example((Sphere(2), _P122, np.stack([_P122, np.array([0.0, 0.0, 1.0])])), 0.0)
@@ -169,9 +194,28 @@ def test_fused_distances_and_logarithms_are_dist_and_log_bit_for_bit(batch, log_
     m, p, rows = batch
     for man in (m, ScaledManifold(m, 10.0**log_lam)):
         expected = _outcome(lambda p, q: _joined(man.dist(p, q), man.log(p, q)), p, rows)
-        # each family's pass, and the generic one of the base class
-        for fused in (man._dist_log, functools.partial(Manifold._dist_log, man)):
-            assert _outcome(lambda p, q: _joined(*fused(p, q)), p, rows) == expected
+        generic = functools.partial(Manifold._dist_log, man)
+        assert _outcome(lambda p, q: _joined(*generic(p, q)), p, rows) == expected
+        if isinstance(man, SymmetricPositiveDefinite) and expected[0] == "ok":
+            # the one family pass whose distances are not dist's bits
+            d, logs = man._dist_log(p, rows)
+            assert logs.tobytes() == man.log(p, rows).tobytes()
+            _assert_near_dist(d, man.dist(p, rows))
+        else:
+            assert _outcome(lambda p, q: _joined(*man._dist_log(p, q)), p, rows) == expected
+
+
+@SETTINGS
+@given(batches([m for m in MANIFOLDS if isinstance(m, SymmetricPositiveDefinite)]))
+def test_spd_fused_distances_are_their_single_rows_and_near_dist(batch):
+    m, p, rows = batch
+    others = rows[::-1]
+    for base, pairs in ((p, ((p, q) for q in rows)), (others, zip(others, rows))):
+        d, logs = m._dist_log(base, rows)
+        singles = [m._dist_log(a, b[np.newaxis]) for a, b in pairs]
+        assert d.tobytes() == b"".join(s[0].tobytes() for s in singles)
+        assert logs.tobytes() == b"".join(s[1].tobytes() for s in singles)
+        _assert_near_dist(d, m.dist(base, rows))
 
 
 @SETTINGS
@@ -307,8 +351,14 @@ def test_symmetrizing_halves_each_side_as_before_across_the_range():
         assert manifolds._sym(a).tobytes() == (0.5 * a + 0.5 * a.mT).tobytes()
 
 
-def _loop_value(m, x, coords):
-    return sum(m.dist(x, y) ** 2 for y in coords) / (2.0 * len(coords))
+def _loop_value(m, x, coords, dist=None):
+    dist = dist or m.dist
+    return sum(dist(x, y) ** 2 for y in coords) / (2.0 * len(coords))
+
+
+def _fused_dist(m):
+    """A single point's distance as the fused pass measures it."""
+    return lambda x, y: float(m._dist_log(x, y[np.newaxis])[0][0])
 
 
 def _loop_gradient(m, x, coords):
@@ -334,7 +384,12 @@ def test_frechet_value_and_gradient_match_the_per_point_loop(batch, start):
     )
     # after the gradient, as a descent calls them: the same point reuses
     # the gradient's distances, another point measures its own
-    assert _outcome(objective.value_fn, x) == value
+    after = _outcome(objective.value_fn, x)
+    assert after == _outcome(_loop_value, m, x.coordinates, rows, _fused_dist(m))
+    if isinstance(m, SymmetricPositiveDefinite) and value[0] == "ok":
+        _assert_near_value(*(np.frombuffer(v[1])[0] for v in (after, value)))
+    else:
+        assert after == value
     assert _outcome(objective.value_fn, y) == _outcome(_loop_value, m, y.coordinates, rows)
 
 

@@ -198,6 +198,20 @@ def test_typed_spd_log_and_transport_past_the_range_are_a_domain_error_without_a
             parallel_transport(_vector(eye, 1e308 * np.eye(2)), _point(SPD2, 4.0 * np.eye(2)))
 
 
+def test_typed_euclidean_exp_and_log_past_the_range_are_a_domain_error_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (E2, ScaledManifold(E2, 4.0)):
+            top, bottom = _point(m, [1e308, 0.0]), _point(m, [-1e308, 0.0])
+            with pytest.raises(DomainError, match="^exponential map is not finite$"):
+                exp_map(_vector(top, [1e308, 0.0]))
+            with pytest.raises(DomainError, match="^logarithm is not finite$"):
+                log_map(bottom, top)
+            # the largest finite results still pass
+            assert exp_map(_vector(top, [7.9e307, 0.0])).coordinates[0] == 1e308 + 7.9e307
+            assert log_map(_point(m, [0.0, 0.0]), top).components[0] == 1e308
+
+
 def test_exp_sphere_overflow_raises_instead_of_a_math_error():
     # the tangent norm overflows to inf, where cos and sin are undefined
     e0 = np.array([1.0, 0.0, 0.0])

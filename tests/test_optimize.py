@@ -590,13 +590,36 @@ def test_spd_descent_factors_each_iterate_once(monkeypatch, side):
         trace = riemannian_gd(arm, objective, x0, config)
         monkeypatch.undo()
         assert trace.stop_reason == "max_iters"
-        # per iterate one factor, one eigvalsh (distances) and one eigh
-        # (logarithms); per step one more eigh (exp)
+        # per iterate one factor and one eigh, for the logarithms and the
+        # distances both; per step one more eigh (exp); no eigvalsh
         iterates, steps = len(trace), len(trace) - 1
         assert dict(counts) == {
-            "cholesky": iterates, "inv": iterates, "eigvalsh": iterates,
-            "eigh": iterates + steps,
+            "cholesky": iterates, "inv": iterates, "eigh": iterates + steps,
         }
+
+
+@pytest.mark.parametrize("side", [2, 3])
+def test_spd_lockstep_descent_makes_one_eigh_per_round_and_step(monkeypatch, side):
+    manifold = SymmetricPositiveDefinite(side)
+    _, objective, x0 = random_frechet_problem(manifold, 5, np.random.default_rng(side))
+    config = OptimizerConfig(step_size=0.1, max_iters=12, grad_tol=0.0)
+    arms = (manifold, ScaledManifold(manifold, 4.0), ScaledManifold(manifold, 0.25))
+    counts = Counter()
+    monkeypatch.setattr(manifolds, "np", _Counting(
+        np, counts, linalg=_Counting(np.linalg, counts),
+    ))
+    traces = riemannian_gd_many(arms, objective, [x0] * 3, [config] * 3)
+    monkeypatch.undo()
+    assert [t.stop_reason for t in traces] == ["max_iters"] * 3
+    # per round one stacked pass over every arm's pairs (a factor, its
+    # inverse and one eigh) and one stacked norm (a factor and its
+    # inverse); per step one stacked exp (a factor, its inverse and an
+    # eigh) and one stacked point check (a factor); no eigvalsh
+    iterates, steps = len(traces[0]), len(traces[0]) - 1
+    assert dict(counts) == {
+        "cholesky": 2 * iterates + 2 * steps, "inv": 2 * iterates + steps,
+        "eigh": iterates + steps,
+    }
 
 
 @pytest.mark.parametrize("side", [2, 8])
