@@ -4,13 +4,15 @@ tree, in one interpreter, in alternating rounds.
 
 Usage::
 
-    python scripts/ab_inprocess.py REV [--workload suite|descent|pairs] [--rounds N]
+    python scripts/ab_inprocess.py REV [--workload suite|descent|pairs] [--rounds N] [--seed N]
 
 Exports ``REV`` with ``git archive`` into a temporary directory, as
 ``compare_outputs.py`` does.  Each tree is loaded in turn: the
 ``riemscale`` modules and ``workloads`` are purged from ``sys.modules``,
 the tree's ``src`` goes first on ``sys.path``, and the job list is built
-by the working tree's ``perfbench/workloads.py`` and warmed up.  Each
+by the working tree's ``perfbench/workloads.py`` from ``--seed`` (default
+1) and warmed up.  A claim measured on one seed can be checked on a seed
+not used while the change was written.  Each
 tree keeps its own modules, which are put back in ``sys.modules`` before
 its rounds run.  Round ``i`` runs both trees' job lists, the revision
 first when ``i`` is even; every job's output passes the benchmark's own
@@ -37,7 +39,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 1
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy is first imported
 
@@ -54,7 +55,7 @@ def _ours(name: str) -> bool:
     return name == "workloads" or name == "riemscale" or name.startswith("riemscale.")
 
 
-def load(tree: Path, workload: str, path: list[str]):
+def load(tree: Path, workload: str, seed: int, path: list[str]):
     """The tree's warmed-up job list and its modules; ``path`` is the
     ``sys.path`` to put the tree's ``src`` and the benchmark in front of."""
     for name in [n for n in sys.modules if _ours(n)]:
@@ -62,7 +63,7 @@ def load(tree: Path, workload: str, path: list[str]):
     sys.path[:] = [str(tree / "src"), str(ROOT / "perfbench"), *path]
     import workloads
 
-    jobs = workloads.make_jobs(workload, SEED, {})
+    jobs = workloads.make_jobs(workload, seed, {})
     workloads.warm_up()
     return jobs, {n: m for n, m in sys.modules.items() if _ours(n)}
 
@@ -90,6 +91,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("rev")
     parser.add_argument("--workload", choices=("suite", "descent", "pairs"), default="suite")
     parser.add_argument("--rounds", type=int, default=12)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the job list (default 1)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -99,8 +101,8 @@ def main(argv: list[str]) -> int:
         export(args.rev, Path(tmp))
         path = list(sys.path)
         trees = {
-            args.rev: load(Path(tmp), args.workload, path),
-            "working tree": load(ROOT, args.workload, path),
+            args.rev: load(Path(tmp), args.workload, args.seed, path),
+            "working tree": load(ROOT, args.workload, args.seed, path),
         }
         times = {label: [] for label in trees}
         job_times = {label: [] for label in trees}  # one list per round
@@ -111,7 +113,7 @@ def main(argv: list[str]) -> int:
                 times[label].append(elapsed)
                 job_times[label].append(per_job)
         job_labels = [job.label for job in trees[labels[0]][0]]
-    print(f"{args.workload}, seed {SEED}, {args.rounds} rounds")
+    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds")
     for label, ts in times.items():
         every_job = [t for per_job in job_times[label] for t in per_job]
         print(f"{label}: min {min(ts) * 1e3:.1f} ms, median {statistics.median(ts) * 1e3:.1f} ms, "

@@ -49,7 +49,11 @@ The sampler is stacked too: ``_random_points(rng, count)`` draws
 the generator exactly what ``count`` single draws take, so its rows are
 theirs bit for bit; ``random_point`` is its one-row case.
 SPD ``dist`` reads the eigenvalues of ``L^-1 q L^-T``, one stacked
-``eigvalsh`` for the whole batch.
+``eigvalsh`` for the whole batch.  A row whose whitened matrix leaves the
+double range (an entry overflows, or a diagonal entry falls below the
+normal range) is whitened again with the scalars factored out, as
+``q / 2^b`` at ``p / 2^a``, and its log eigenvalues are raised by
+``ln 2^(b - a)``; every other row keeps its bits.
 
 A barycenter iterate measures all data points in one pass: the private
 ``_dist_log(p, rows)`` gives ``dist(p, rows)`` and ``log(p, rows)``
@@ -65,10 +69,12 @@ Cholesky factor (and, once needed, its inverse) of the last single base
 matrix it factored, keyed on the matrix's exact bytes, so validating a
 descent iterate, measuring from it, taking its norm and stepping from it
 factor it once.  The memo is one tuple, replaced whole, so concurrent callers
-stay safe.  A stack of base points is not remembered, but each run of
-equal consecutive base matrices in it is factored once: the base side
-of the pairs ``pairwise_distances`` walks repeats each point over a run
-of rows, and a single base point broadcast against a stack is one run.
+stay safe.  A stack of base points is not remembered; it is factored row
+by row, except a single base point that ``_batched`` broadcasts against a
+stack, which is factored once.  ``pairwise_distances`` hands each block
+of its pairs to the private ``_pair_dist(coords, i, j)``, which on the SPD
+cone factors each of the block's points once and whitens every pair by
+its base point's factor, with ``dist``'s bits.
 
 Each family also has two private stacked checks, ``_points_pass(X)`` and
 ``_tangents_pass(P, V)``: one call tells whether every row of a stack
@@ -193,21 +199,17 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return half + half.mT
 
 
-def _runs(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The first index and the length of each run of equal consecutive
-    matrices in a stack, or ``None`` when no two neighbours are equal."""
-    if len(stack) < 2:
-        return None
-    same = (stack[1:] == stack[:-1]).all(axis=(-2, -1))
-    if not same.any():
-        return None
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    return starts, np.diff(np.append(starts, len(stack)))
-
-
 def _size(a: np.ndarray) -> np.ndarray:
     """Largest absolute entry of a matrix, or of each matrix in a stack."""
     return np.abs(a).max(axis=(-2, -1))
+
+
+def _in_range(white: np.ndarray) -> bool:
+    """Whether a whitened matrix, or every matrix of a nonempty stack, is
+    inside the double range: its entries are finite, and its diagonal,
+    positive for a positive-definite matrix, is in the normal range."""
+    diagonal = white.diagonal(axis1=-2, axis2=-1)
+    return bool(np.isfinite(white).all()) and bool(diagonal.min() >= sys.float_info.min)
 
 
 def _dot_inner(self: "Manifold", p, u, v) -> float | np.ndarray:
@@ -315,6 +317,13 @@ class Manifold(ABC):
         ``log``'s bits, and the distances ``dist``'s except on the SPD
         cone, which reads them from the logarithm's ``eigh``."""
         return self.dist(p, rows), self.log(p, rows)
+
+    def _pair_dist(self, coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``dist(coords[i], coords[j])``: the distances of the pairs
+        ``(i[k], j[k])`` of a point stack, with ``i`` in ascending order as
+        ``pairwise_distances`` gives it.  The SPD cone overrides it to
+        factor each point of ``i`` once."""
+        return self.dist(coords[i], coords[j])
 
     @abstractmethod
     def transport(self, p: np.ndarray, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -737,9 +746,46 @@ class SymmetricPositiveDefinite(Manifold):
 
     def _stacked_dist(self, p, q):
         other = ~(q == p).all(axis=(-2, -1))
-        if other.all():
-            return self._distances(other, self._whiten(p, q)[2])
-        white = self._whiten(p[other], q[other])[2] if other.any() else None
+        if not other.any():
+            return self._distances(other, None)
+        if not other.all():
+            p, q = p[other], q[other]
+        white = self._whiten(p, q, finite=False)[2]
+        if _in_range(white):
+            return self._distances(other, white)
+        far = np.array([not _in_range(w) for w in white])
+        # rows past the range whiten q / 2^b at p / 2^a instead, with 2^a and
+        # 2^b the binades of their largest entries: with mu the eigenvalues
+        # of that whitened matrix, dist^2 = sum (ln mu + ln 2^(b - a))^2
+        a, b = (np.frexp(_size(x[far]))[1][:, np.newaxis, np.newaxis] for x in (p, q))
+        white[far] = self._whiten(np.ldexp(p[far], -a), np.ldexp(q[far], -b))[2]
+        shift = np.zeros(len(white))
+        shift[far] = (b - a).ravel() * math.log(2.0)
+        return self._distances(other, white, shift)
+
+    def _pair_dist(self, coords, i, j):
+        """``dist(coords[i], coords[j])`` from one factor of each base
+        point: the block's bases are the slice ``coords[i[0] : i[-1] + 1]``,
+        factored by one ``cholesky`` and one ``inv``, and each pair is
+        whitened by its base's row, with the bits ``dist`` gives.  A factor
+        that fails, or a whitened pair outside the double range, takes the
+        block through ``dist``, which then gives its own result or error."""
+        rows = coords[j]
+        other = ~(rows == coords[i]).all(axis=(-2, -1))
+        base = i
+        if not other.all():
+            if not other.any():
+                return self._distances(other, None)
+            base, rows = i[other], rows[other]
+        try:
+            low = np.linalg.cholesky(coords[base[0] : base[-1] + 1])
+        except np.linalg.LinAlgError:
+            return self.dist(coords[i], coords[j])
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv_low = np.linalg.inv(low)[base - base[0]]
+            white = inv_low @ rows @ inv_low.mT
+        if not _in_range(white):
+            return self.dist(coords[i], coords[j])
         return self._distances(other, white)
 
     def exp(self, p, v):
@@ -791,9 +837,10 @@ class SymmetricPositiveDefinite(Manifold):
     def _stacked_transport(self, p, q, v):
         out = v.copy()
         moving = ~(p == q).all(axis=(-2, -1))
-        if moving.any():
-            p, v = p[moving], v[moving]
-            low, inv_low, white = self._whiten(p, q[moving])
+        if not moving.all():  # unindexed, a broadcast base stays one view
+            p, q, v = p[moving], q[moving], v[moving]
+        if len(p):
+            low, inv_low, white = self._whiten(p, q)
             # principal square root of q p^-1 = L W L^-1, with W the whitened
             # q, whose eigenvalues are positive when q is positive definite
             e = low @ _sym_apply(white, np.sqrt, positive=True) @ inv_low
@@ -854,23 +901,25 @@ class SymmetricPositiveDefinite(Manifold):
         return _sym_apply(rng.uniform(-1.0, 1.0, (count, self.side, self.side)), np.exp)
 
     @staticmethod
-    def _whiten(p: np.ndarray, x: np.ndarray | None = None):
+    def _whiten(p: np.ndarray, x: np.ndarray | None = None, finite: bool = True):
         """``L``, ``L^-1`` and ``x`` whitened to ``L^-1 x L^-T``, with ``p = L L^T``
         for a matrix or each matrix in a stack, or ``L`` alone without ``x``;
-        ``DomainError`` if ``p`` is not positive definite or the whitened
-        ``x`` is not finite.
+        ``DomainError`` if ``p`` is not positive definite or, with
+        ``finite``, if the whitened ``x`` is not finite.
 
         The factors of a single float64 matrix are remembered for the next
-        call on the same bytes (see the module docstring); stacks are not,
-        but a stack factors each run of equal consecutive matrices once.
+        call on the same bytes (see the module docstring).  A stack is
+        factored row by row, except a single base that ``_batched``
+        broadcasts against a stack (a view whose rows share their memory),
+        which is factored once.
         """
         global _last_factor
         key = p.tobytes() if p.ndim == 2 and p.dtype == np.float64 else None
         memo = _last_factor
-        runs = _runs(p) if p.ndim > 2 else None
+        shared = p.ndim > 2 and len(p) > 1 and p.strides[0] == 0
         if key is None or memo[0] != key:
             try:
-                low = np.linalg.cholesky(p if runs is None else p[runs[0]])
+                low = np.linalg.cholesky(p[0] if shared else p)
             except np.linalg.LinAlgError:
                 raise DomainError("matrix is not positive definite") from None
             low.setflags(write=False)  # shared through the memo
@@ -879,7 +928,7 @@ class SymmetricPositiveDefinite(Manifold):
         if x is None:
             if key is not None:
                 _last_factor = memo
-            return low if runs is None else np.repeat(low, runs[1], axis=0)
+            return np.broadcast_to(low, p.shape) if shared else low
         with np.errstate(over="ignore", invalid="ignore"):
             if inv_low is None:
                 inv_low = np.linalg.inv(low)
@@ -887,10 +936,10 @@ class SymmetricPositiveDefinite(Manifold):
                 memo = (key, low, inv_low)
             if key is not None:
                 _last_factor = memo
-            if runs is not None:
-                low, inv_low = (np.repeat(a, runs[1], axis=0) for a in (low, inv_low))
+            if shared:
+                low, inv_low = (np.broadcast_to(a, p.shape) for a in (low, inv_low))
             white = inv_low @ x @ inv_low.mT
-        if not np.isfinite(white).all():
+        if finite and not np.isfinite(white).all():
             raise DomainError("whitened matrix L^-1 x L^-T overflowed, with p = L L^T")
         return low, inv_low, white
 
@@ -902,23 +951,29 @@ class SymmetricPositiveDefinite(Manifold):
             return white, white
         return tuple(self._whiten(p, np.array((u, v)))[2])
 
-    def _distances(self, other: np.ndarray, white: np.ndarray | None) -> np.ndarray:
+    def _distances(
+        self, other: np.ndarray, white: np.ndarray | None, shift: np.ndarray | None = None
+    ) -> np.ndarray:
         """Distances of a stack of rows from their base points, given
         which rows differ from their base (``other``) and those rows
         whitened (``None`` when no row differs): the root sum of squared
         logarithms of the eigenvalues of the whitened rows, which are
-        those of p^-1 q.  Rows equal to their base read eigenvalues of one,
-        so their distance is exactly zero."""
+        those of p^-1 q, each raised by its row's ``shift`` when given.
+        Rows equal to their base read eigenvalues of one, so their
+        distance is exactly zero."""
         if white is None:
             return np.zeros(other.shape)
         vals = np.linalg.eigvalsh(white)
         if not (vals > 0.0).all():
             raise DomainError("matrix is not positive definite")
-        if len(vals) < len(other):  # some rows equal their base: they read ones
-            w = np.ones(other.shape + (self.side,))
-            w[other] = vals
-            vals = w
-        return np.sqrt((np.log(vals) ** 2).sum(axis=1))
+        f = np.log(vals)
+        if shift is not None:
+            f += shift[:, np.newaxis]
+        if len(f) < len(other):  # some rows equal their base: their logarithms are zero
+            g = np.zeros(other.shape + (self.side,))
+            g[other] = f
+            f = g
+        return np.sqrt((f**2).sum(axis=1))
 
     def _map_back(self, a: np.ndarray, m: np.ndarray, what: str) -> np.ndarray:
         """``a m a^T``, a result ``m`` mapped back out of the whitened frame

@@ -70,7 +70,7 @@ STOP_MAX_ITERS = "max_iters"
 STOP_ERROR = "error"
 STOP_DIVERGED = "diverged"
 
-# Bytes of coordinates on each side of one batched ``dist`` call in
+# Bytes of coordinates on each side of one batched pair pass (``_pair_dist``) in
 # pairwise_distances: 128 pairs on spd:8, 2048 on spd:2, 2730 on sphere:2.
 # It bounds a block's temporaries: four times this raised pairs peak RSS by 1.4 MB.
 _PAIR_BLOCK_BYTES = 1 << 16
@@ -526,9 +526,11 @@ def pairwise_distances(points: Sequence[ManifoldPoint]) -> np.ndarray:
     manifold.
 
     The pairs ``i < j`` are taken in row-major order and cut into blocks
-    of at most ``_PAIR_BLOCK_BYTES`` of coordinates per side; each block
-    is one ``dist`` call batched on both sides, whose rows are the single
-    calls bit for bit.
+    of at most ``_PAIR_BLOCK_BYTES`` of coordinates per side.  Each block
+    is one call of the manifold's ``_pair_dist`` on the point stack and
+    the block's indices, whose rows are the single ``dist`` calls bit for
+    bit: ``dist`` batched on both sides, except on the SPD cone, which
+    factors each of the block's points once.
 
     The last matrix computed is remembered (see the module docstring):
     a call on an equal manifold with the same coordinate bytes returns a
@@ -549,7 +551,7 @@ def pairwise_distances(points: Sequence[ManifoldPoint]) -> np.ndarray:
     block = max(1, _PAIR_BLOCK_BYTES // coords[0].nbytes)
     for start in range(0, len(rows), block):
         i, j = rows[start : start + block], cols[start : start + block]
-        out[i, j] = out[j, i] = manifold.dist(coords[i], coords[j])
+        out[i, j] = out[j, i] = manifold._pair_dist(coords, i, j)
     stored = out.copy()
     stored.setflags(write=False)
     _last_distances = (manifold, key, stored)

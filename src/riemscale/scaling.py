@@ -121,6 +121,9 @@ class ScaledManifold(Manifold):
     def dist(self, p, q) -> float | np.ndarray:
         return math.sqrt(self.lam) * self.base.dist(p, q)
 
+    def _pair_dist(self, coords, i, j):
+        return math.sqrt(self.lam) * self.base._pair_dist(coords, i, j)
+
     def curve_length(self, points: Sequence[np.ndarray]) -> float:
         return math.sqrt(self.lam) * self.base.curve_length(points)
 

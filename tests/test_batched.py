@@ -463,6 +463,82 @@ def test_pairwise_distances_fill_both_triangles_from_single_calls(batch):
     assert pairwise_distances(points).tobytes() == expected.tobytes()
 
 
+def _pair_loop(m, coords):
+    """What ``pairwise_distances`` must give: one single ``dist`` call per
+    pair ``i < j``, or the first pair's error."""
+    i, j = np.triu_indices(len(coords), k=1)
+    return _single_calls(m.dist, coords[i], coords[j])
+
+
+def _spd_set_with_twins(side, n, seed):
+    """SPD points with equal values at two indices, some next to each
+    other and some apart, and a twin of a diagonal point whose
+    off-diagonal is -0.0: equal to it, with other bytes."""
+    rng = np.random.default_rng(seed)
+    rows = [_spd(rng, side, 10.0 ** rng.uniform(0.0, 6.0)) for _ in range(n)]
+    rows[2] = np.diag(np.diag(rows[2]))
+    rows[3] = rows[2].copy()
+    rows[3][0, 1] = rows[3][1, 0] = -0.0
+    rows[5], rows[6], rows[n - 1] = rows[4], rows[4], rows[0]
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("side, n", [(2, 70), (3, 12), (8, 40)])
+def test_spd_pairwise_distances_over_duplicate_points_are_the_dist_loop(side, n):
+    m = SymmetricPositiveDefinite(side)
+    coords = _spd_set_with_twins(side, n, seed=side)
+    assert coords[3].tobytes() != coords[2].tobytes() and (coords[3] == coords[2]).all()
+    for man in (m, ScaledManifold(m, 2.5)):
+        points = [ManifoldPoint(man, q) for q in coords]
+        expected = _pair_loop(man, coords)
+        assert expected[0] == "ok"
+        out = pairwise_distances(points)
+        assert out[np.triu_indices(n, k=1)].tobytes() == expected[1]
+        assert out[2, 3] == out[4, 5] == out[5, 6] == out[0, n - 1] == 0.0
+
+
+@pytest.mark.parametrize("lam", [0.1, 2.5, 4.0, 1e10])
+def test_scaled_spd_pairwise_distances_are_the_root_of_the_scale_times_the_base(lam):
+    m = SymmetricPositiveDefinite(3)
+    coords = _spd_set_with_twins(3, 40, seed=5)
+    base = pairwise_distances([ManifoldPoint(m, q) for q in coords])
+    scaled = pairwise_distances([ManifoldPoint(ScaledManifold(m, lam), q) for q in coords])
+    assert scaled.tobytes() == (math.sqrt(lam) * base).tobytes()
+
+
+def test_spd_pair_pass_past_the_range_gives_the_dist_loops_result_or_error():
+    m = SymmetricPositiveDefinite(2)
+    eye = np.eye(2)
+    tiny, huge = 1e-300 * eye, 1e300 * eye
+    indefinite = np.diag([1.0, -1.0])
+    # whitened by a tiny base a huge row overflows, by a huge base a tiny
+    # row underflows; dist measures both past the range
+    ranged = [tiny, eye, huge, 2.0 * eye, tiny]
+    for coords in (ranged, ranged[::-1]):
+        coords = np.stack(coords)
+        expected = _pair_loop(m, coords)
+        assert expected[0] == "ok"
+        i, j = np.triu_indices(len(coords), k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(m._pair_dist, coords, i, j) == expected
+            points = [ManifoldPoint(m, q) for q in coords]
+            assert pairwise_distances(points)[i, j].tobytes() == expected[1]
+    # pairs that fail alone fail the block with the first one's error: a
+    # base that has no factor, and a pair whose scaled-down row underflows
+    for coords in (
+        [eye, 2.0 * eye, indefinite, eye],
+        [eye, np.diag([1e-300, 1.0]), np.diag([1e300, 1e-300])],
+    ):
+        coords = np.stack(coords)
+        expected = _pair_loop(m, coords)
+        assert expected == ("DomainError", "matrix is not positive definite")
+        i, j = np.triu_indices(len(coords), k=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _outcome(m._pair_dist, coords, i, j) == expected
+
+
 def _tangent(m, p, rng):
     """A tangent vector at ``p`` of moderate size in ``p``'s own metric."""
     if isinstance(m, SymmetricPositiveDefinite):
@@ -572,9 +648,13 @@ def test_a_batch_raises_the_error_of_its_first_failing_row():
     ):
         assert _first_error(op, *args) == ("DomainError", "matrix is not positive definite")
     # an earlier row that overflows wins over a later row's failed factorization
-    for op in (spd.exp, spd.dist):
+    for op in (spd.exp, spd.log):
         _, message = _first_error(op, np.stack([tiny, indefinite]), np.stack([huge, eye]))
         assert "overflowed" in message
+    # dist measures that pair past the range, so the later row's error is the batch's
+    assert _first_error(spd.dist, np.stack([tiny, indefinite]), np.stack([huge, eye])) == (
+        "DomainError", "matrix is not positive definite"
+    )
     # an earlier row scaled past the range wins over a later row's base overflow
     scaled = ScaledManifold(Euclidean(2), 1e300)
     u = np.array([[1e10, 0.0], [1e200, 0.0]])

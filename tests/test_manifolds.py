@@ -30,6 +30,7 @@ from riemscale import (
     log_map,
     manifold_from_string,
     norm,
+    pairwise_distances,
     parallel_transport,
     random_point,
     random_tangent,
@@ -231,10 +232,39 @@ def test_spd_whitening_overflow_is_a_domain_error_without_a_warning():
     v = _vector(p, 1e10 * np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for op, args in ((norm, (v,)), (inner_product, (v, v)), (distance, (p, q)),
-                         (log_map, (p, q))):
+        # distance measures this pair past the range (see the test below)
+        for op, args in ((norm, (v,)), (inner_product, (v, v)), (log_map, (p, q))):
             with pytest.raises(DomainError, match="L\\^-1 x L\\^-T overflowed"):
                 op(*args)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 8])
+@pytest.mark.parametrize("a, b", [
+    (1e-300, 1e300), (1e300, 1e-300), (1e-300, 1e10), (1e10, 1e-300), (2.0**-1000, 2.0**1000),
+])
+def test_spd_dist_past_the_double_range_is_the_scalar_law_without_a_warning(side, a, b):
+    # a I and b I lie sqrt(m) |ln(b / a)| apart in SPD(m); whitened at a I,
+    # b I is (b / a) I, which overflows or underflows for these pairs
+    m = SymmetricPositiveDefinite(side)
+    eye = np.eye(side)
+    exact = math.sqrt(side) * abs(math.log(b) - math.log(a))
+    p, q = a * eye, b * eye
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = m.dist(p, q)
+        # in a batch beside in-range pairs, which keep their own bits
+        near = np.stack([eye, 3.0 * eye])
+        batch = m.dist(np.stack([near[0], p, near[0]]), np.stack([near[1], q, q]))
+        pairs = pairwise_distances([_point(m, x) for x in (p, eye, q)])
+        scaled = ScaledManifold(m, 4.0).dist(p, q)
+        typed = distance(_point(m, p), _point(m, q))
+    assert single == pytest.approx(exact, rel=1e-14)
+    assert batch[1] == single and batch[0] == m.dist(eye, 3.0 * eye)
+    assert batch[2] == m.dist(eye, q) == pytest.approx(
+        math.sqrt(side) * abs(math.log(b)), rel=1e-14
+    )
+    assert pairs[0, 2] == pairs[2, 0] == single
+    assert scaled == 2.0 * single and typed == single
 
 
 def test_spd_inner_product_overflow_is_a_domain_error_without_a_warning():

@@ -678,6 +678,38 @@ def test_spd_pairwise_distances_factor_each_base_once_per_block(monkeypatch, sid
     assert sum(factored) <= n - 1 + blocks - 1
 
 
+@pytest.mark.parametrize("side", [2, 8])
+def test_spd_single_base_against_a_stack_is_factored_once(monkeypatch, side):
+    manifold = SymmetricPositiveDefinite(side)
+    rng = np.random.default_rng(side)
+    p, *rows = manifold._random_points(rng, 7)
+    rows = np.stack(rows)
+    tangents = np.stack([manifold.random_tangent(q, rng) for q in rows])
+    calls = {
+        "dist": lambda: manifold.dist(p, rows),
+        "log": lambda: manifold.log(p, rows),
+        "transport": lambda: manifold.transport(p, rows, tangents),
+    }
+    for name, call in calls.items():
+        expected = call()
+        counts, factored = Counter(), []
+
+        def cholesky(a):
+            factored.append(a.shape)
+            return np.linalg.cholesky(a)
+
+        manifolds._last_factor = (None, None, None)  # a cold memo, as for a new base
+        monkeypatch.setattr(manifolds, "np", _Counting(
+            np, counts, linalg=_Counting(np.linalg, counts, cholesky=cholesky),
+        ))
+        out = call()
+        monkeypatch.undo()
+        assert out.tobytes() == expected.tobytes(), name
+        # the broadcast base is one matrix, factored once and inverted once
+        assert factored == [(side, side)], name
+        assert counts["inv"] == 1, name
+
+
 @pytest.mark.parametrize("n", [1, 9, 40])
 def test_spd_random_frechet_problem_factors_its_points_once(monkeypatch, n):
     manifold = SymmetricPositiveDefinite(3)
@@ -751,17 +783,18 @@ def test_random_frechet_problem_rejects_a_non_manifold():
         random_frechet_problem("sphere:2", 3, np.random.default_rng(0))
 
 
-def _count_dist_calls(monkeypatch) -> Counter:
-    """Count every ``dist`` call of the three families and of
+def _count_pair_dist_calls(monkeypatch) -> Counter:
+    """Count every ``_pair_dist`` call, the pass ``pairwise_distances``
+    measures each block with, of the three families and of
     ``ScaledManifold`` from here on, by class name."""
     counts = Counter()
     for cls in (Euclidean, Sphere, SymmetricPositiveDefinite, ScaledManifold):
 
-        def dist(self, p, q, _cls=cls, _dist=cls.dist):
+        def pair_dist(self, coords, i, j, _cls=cls, _pair_dist=cls._pair_dist):
             counts[_cls.__name__] += 1
-            return _dist(self, p, q)
+            return _pair_dist(self, coords, i, j)
 
-        monkeypatch.setattr(cls, "dist", dist)
+        monkeypatch.setattr(cls, "_pair_dist", pair_dist)
     return counts
 
 
@@ -819,7 +852,7 @@ def test_another_point_set_recomputes_its_distances(monkeypatch, other, counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pairwise_distances(_sphere_points(_UNIT))
-        counts = _count_dist_calls(monkeypatch)
+        counts = _count_pair_dist_calls(monkeypatch)
         out = pairwise_distances(other)
     assert counts == counted
     assert out.tobytes() == _single_distances(other).tobytes()
@@ -832,7 +865,7 @@ def test_only_the_last_point_set_is_remembered(monkeypatch):
         warnings.simplefilter("error")
         expected = pairwise_distances(a)
         pairwise_distances(b)
-        counts = _count_dist_calls(monkeypatch)
+        counts = _count_pair_dist_calls(monkeypatch)
         out = pairwise_distances(a)
     assert counts == {"Sphere": 1}
     assert out.tobytes() == expected.tobytes()
@@ -846,7 +879,7 @@ def test_a_call_that_raises_keeps_the_remembered_distances(monkeypatch):
         expected = pairwise_distances(a)
         with pytest.raises(ContractViolationError, match="different manifolds"):
             pairwise_distances(mixed)
-        counts = _count_dist_calls(monkeypatch)
+        counts = _count_pair_dist_calls(monkeypatch)
         out = pairwise_distances(a)
     assert counts == {}
     assert out.tobytes() == expected.tobytes()
@@ -858,7 +891,7 @@ def test_calibrating_against_fresh_base_distances_measures_nothing_again(monkeyp
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         targets = 1.5 * pairwise_distances(points)
-        counts = _count_dist_calls(monkeypatch)
+        counts = _count_pair_dist_calls(monkeypatch)
         scale, residual = calibrate_scale(points, targets)
     assert counts == {}
     assert scale.value == pytest.approx(2.25, rel=1e-12)
