@@ -5,6 +5,7 @@ tree, in one interpreter, in alternating rounds.
 Usage::
 
     python scripts/ab_inprocess.py REV [--workload suite|descent|pairs] [--rounds N] [--seed N]
+                                       [--checks]
 
 Exports ``REV`` with ``git archive`` into a temporary directory, as
 ``compare_outputs.py`` does.  Each tree is loaded in turn: the
@@ -19,7 +20,11 @@ first when ``i`` is even; every job's output passes the benchmark's own
 check.  Prints each tree's min and median round time and its median
 job time (the benchmark's ``job_s.p50``, unnormalized), then each job's
 min under both trees, so that a change which moves the median job by
-reordering the jobs around it shows which jobs crossed.
+reordering the jobs around it shows which jobs crossed.  With
+``--checks`` (``suite`` only), each tree's property checks are timed
+too, and each check's min under both trees is printed: this shows where
+in the suite a change lands, with the untraced engine (the benchmark's
+traced run wraps the Fréchet objective and times a different one).
 
 The ``cli`` workload is out of scope: its jobs start subprocesses on the
 working tree's ``src``.  Like the benchmark, the process is pinned to one
@@ -29,6 +34,7 @@ CPU and its BLAS to one thread.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import os
 import statistics
@@ -55,16 +61,42 @@ def _ours(name: str) -> bool:
     return name == "workloads" or name == "riemscale" or name.startswith("riemscale.")
 
 
-def load(tree: Path, workload: str, seed: int, path: list[str]):
+def time_checks(verify, timings: dict[str, list[float]]) -> None:
+    """Make each property check of ``verify`` (a tree's module) append the
+    time of each of its runs to ``timings[check_id]``."""
+
+    def timed(check):
+        times = timings.setdefault(check.check_id, [])
+
+        def run(rng):
+            began = time.perf_counter()
+            try:
+                return check.run(rng)
+            finally:
+                times.append(time.perf_counter() - began)
+
+        return dataclasses.replace(check, run=run)
+
+    verify.PROPERTY_CHECKS = tuple(map(timed, verify.PROPERTY_CHECKS))
+
+
+def load(tree: Path, workload: str, seed: int, path: list[str], timings: dict | None = None):
     """The tree's warmed-up job list and its modules; ``path`` is the
-    ``sys.path`` to put the tree's ``src`` and the benchmark in front of."""
+    ``sys.path`` to put the tree's ``src`` and the benchmark in front of.
+    With ``timings``, the tree's property checks record their times there
+    from the first timed round on."""
     for name in [n for n in sys.modules if _ours(n)]:
         del sys.modules[name]
     sys.path[:] = [str(tree / "src"), str(ROOT / "perfbench"), *path]
     import workloads
 
+    if timings is not None:
+        time_checks(workloads.verify, timings)
     jobs = workloads.make_jobs(workload, seed, {})
     workloads.warm_up()
+    if timings is not None:
+        for times in timings.values():
+            times.clear()
     return jobs, {n: m for n, m in sys.modules.items() if _ours(n)}
 
 
@@ -92,21 +124,27 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", choices=("suite", "descent", "pairs"), default="suite")
     parser.add_argument("--rounds", type=int, default=12)
     parser.add_argument("--seed", type=int, default=1, help="seed of the job list (default 1)")
+    parser.add_argument("--checks", action="store_true",
+                        help="with --workload suite, also print each property check's "
+                        "min time per tree")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
+    if args.checks and args.workload != "suite":
+        parser.error("--checks needs --workload suite")
     if hasattr(os, "sched_setaffinity"):
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory() as tmp:
         export(args.rev, Path(tmp))
         path = list(sys.path)
+        labels = [args.rev, "working tree"]
+        check_times = {label: {} if args.checks else None for label in labels}
         trees = {
-            args.rev: load(Path(tmp), args.workload, args.seed, path),
-            "working tree": load(ROOT, args.workload, args.seed, path),
+            label: load(tree, args.workload, args.seed, path, check_times[label])
+            for label, tree in zip(labels, (Path(tmp), ROOT))
         }
         times = {label: [] for label in trees}
         job_times = {label: [] for label in trees}  # one list per round
-        labels = list(trees)
         for i in range(args.rounds):
             for label in labels if i % 2 == 0 else labels[::-1]:
                 elapsed, per_job = run_round(*trees[label])
@@ -123,6 +161,13 @@ def main(argv: list[str]) -> int:
     for j, job_label in enumerate(job_labels):
         mins = (min(per_job[j] for per_job in job_times[label]) * 1e3 for label in labels)
         print(f"{job_label:<{width}}  " + "  ".join(f"{m:>12.2f}" for m in mins))
+    if args.checks:
+        check_ids = list(check_times[labels[0]])
+        width = max(map(len, check_ids))
+        print(f"{'check min (ms)':<{width}}  " + "  ".join(f"{label:>12}" for label in labels))
+        for check_id in check_ids:
+            mins = (min(check_times[label][check_id]) * 1e3 for label in labels)
+            print(f"{check_id:<{width}}  " + "  ".join(f"{m:>12.2f}" for m in mins))
     return 0
 
 

@@ -53,7 +53,10 @@ SPD ``dist`` reads the eigenvalues of ``L^-1 q L^-T``, one stacked
 double range (an entry overflows, or a diagonal entry falls below the
 normal range) is whitened again with the scalars factored out, as
 ``q / 2^b`` at ``p / 2^a``, and its log eigenvalues are raised by
-``ln 2^(b - a)``; every other row keeps its bits.
+``ln 2^(b - a)``; every other row keeps its bits.  SPD ``log`` (and the
+fused pass below) rescues such a row the same way, and maps its
+logarithm back by the factor of ``p / 2^a``, then multiplies it by
+``2^a``: ``log(1e-300 I, 1e300 I)`` is about ``1.38e-297 I``.
 
 A barycenter iterate measures all data points in one pass: the private
 ``_dist_log(p, rows)`` gives ``dist(p, rows)`` and ``log(p, rows)``
@@ -64,17 +67,28 @@ distances on Euclidean space and the sphere.  On the SPD cone one
 eigenvectors and the logs of its eigenvalues, the distance as the root
 sum of those logs squared (Pennec et al., IJCV 2006), so these distances
 may differ from ``dist``'s ``eigvalsh`` ones in their last bits; each
-row still reads what it reads alone.  The SPD cone also remembers the
-Cholesky factor (and, once needed, its inverse) of the last single base
-matrix it factored, keyed on the matrix's exact bytes, so validating a
+row still reads what it reads alone.  ``p`` may also be a
+``(K, 1, *ambient_shape)`` stack of K points, each measured against all
+N rows by broadcasting, with ``(K, N)`` results: the lockstep Fréchet
+pass measures its arms' iterates so, and the SPD cone factors K bases,
+not K·N, also when a row equals its base: rows that share their bases
+are all measured with their factors, and the masked ones zeroed after.
+The SPD cone also remembers the Cholesky factor (and, once
+needed, its inverse) of the last base it factored, one matrix or a
+stack, keyed on the exact bytes (and a stack also on the matrix side, so
+that no factor is read back for matrices of another side).  So validating a
 descent iterate, measuring from it, taking its norm and stepping from it
-factor it once.  The memo is one tuple, replaced whole, so concurrent callers
-stay safe.  A stack of base points is not remembered; it is factored row
-by row, except a single base point that ``_batched`` broadcasts against a
-stack, which is factored once.  ``pairwise_distances`` hands each block
-of its pairs to the private ``_pair_dist(coords, i, j)``, which on the SPD
-cone factors each of the block's points once and whitens every pair by
-its base point's factor, with ``dist``'s bits.
+factor it once; a lockstep iterate's stack of arm points is factored
+once, by the stacked point check of the step that made it, and inverted
+once, by the Fréchet pass, whose ``(K, 1, m, m)`` view shares the
+entry of the ``(K, m, m)`` stack.  The memo is one tuple, replaced
+whole, so concurrent callers stay safe.  A base stack is factored row by
+row, except a single base point that ``_batched`` broadcasts against a
+stack, which is factored once and not remembered.
+``pairwise_distances`` hands each block of its pairs to the private
+``_pair_dist(coords, i, j)``, which on the SPD cone factors each of the
+block's points once and whitens every pair by its base point's factor,
+with ``dist``'s bits.
 
 Each family also has two private stacked checks, ``_points_pass(X)`` and
 ``_tangents_pass(P, V)``: one call tells whether every row of a stack
@@ -87,7 +101,8 @@ rule: a stacked check may be stricter than its validator, never looser.
 Each asks for float64 rows of the ambient shape with finite entries,
 then makes the validator's own tests with the validator's arithmetic
 (the sphere's ``vecdot`` rounds each row as its ``dot`` does, and the
-SPD test factors the stack with one Cholesky call); ``Manifold``'s
+SPD test factors the stack with one Cholesky call, through the factor
+memo); ``Manifold``'s
 default passes nothing, so a family without its own check is validated
 row by row.
 """
@@ -204,12 +219,36 @@ def _size(a: np.ndarray) -> np.ndarray:
     return np.abs(a).max(axis=(-2, -1))
 
 
+# reductions over a whole array, without the Python-level dispatch of .all and .min
+_all = np.logical_and.reduce
+_smallest = np.minimum.reduce
+
+
 def _in_range(white: np.ndarray) -> bool:
-    """Whether a whitened matrix, or every matrix of a nonempty stack, is
-    inside the double range: its entries are finite, and its diagonal,
-    positive for a positive-definite matrix, is in the normal range."""
-    diagonal = white.diagonal(axis1=-2, axis2=-1)
-    return bool(np.isfinite(white).all()) and bool(diagonal.min() >= sys.float_info.min)
+    """Whether a whitened matrix, or every matrix of a stack, is inside
+    the double range: its entries are finite, and its diagonal, positive
+    for a positive-definite matrix, is in the normal range."""
+    return bool(
+        _all(np.isfinite(white), None)
+        and _smallest(white.diagonal(0, -2, -1), None, initial=math.inf) >= sys.float_info.min
+    )
+
+
+def _out_of_range(white: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack, whether it fails :func:`_in_range`."""
+    inside = np.isfinite(white).all(axis=(-2, -1))
+    inside &= white.diagonal(axis1=-2, axis2=-1).min(axis=-1) >= sys.float_info.min
+    return ~inside
+
+
+def _as_base(factor: np.ndarray, p: np.ndarray, shared: bool) -> np.ndarray:
+    """A factor of the SPD base stack ``p`` in ``p``'s shape: one matrix's
+    factor broadcast when ``p`` broadcasts one matrix (``shared``), else a
+    remembered stack's factor viewed as ``p`` is shaped, as ``(K, m, m)``
+    or ``(K, 1, m, m)``."""
+    if factor.shape == p.shape:
+        return factor
+    return np.broadcast_to(factor, p.shape) if shared else factor.reshape(p.shape)
 
 
 def _dot_inner(self: "Manifold", p, u, v) -> float | np.ndarray:
@@ -312,11 +351,18 @@ class Manifold(ABC):
     def _dist_log(self, p: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``dist(p, rows)`` and ``log(p, rows)`` for a point (or a stack
         paired row by row) and an ``(N, *ambient_shape)`` stack, raising
-        what calling ``dist`` and then ``log`` raises.  Families override
-        it to share the work of the two calls; the logarithms keep
-        ``log``'s bits, and the distances ``dist``'s except on the SPD
-        cone, which reads them from the logarithm's ``eigh``."""
-        return self.dist(p, rows), self.log(p, rows)
+        what calling ``dist`` and then ``log`` raises.  ``p`` may also be a
+        ``(K, 1, *ambient_shape)`` stack of K points, each measured
+        against every row: the results then carry the leading ``(K, N)``
+        axes.  Families override it to share the work of the two calls;
+        the logarithms keep ``log``'s bits, and the distances ``dist``'s
+        except on the SPD cone, which reads them from the logarithm's
+        ``eigh``.  Here the K·N pairs are one flat batch of each call."""
+        if p.ndim <= rows.ndim:
+            return self.dist(p, rows), self.log(p, rows)
+        lead, shape = (len(p), len(rows)), self.ambient_shape
+        p, rows = (np.broadcast_to(x, lead + shape).reshape(-1, *shape) for x in (p, rows))
+        return self.dist(p, rows).reshape(lead), self.log(p, rows).reshape(lead + shape)
 
     def _pair_dist(self, coords: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """``dist(coords[i], coords[j])``: the distances of the pairs
@@ -580,11 +626,14 @@ class Sphere(Manifold):
     def _stacked_exp(self, p, v):
         with np.errstate(over="ignore"):
             theta = np.sqrt(np.vecdot(v, v))
-        out = p.copy()
-        moving = theta != 0.0
-        theta = theta[moving, np.newaxis]
         if not np.isfinite(theta).all():
             raise DomainError("tangent norm is not finite")
+        moving = theta != 0.0
+        if moving.all():  # no row to mask, as in every lockstep step
+            theta = theta[:, np.newaxis]
+            return self._renormalize(np.cos(theta) * p + np.sin(theta) * (v / theta))
+        out = p.copy()
+        theta = theta[moving, np.newaxis]
         step = np.cos(theta) * p[moving] + np.sin(theta) * (v[moving] / theta)
         out[moving] = self._renormalize(step)
         return out
@@ -601,20 +650,21 @@ class Sphere(Manifold):
         zero = same | (nu == 0.0)
         theta = np.arctan2(nu, c)
         if not zero.any():  # no row to mask, as in every descent iterate after the first
-            return theta, (theta / nu)[:, np.newaxis] * u
+            return theta, (theta / nu)[..., np.newaxis] * u
         ratio = np.divide(theta, nu, out=np.zeros_like(theta), where=~zero)
-        out = ratio[:, np.newaxis] * u
+        out = ratio[..., np.newaxis] * u
         out[zero] = 0.0
         return np.where(same, 0.0, theta), out
 
     @staticmethod
     def _chords(p, rows):
-        """Per row of ``rows``: equality with ``p`` (a point, or a stack
-        of rows paired with ``rows``), the clipped cosine ``c``, the
-        component ``u`` orthogonal to ``p`` and its norm."""
+        """Per pair of ``p`` (a point, a stack of rows paired with
+        ``rows``, or a ``(K, 1, n + 1)`` stack broadcast against them) and
+        ``rows``: their equality, the clipped cosine ``c``, the component
+        ``u`` of the row orthogonal to ``p`` and its norm."""
         same = (rows == p).all(axis=-1)
         c = np.minimum(np.maximum(np.vecdot(rows, p), -1.0), 1.0)  # np.clip, without its dispatch
-        u = rows - c[:, np.newaxis] * p
+        u = rows - c[..., np.newaxis] * p
         return same, c, u, np.sqrt(np.vecdot(u, u))
 
     def transport(self, p, q, v):
@@ -695,8 +745,9 @@ class Sphere(Manifold):
         return out / n
 
 
-# The last single SPD base matrix factored: (its bytes, L, L^-1 or None
-# until a caller needs it).  Replaced whole, never changed in place.
+# The last SPD base factored, one matrix or a stack: (its key, L, L^-1 or
+# None until a caller needs it), the key being a matrix's bytes or a
+# stack's side and bytes.  Replaced whole, never changed in place.
 _last_factor: tuple = (None, None, None)
 
 
@@ -753,15 +804,8 @@ class SymmetricPositiveDefinite(Manifold):
         white = self._whiten(p, q, finite=False)[2]
         if _in_range(white):
             return self._distances(other, white)
-        far = np.array([not _in_range(w) for w in white])
-        # rows past the range whiten q / 2^b at p / 2^a instead, with 2^a and
-        # 2^b the binades of their largest entries: with mu the eigenvalues
-        # of that whitened matrix, dist^2 = sum (ln mu + ln 2^(b - a))^2
-        a, b = (np.frexp(_size(x[far]))[1][:, np.newaxis, np.newaxis] for x in (p, q))
-        white[far] = self._whiten(np.ldexp(p[far], -a), np.ldexp(q[far], -b))[2]
-        shift = np.zeros(len(white))
-        shift[far] = (b - a).ravel() * math.log(2.0)
-        return self._distances(other, white, shift)
+        # with mu the eigenvalues of a rescued row, dist^2 = sum (ln mu + ln 2^(b - a))^2
+        return self._distances(other, white, self._rewhiten(p, q, white)[3])
 
     def _pair_dist(self, coords, i, j):
         """``dist(coords[i], coords[j])`` from one factor of each base
@@ -811,25 +855,76 @@ class SymmetricPositiveDefinite(Manifold):
         the distance the root sum of the same squared ``log(w)``, so it
         may differ from ``dist``, which reads ``eigvalsh``, in its last
         bits.  A row that is not positive definite raises ``dist``'s
-        error before the logarithm is mapped back."""
-        other = ~(rows == p).all(axis=(-2, -1))
-        if other.all():  # no row to mask, as in every descent iterate after the first
-            low, _, white = self._whiten(p, rows)
-            return self._white_dist_log(low, white)
-        d, out = np.zeros(len(rows)), np.zeros_like(rows)
+        error before the logarithm is mapped back.  A ``(K, 1, m, m)``
+        base stack broadcast against the rows factors its K bases once
+        each and gives ``(K, N)`` results.
+
+        A row equal to its base reads exactly zero.  Where the rows share
+        their bases (one point, one broadcast point, or K broadcast
+        points), every row is measured with its base's factor and those
+        rows are then zeroed; where each row has its own base, only the
+        other rows are measured."""
+        same = (rows == p).all(axis=(-2, -1))
+        if not same.any():  # no row to mask, as in every descent iterate after the first
+            return self._unmasked_dist_log(p, rows)
+        shared = p.ndim != rows.ndim or p.strides[0] == 0
+        if shared and not same.all():
+            d, out = self._unmasked_dist_log(p, rows)
+            d[same], out[same] = 0.0, 0.0
+            return d, out
+        d, out = np.zeros(same.shape), np.zeros(same.shape + self.ambient_shape)
+        other = ~same
         if other.any():
-            low, _, white = self._whiten(p if p.ndim == 2 else p[other], rows[other])
-            d[other], out[other] = self._white_dist_log(low, white)
+            d[other], out[other] = self._unmasked_dist_log(p[other], rows[other])
         return d, out
 
-    def _white_dist_log(self, low, white):
-        """``_dist_log`` of rows whitened by the factors ``low``."""
+    def _unmasked_dist_log(self, p, rows):
+        """``_dist_log`` without its mask: a row equal to its base reads
+        the rounding of its whitened identity, not zero.  A row whose
+        whitened matrix leaves the double range is whitened again as
+        ``q / 2^b`` at ``p / 2^a``, as in ``dist``: its log eigenvalues are
+        raised by ``ln 2^(b - a)``, and its logarithm is mapped back by
+        the factor of ``p / 2^a`` and multiplied by ``2^a``.  Every other
+        row keeps its bits."""
+        low, _, white = self._whiten(p, rows, finite=False)
+        if _in_range(white):
+            return self._white_dist_log(low, white)
+        far, a, far_low, shift = self._rewhiten(p, rows, white)
+        low = np.array(np.broadcast_to(low, white.shape))
+        low[far] = far_low
+        d, out = self._white_dist_log(low, white, shift)
+        with np.errstate(over="ignore"):
+            out[far] = np.ldexp(out[far], a)
+        if not np.isfinite(out[far]).all():
+            raise DomainError("log mapped back to L f L^T overflowed, with p = L L^T")
+        return d, out
+
+    def _rewhiten(self, p, q, white):
+        """Whiten again, in place, each row of ``white`` (``q`` whitened
+        at ``p``) that leaves the double range, as ``q / 2^b`` at
+        ``p / 2^a``, with ``2^a`` and ``2^b`` the binades of the largest
+        entries.  Returns which rows those are, their ``a`` and the
+        factors of their ``p / 2^a``, and each row's shift of its log
+        eigenvalues, ``ln 2^(b - a)`` (zero for the other rows)."""
+        far = _out_of_range(white)
+        p, q = (np.broadcast_to(x, white.shape)[far] for x in (p, q))
+        a, b = (np.frexp(_size(x))[1][:, np.newaxis, np.newaxis] for x in (p, q))
+        low, _, white[far] = self._whiten(np.ldexp(p, -a), np.ldexp(q, -b))
+        shift = np.zeros(far.shape)
+        shift[far] = (b - a).ravel() * math.log(2.0)
+        return far, a, low, shift
+
+    def _white_dist_log(self, low, white, shift=None):
+        """``_dist_log`` of rows whitened by the factors ``low``, each log
+        eigenvalue raised by its row's ``shift`` when given."""
         w, v = np.linalg.eigh(_sym(white))
         if not (w > 0.0).all():
             raise DomainError("matrix is not positive definite")
         f = np.log(w)
+        if shift is not None:
+            f += shift[..., np.newaxis]
         out = self._map_back(low, (v * f[..., np.newaxis, :]) @ v.mT, "log mapped back to L f L^T")
-        return np.sqrt((f**2).sum(axis=1)), out
+        return np.sqrt((f**2).sum(axis=-1)), out
 
     def transport(self, p, q, v):
         return self._batched(self.transport, self._stacked_transport, p, q, v)
@@ -886,8 +981,8 @@ class SymmetricPositiveDefinite(Manifold):
         if not self._tangents_pass(None, X):  # finite and symmetric, as a tangent must be
             return False
         try:
-            low = np.linalg.cholesky(X)
-        except np.linalg.LinAlgError:
+            low = self._whiten(X)  # remembered for the next iterate's pass over the stack
+        except DomainError:
             return False
         # validate_point's pivot test, row by row, in its order of operations
         pivots = low.diagonal(axis1=1, axis2=2).min(axis=1)
@@ -907,16 +1002,24 @@ class SymmetricPositiveDefinite(Manifold):
         ``DomainError`` if ``p`` is not positive definite or, with
         ``finite``, if the whitened ``x`` is not finite.
 
-        The factors of a single float64 matrix are remembered for the next
-        call on the same bytes (see the module docstring).  A stack is
-        factored row by row, except a single base that ``_batched``
-        broadcasts against a stack (a view whose rows share their memory),
-        which is factored once.
+        The factors of the last float64 base, one matrix or a stack, are
+        remembered for the next call on the same matrices (see the module
+        docstring): the key is the exact bytes, and for a stack also the
+        matrix side, so a ``(K, 1, m, m)`` view and a ``(K, m, m)`` stack
+        of the same matrices share one entry.  A stack is factored row by row, except
+        a single base that ``_batched`` broadcasts against a stack (a view
+        whose rows share their memory), which is factored once and not
+        remembered.
         """
         global _last_factor
-        key = p.tobytes() if p.ndim == 2 and p.dtype == np.float64 else None
-        memo = _last_factor
         shared = p.ndim > 2 and len(p) > 1 and p.strides[0] == 0
+        key = None
+        if not shared and p.dtype == np.float64:
+            # a stack's key holds the matrix side, so it never matches a single
+            # matrix or a stack of another side with the same bytes, and a
+            # single matrix's remembered factor always has the matrix's shape
+            key = p.tobytes() if p.ndim == 2 else (p.shape[-1], p.tobytes())
+        memo = _last_factor
         if key is None or memo[0] != key:
             try:
                 low = np.linalg.cholesky(p[0] if shared else p)
@@ -928,7 +1031,7 @@ class SymmetricPositiveDefinite(Manifold):
         if x is None:
             if key is not None:
                 _last_factor = memo
-            return np.broadcast_to(low, p.shape) if shared else low
+            return low if p.ndim == 2 else _as_base(low, p, shared)
         with np.errstate(over="ignore", invalid="ignore"):
             if inv_low is None:
                 inv_low = np.linalg.inv(low)
@@ -936,8 +1039,8 @@ class SymmetricPositiveDefinite(Manifold):
                 memo = (key, low, inv_low)
             if key is not None:
                 _last_factor = memo
-            if shared:
-                low, inv_low = (np.broadcast_to(a, p.shape) for a in (low, inv_low))
+            if p.ndim > 2:
+                low, inv_low = _as_base(low, p, shared), _as_base(inv_low, p, shared)
             white = inv_low @ x @ inv_low.mT
         if finite and not np.isfinite(white).all():
             raise DomainError("whitened matrix L^-1 x L^-T overflowed, with p = L L^T")

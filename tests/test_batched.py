@@ -648,13 +648,13 @@ def test_a_batch_raises_the_error_of_its_first_failing_row():
     ):
         assert _first_error(op, *args) == ("DomainError", "matrix is not positive definite")
     # an earlier row that overflows wins over a later row's failed factorization
-    for op in (spd.exp, spd.log):
-        _, message = _first_error(op, np.stack([tiny, indefinite]), np.stack([huge, eye]))
-        assert "overflowed" in message
-    # dist measures that pair past the range, so the later row's error is the batch's
-    assert _first_error(spd.dist, np.stack([tiny, indefinite]), np.stack([huge, eye])) == (
-        "DomainError", "matrix is not positive definite"
-    )
+    _, message = _first_error(spd.exp, np.stack([tiny, indefinite]), np.stack([huge, eye]))
+    assert "overflowed" in message
+    # dist and log measure that pair past the range, so the later row's error is the batch's
+    for op in (spd.dist, spd.log):
+        assert _first_error(op, np.stack([tiny, indefinite]), np.stack([huge, eye])) == (
+            "DomainError", "matrix is not positive definite"
+        )
     # an earlier row scaled past the range wins over a later row's base overflow
     scaled = ScaledManifold(Euclidean(2), 1e300)
     u = np.array([[1e10, 0.0], [1e200, 0.0]])

@@ -232,8 +232,9 @@ def test_spd_whitening_overflow_is_a_domain_error_without_a_warning():
     v = _vector(p, 1e10 * np.eye(2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # distance measures this pair past the range (see the test below)
-        for op, args in ((norm, (v,)), (inner_product, (v, v)), (log_map, (p, q))):
+        # distance and the logarithm measure this pair past the range (see
+        # the tests below)
+        for op, args in ((norm, (v,)), (inner_product, (v, v))):
             with pytest.raises(DomainError, match="L\\^-1 x L\\^-T overflowed"):
                 op(*args)
 
@@ -265,6 +266,44 @@ def test_spd_dist_past_the_double_range_is_the_scalar_law_without_a_warning(side
     )
     assert pairs[0, 2] == pairs[2, 0] == single
     assert scaled == 2.0 * single and typed == single
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 8])
+@pytest.mark.parametrize("a, b", [
+    (1e-300, 1e300), (1e300, 1e-300), (1e-300, 1e10), (1e10, 1e-300), (2.0**-1000, 2.0**1000),
+])
+def test_spd_log_past_the_double_range_is_the_scalar_law_without_a_warning(side, a, b):
+    # log at a I of b I is a ln(b / a) I: about 1.38e-297 I for the first
+    # pair and -1.38e303 I for the second, though b I whitened at a I
+    # overflows or underflows
+    m = SymmetricPositiveDefinite(side)
+    eye = np.eye(side)
+    exact = a * (math.log(b) - math.log(a)) * eye
+    p, q = a * eye, b * eye
+    near = np.stack([eye, 3.0 * eye])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = m.log(p, q)
+        # in a batch beside in-range pairs, which keep their own bits
+        batch = m.log(np.stack([near[0], p, near[1]]), np.stack([near[1], q, q]))
+        d, fused = m._dist_log(p, np.stack([q, near[1]]))
+        # K bases broadcast against N rows, as the lockstep Frechet pass measures them
+        d_many, fused_many = m._dist_log(np.stack([p, eye])[:, np.newaxis], np.stack([q, p]))
+        scaled = ScaledManifold(m, 4.0).log(p, q)
+        typed = log_map(_point(m, p), _point(m, q)).components
+    np.testing.assert_allclose(single, exact, rtol=1e-13, atol=1e-13 * abs(exact).max())
+    assert batch[1].tobytes() == single.tobytes()
+    assert batch[0].tobytes() == m.log(near[0], near[1]).tobytes()
+    assert batch[2].tobytes() == m.log(near[1], q).tobytes()
+    assert fused[0].tobytes() == single.tobytes()
+    assert fused[1].tobytes() == m.log(p, near[1]).tobytes()
+    assert d[0] == pytest.approx(m.dist(p, q), rel=1e-13)
+    assert d_many.shape == (2, 2) and fused_many.shape == (2, 2, side, side)
+    assert fused_many[0, 0].tobytes() == single.tobytes()
+    assert d_many[0, 1] == 0.0 and not fused_many[0, 1].any()
+    assert fused_many[1, 0].tobytes() == m.log(eye, q).tobytes()
+    assert fused_many[1, 1].tobytes() == m.log(eye, p).tobytes()
+    assert scaled.tobytes() == typed.tobytes() == single.tobytes()
 
 
 def test_spd_inner_product_overflow_is_a_domain_error_without_a_warning():

@@ -389,6 +389,27 @@ def test_lockstep_arms_are_bit_identical_to_single_runs(spec):
     assert stops.count("max_iters") == len(arms) - 1
 
 
+@pytest.mark.parametrize("spec", ["euclidean:3", "sphere:2", "spd:2", "spd:8"])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_the_stacked_frechet_pass_is_each_points_gradient_then_value(spec, scaled):
+    root = manifolds.manifold_from_string(spec)
+    m = ScaledManifold(root, 4.0) if scaled else root
+    rng = np.random.default_rng(30)
+    points = [ManifoldPoint(m, x) for x in root._random_points(rng, 6)]
+    objective = frechet_objective(points)
+    # the first query point is a data point, so its pairs take the masked path
+    xs = [points[0]] + [ManifoldPoint(m, x) for x in root._random_points(rng, 3)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = objective._measure_many(xs)
+        for x, (gradient, value) in zip(xs, stacked, strict=True):
+            alone = objective.gradient_fn(x)
+            assert gradient.base is x
+            assert gradient.components.tobytes() == alone.components.tobytes()
+            # value_fn after gradient_fn, as a one-arm descent calls them
+            assert np.array(value).tobytes() == np.array(objective.value_fn(x)).tobytes()
+
+
 def test_lockstep_arms_stop_on_their_own_errors_while_the_others_run_on():
     # a start antipodal to a data point cannot take the logarithm toward it
     far = ManifoldPoint(S2, np.array([1.0, 2.0, 2.0]) / 3.0)
@@ -611,15 +632,13 @@ def test_spd_lockstep_descent_makes_one_eigh_per_round_and_step(monkeypatch, sid
     traces = riemannian_gd_many(arms, objective, [x0] * 3, [config] * 3)
     monkeypatch.undo()
     assert [t.stop_reason for t in traces] == ["max_iters"] * 3
-    # per round one stacked pass over every arm's pairs (a factor, its
-    # inverse and one eigh) and one stacked norm (a factor and its
-    # inverse); per step one stacked exp (a factor, its inverse and an
-    # eigh) and one stacked point check (a factor); no eigvalsh
+    # per round one factor and one inverse of the stack of the arms' points:
+    # the step that made the round's iterates factors them in its stacked
+    # point check (round 0's stacked pass factors the starts), the stacked
+    # pass inverts that factor, and the stacked norm and step reuse both.
+    # One eigh per round and one per step (exp); no eigvalsh
     iterates, steps = len(traces[0]), len(traces[0]) - 1
-    assert dict(counts) == {
-        "cholesky": 2 * iterates + 2 * steps, "inv": 2 * iterates + steps,
-        "eigh": iterates + steps,
-    }
+    assert dict(counts) == {"cholesky": iterates, "inv": iterates, "eigh": iterates + steps}
 
 
 @pytest.mark.parametrize("side", [2, 8])
@@ -630,10 +649,16 @@ def test_spd_descent_bits_do_not_depend_on_the_factor_memo(monkeypatch, side):
     whiten = SymmetricPositiveDefinite._whiten
     misses = []
 
-    def cold(p, x=None):  # every factor taken afresh
+    def cold(p, x=None, finite=True):  # every factor taken afresh
         manifolds._last_factor = (None, None, None)
         misses.append(p.shape)
-        return whiten(p) if x is None else whiten(p, x)
+        return whiten(p, x, finite)
+
+    def same_bits(trace, fresh):
+        assert trace.stop_reason == fresh.stop_reason == "max_iters"
+        for a, b in zip(trace.iterates, fresh.iterates, strict=True):
+            assert a.coordinates.tobytes() == b.coordinates.tobytes()
+        assert trace.values == fresh.values and trace.grad_norms == fresh.grad_norms
 
     for arm in (manifold, ScaledManifold(manifold, 4.0)):
         with warnings.catch_warnings():
@@ -642,12 +667,24 @@ def test_spd_descent_bits_do_not_depend_on_the_factor_memo(monkeypatch, side):
             with monkeypatch.context() as patch:
                 patch.setattr(SymmetricPositiveDefinite, "_whiten", staticmethod(cold))
                 fresh = riemannian_gd(arm, objective, x0, config)
-        assert trace.stop_reason == fresh.stop_reason == "max_iters"
         assert misses.count((side, side)) > len(trace)  # the memo was bypassed
         misses.clear()
-        for a, b in zip(trace.iterates, fresh.iterates, strict=True):
-            assert a.coordinates.tobytes() == b.coordinates.tobytes()
-        assert trace.values == fresh.values and trace.grad_norms == fresh.grad_norms
+        same_bits(trace, fresh)
+    # a lockstep run remembers each stack of its arms' iterates; cold, every
+    # stacked pass, norm, step and point check factors it afresh
+    arms = (manifold, ScaledManifold(manifold, 4.0), ScaledManifold(manifold, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces = riemannian_gd_many(arms, objective, [x0] * 3, [config] * 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(SymmetricPositiveDefinite, "_whiten", staticmethod(cold))
+            fresh = riemannian_gd_many(arms, objective, [x0] * 3, [config] * 3)
+    stacks = misses.count((3, 1, side, side)) + misses.count((3, side, side))
+    assert stacks > 3 * len(traces[0])  # the memo was bypassed
+    for trace, again in zip(traces, fresh, strict=True):
+        same_bits(trace, again)
+    for arm, trace in zip(arms, traces):  # and each arm is its one-arm run
+        same_bits(trace, riemannian_gd(arm, objective, x0, config))
 
 
 @pytest.mark.parametrize("side, n", [(2, 70), (8, 40)])
@@ -678,6 +715,41 @@ def test_spd_pairwise_distances_factor_each_base_once_per_block(monkeypatch, sid
     assert sum(factored) <= n - 1 + blocks - 1
 
 
+def test_spd_factor_memo_shares_a_stack_between_its_views_and_never_across_sides(monkeypatch):
+    rng = np.random.default_rng(44)
+    whiten = SymmetricPositiveDefinite._whiten
+    blocks = SymmetricPositiveDefinite(2)._random_points(rng, 4)  # (4, 2, 2)
+    big = SymmetricPositiveDefinite(4)._random_points(rng, 1)[0]
+
+    def fresh(p):
+        try:
+            return np.linalg.cholesky(p).tobytes()
+        except np.linalg.LinAlgError:
+            return "not positive definite"
+
+    def remembered(p):
+        try:
+            return whiten(p).tobytes()
+        except DomainError:
+            return "not positive definite"
+
+    # a (K, 1, m, m) view of a remembered (K, m, m) stack reuses its factor
+    low = whiten(blocks)
+    counts = Counter()
+    monkeypatch.setattr(manifolds, "np", _Counting(
+        np, counts, linalg=_Counting(np.linalg, counts),
+    ))
+    view = whiten(blocks[:, np.newaxis])
+    monkeypatch.undo()
+    assert counts["cholesky"] == 0
+    assert view.shape == (4, 1, 2, 2) and view.tobytes() == low.tobytes() == fresh(blocks)
+    # the same 16 doubles as one 4 x 4 matrix, and the other way round, are
+    # factored afresh: the key holds the matrix side as well as the bytes
+    assert remembered(blocks.reshape(4, 4)) == fresh(blocks.reshape(4, 4))
+    whiten(big)
+    assert remembered(big.reshape(4, 2, 2)) == fresh(big.reshape(4, 2, 2))
+
+
 @pytest.mark.parametrize("side", [2, 8])
 def test_spd_single_base_against_a_stack_is_factored_once(monkeypatch, side):
     manifold = SymmetricPositiveDefinite(side)
@@ -685,11 +757,17 @@ def test_spd_single_base_against_a_stack_is_factored_once(monkeypatch, side):
     p, *rows = manifold._random_points(rng, 7)
     rows = np.stack(rows)
     tangents = np.stack([manifold.random_tangent(q, rng) for q in rows])
+    with_base = np.concatenate([rows[:3], p[np.newaxis], rows[3:]])
     calls = {
         "dist": lambda: manifold.dist(p, rows),
         "log": lambda: manifold.log(p, rows),
+        "log with a row equal to the base": lambda: manifold.log(p, with_base),
         "transport": lambda: manifold.transport(p, rows, tangents),
     }
+    # the row equal to the base reads zero, and every other row its own bits
+    masked = manifold.log(p, with_base)
+    assert not masked[3].any()
+    assert np.delete(masked, 3, axis=0).tobytes() == manifold.log(p, rows).tobytes()
     for name, call in calls.items():
         expected = call()
         counts, factored = Counter(), []
