@@ -20,7 +20,12 @@ first when ``i`` is even; every job's output passes the benchmark's own
 check.  Prints each tree's min and median round time and its median
 job time (the benchmark's ``job_s.p50``, unnormalized), then each job's
 min under both trees, so that a change which moves the median job by
-reordering the jobs around it shows which jobs crossed.  With
+reordering the jobs around it shows which jobs crossed.  For the round
+time and each round's median job, it also prints the inputs of the
+benchmark's rule for a claimed gain: how many of the round pairs (the
+two trees' runs of one round) each tree won, a tie counting for
+neither, the change of the working tree's median from the revision's,
+and the revision's interquartile distance.  With
 ``--checks`` (``suite`` only), each tree's property checks are timed
 too, and each check's min under both trees is printed: this shows where
 in the suite a change lands, with the untraced engine (the benchmark's
@@ -118,6 +123,20 @@ def run_round(jobs, modules) -> tuple[float, list[float]]:
     return elapsed, job_times
 
 
+def pair_rule(metric: str, labels: list[str], rev: list[float], tree: list[float]) -> str:
+    """One line of the claimed-gain rule's inputs for ``metric``: the round
+    pairs each tree won (lower is better; a tie counts for neither), the
+    change of the median from the revision's, and the revision's
+    interquartile distance, which a gain's median change must exceed."""
+    rev_wins = sum(a < b for a, b in zip(rev, tree))
+    tree_wins = sum(b < a for a, b in zip(rev, tree))
+    change = statistics.median(tree) - statistics.median(rev)
+    q1, _, q3 = statistics.quantiles(rev, n=4) if len(rev) > 1 else (rev[0],) * 3
+    return (f"{metric}: {labels[0]} won {rev_wins} of {len(rev)} pairs, {labels[1]} won "
+            f"{tree_wins}; median change {change * 1e3:+.2f} ms, "
+            f"{labels[0]} interquartile distance {(q3 - q1) * 1e3:.2f} ms")
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
     parser.add_argument("rev")
@@ -156,6 +175,10 @@ def main(argv: list[str]) -> int:
         every_job = [t for per_job in job_times[label] for t in per_job]
         print(f"{label}: min {min(ts) * 1e3:.1f} ms, median {statistics.median(ts) * 1e3:.1f} ms, "
               f"median job {statistics.median(every_job) * 1e3:.2f} ms")
+    medians = {label: [statistics.median(per_job) for per_job in job_times[label]]
+               for label in labels}
+    for metric, series in (("round", times), ("median job", medians)):
+        print(pair_rule(metric, labels, series[labels[0]], series[labels[1]]))
     width = max(map(len, job_labels))
     print(f"{'job min (ms)':<{width}}  " + "  ".join(f"{label:>12}" for label in labels))
     for j, job_label in enumerate(job_labels):

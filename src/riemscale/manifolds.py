@@ -48,15 +48,18 @@ The sampler is stacked too: ``_random_points(rng, count)`` draws
 ``count`` points as one ``(count, *ambient_shape)`` stack, taking from
 the generator exactly what ``count`` single draws take, so its rows are
 theirs bit for bit; ``random_point`` is its one-row case.
-SPD ``dist`` reads the eigenvalues of ``L^-1 q L^-T``, one stacked
-``eigvalsh`` for the whole batch.  A row whose whitened matrix leaves the
-double range (an entry overflows, or a diagonal entry falls below the
-normal range) is whitened again with the scalars factored out, as
-``q / 2^b`` at ``p / 2^a``, and its log eigenvalues are raised by
-``ln 2^(b - a)``; every other row keeps its bits.  SPD ``log`` (and the
-fused pass below) rescues such a row the same way, and maps its
-logarithm back by the factor of ``p / 2^a``, then multiplies it by
-``2^a``: ``log(1e-300 I, 1e300 I)`` is about ``1.38e-297 I``.
+On the SPD cone, ``dist``, the pair pass, ``log`` with the fused pass
+below, and ``transport`` all read one whitening of their (base, row)
+pairs, ``SymmetricPositiveDefinite._whitened``, which holds the cone's
+one row-equality mask and its one range rescue.  ``dist`` reads the
+eigenvalues of ``L^-1 q L^-T``, one stacked ``eigvalsh`` for the whole
+batch.  A row whose whitened matrix leaves the double range (an entry
+overflows, or a diagonal entry falls below the normal range) is whitened
+again with the scalars factored out, as ``q / 2^b`` at ``p / 2^a``, and
+its log eigenvalues are raised by ``ln 2^(b - a)``; every other row keeps
+its bits.  ``log`` maps such a row's logarithm back by the factor of
+``p / 2^a``, then multiplies it by ``2^a``: ``log(1e-300 I, 1e300 I)``
+is about ``1.38e-297 I``.  ``transport`` raises ``DomainError`` on it.
 
 A barycenter iterate measures all data points in one pass: the private
 ``_dist_log(p, rows)`` gives ``dist(p, rows)`` and ``log(p, rows)``
@@ -68,11 +71,13 @@ eigenvectors and the logs of its eigenvalues, the distance as the root
 sum of those logs squared (Pennec et al., IJCV 2006), so these distances
 may differ from ``dist``'s ``eigvalsh`` ones in their last bits; each
 row still reads what it reads alone.  ``p`` may also be a
-``(K, 1, *ambient_shape)`` stack of K points, each measured against all
-N rows by broadcasting, with ``(K, N)`` results: the lockstep Fréchet
-pass measures its arms' iterates so, and the SPD cone factors K bases,
-not K·N, also when a row equals its base: rows that share their bases
-are all measured with their factors, and the masked ones zeroed after.
+``(K, 1, *ambient_shape)`` stack of K points, each measured by
+broadcasting against all N rows (on the SPD cone, also against its own
+block of ``(K, N, *ambient_shape)`` rows), with ``(K, N)`` results: the
+lockstep Fréchet pass measures its arms' iterates so.  A base that several rows
+share (one point, one that ``_batched`` broadcasts, or such a stack) is
+factored once in its own shape, K bases and not K·N, also when a row
+equals its base: all its rows are whitened, and the equal ones zeroed.
 The SPD cone also remembers the Cholesky factor (and, once
 needed, its inverse) of the last base it factored, one matrix or a
 stack, keyed on the exact bytes (and a stack also on the matrix side, so
@@ -86,9 +91,9 @@ whole, so concurrent callers stay safe.  A base stack is factored row by
 row, except a single base point that ``_batched`` broadcasts against a
 stack, which is factored once and not remembered.
 ``pairwise_distances`` hands each block of its pairs to the private
-``_pair_dist(coords, i, j)``, which on the SPD cone factors each of the
-block's points once and whitens every pair by its base point's factor,
-with ``dist``'s bits.
+``_pair_dist(coords, i, j)``, which on the SPD cone factors the block's
+bases once and whitens every pair by its base's factor, with ``dist``'s
+bits.
 
 Each family also has two private stacked checks, ``_points_pass(X)`` and
 ``_tangents_pass(P, V)``: one call tells whether every row of a stack
@@ -224,21 +229,25 @@ _all = np.logical_and.reduce
 _smallest = np.minimum.reduce
 
 
-def _in_range(white: np.ndarray) -> bool:
-    """Whether a whitened matrix, or every matrix of a stack, is inside
-    the double range: its entries are finite, and its diagonal, positive
-    for a positive-definite matrix, is in the normal range."""
-    return bool(
-        _all(np.isfinite(white), None)
-        and _smallest(white.diagonal(0, -2, -1), None, initial=math.inf) >= sys.float_info.min
-    )
+def _zeroed(same: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """``out``, a new array of per-row results, with the rows that ``same``
+    marks (rows equal to their base, or ``None`` for none) set to zero."""
+    if same is not None:
+        out[same] = 0.0
+    return out
 
 
-def _out_of_range(white: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack, whether it fails :func:`_in_range`."""
-    inside = np.isfinite(white).all(axis=(-2, -1))
-    inside &= white.diagonal(axis1=-2, axis2=-1).min(axis=-1) >= sys.float_info.min
-    return ~inside
+def _log_eigenvalues(w: np.ndarray, rescue: tuple | None) -> np.ndarray:
+    """The logarithms of the eigenvalues ``w`` of whitened SPD rows, each
+    raised by its row's shift when some rows were rescued (see
+    ``SymmetricPositiveDefinite._whitened``); ``DomainError`` unless every
+    eigenvalue is > 0."""
+    if not (w > 0.0).all():
+        raise DomainError("matrix is not positive definite")
+    f = np.log(w)
+    if rescue is not None:
+        f += rescue[2][..., np.newaxis]
+    return f
 
 
 def _as_base(factor: np.ndarray, p: np.ndarray, shared: bool) -> np.ndarray:
@@ -357,7 +366,10 @@ class Manifold(ABC):
         axes.  Families override it to share the work of the two calls;
         the logarithms keep ``log``'s bits, and the distances ``dist``'s
         except on the SPD cone, which reads them from the logarithm's
-        ``eigh``.  Here the K·N pairs are one flat batch of each call."""
+        ``eigh`` and whitens by its one path, ``_whitened`` (where each of
+        the K points may also meet its own block of ``(K, N,
+        *ambient_shape)`` rows).  Here the K·N pairs are one flat batch of
+        each call."""
         if p.ndim <= rows.ndim:
             return self.dist(p, rows), self.log(p, rows)
         lead, shape = (len(p), len(rows)), self.ambient_shape
@@ -368,7 +380,7 @@ class Manifold(ABC):
         """``dist(coords[i], coords[j])``: the distances of the pairs
         ``(i[k], j[k])`` of a point stack, with ``i`` in ascending order as
         ``pairwise_distances`` gives it.  The SPD cone overrides it to
-        factor each point of ``i`` once."""
+        factor the block's bases once and whiten each pair by index."""
         return self.dist(coords[i], coords[j])
 
     @abstractmethod
@@ -607,7 +619,10 @@ class Sphere(Manifold):
 
     def _stacked_dist(self, p, q):
         same, c, u, nu = self._chords(p, q)
-        # atan2 keeps full accuracy near both coincident and antipodal pairs
+        # atan2 keeps full accuracy near antipodal pairs, not near coincident
+        # ones: u = q - c p carries an absolute error of about eps, so the
+        # relative error grows as the angle shrinks (9.9e-6 at 1e-12; ROADMAP
+        # item 18)
         theta = np.arctan2(nu, c)
         return np.where(same, 0.0, theta) if same.any() else theta
 
@@ -759,6 +774,9 @@ class SymmetricPositiveDefinite(Manifold):
     Every operation factors its base point once, ``p = L L^T``, and works
     on matrices whitened to ``L^-1 x L^-T``, which the congruence-invariant
     metric measures as it does their originals (Pennec et al., IJCV 2006).
+    ``dist``, the pair pass, ``log`` with ``_dist_log``, and ``transport``
+    whiten their (base, row) pairs by one function, :meth:`_whitened`,
+    with the cone's one row-equality mask and one range rescue.
     """
 
     side: int
@@ -795,42 +813,26 @@ class SymmetricPositiveDefinite(Manifold):
     def dist(self, p, q):
         return self._batched(self.dist, self._stacked_dist, p, q)
 
-    def _stacked_dist(self, p, q):
-        other = ~(q == p).all(axis=(-2, -1))
-        if not other.any():
-            return self._distances(other, None)
-        if not other.all():
-            p, q = p[other], q[other]
-        white = self._whiten(p, q, finite=False)[2]
-        if _in_range(white):
-            return self._distances(other, white)
-        # with mu the eigenvalues of a rescued row, dist^2 = sum (ln mu + ln 2^(b - a))^2
-        return self._distances(other, white, self._rewhiten(p, q, white)[3])
+    def _stacked_dist(self, p, q, index=None):
+        """``dist``'s body, and the pair pass's with ``index`` (see
+        :meth:`_whitened`): the root sum of the squared logarithms of the
+        eigenvalues of each whitened row, which are those of ``p^-1 q``,
+        read by one stacked ``eigvalsh``."""
+        same, _, _, white, rescue = self._whitened(p, q, index)
+        f = _log_eigenvalues(np.linalg.eigvalsh(white), rescue)
+        return _zeroed(same, np.sqrt((f**2).sum(axis=-1)))
 
     def _pair_dist(self, coords, i, j):
         """``dist(coords[i], coords[j])`` from one factor of each base
         point: the block's bases are the slice ``coords[i[0] : i[-1] + 1]``,
         factored by one ``cholesky`` and one ``inv``, and each pair is
-        whitened by its base's row, with the bits ``dist`` gives.  A factor
-        that fails, or a whitened pair outside the double range, takes the
-        block through ``dist``, which then gives its own result or error."""
-        rows = coords[j]
-        other = ~(rows == coords[i]).all(axis=(-2, -1))
-        base = i
-        if not other.all():
-            if not other.any():
-                return self._distances(other, None)
-            base, rows = i[other], rows[other]
+        whitened by its base's row, with the bits ``dist`` gives.  A block
+        that fails is measured again by ``dist``, which gives each pair's
+        own result or the first failing pair's error."""
         try:
-            low = np.linalg.cholesky(coords[base[0] : base[-1] + 1])
-        except np.linalg.LinAlgError:
+            return self._stacked_dist(coords[i[0] : i[-1] + 1], coords[j], i - i[0])
+        except GeometryError:
             return self.dist(coords[i], coords[j])
-        with np.errstate(over="ignore", invalid="ignore"):
-            inv_low = np.linalg.inv(low)[base - base[0]]
-            white = inv_low @ rows @ inv_low.mT
-        if not _in_range(white):
-            return self.dist(coords[i], coords[j])
-        return self._distances(other, white)
 
     def exp(self, p, v):
         if p.ndim > 2 or v.ndim > 2:
@@ -850,96 +852,43 @@ class SymmetricPositiveDefinite(Manifold):
         return self._batched(self.log, lambda p, q: self._dist_log(p, q)[1], p, q)
 
     def _dist_log(self, p, rows):
-        """Distances and logarithms from one ``eigh`` of each whitened row:
-        the logarithm is ``_sym_apply(white, np.log)`` bit for bit, and
-        the distance the root sum of the same squared ``log(w)``, so it
-        may differ from ``dist``, which reads ``eigvalsh``, in its last
-        bits.  A row that is not positive definite raises ``dist``'s
-        error before the logarithm is mapped back.  A ``(K, 1, m, m)``
-        base stack broadcast against the rows factors its K bases once
-        each and gives ``(K, N)`` results.
-
-        A row equal to its base reads exactly zero.  Where the rows share
-        their bases (one point, one broadcast point, or K broadcast
-        points), every row is measured with its base's factor and those
-        rows are then zeroed; where each row has its own base, only the
-        other rows are measured."""
-        same = (rows == p).all(axis=(-2, -1))
-        if not same.any():  # no row to mask, as in every descent iterate after the first
-            return self._unmasked_dist_log(p, rows)
-        shared = p.ndim != rows.ndim or p.strides[0] == 0
-        if shared and not same.all():
-            d, out = self._unmasked_dist_log(p, rows)
-            d[same], out[same] = 0.0, 0.0
-            return d, out
-        d, out = np.zeros(same.shape), np.zeros(same.shape + self.ambient_shape)
-        other = ~same
-        if other.any():
-            d[other], out[other] = self._unmasked_dist_log(p[other], rows[other])
-        return d, out
-
-    def _unmasked_dist_log(self, p, rows):
-        """``_dist_log`` without its mask: a row equal to its base reads
-        the rounding of its whitened identity, not zero.  A row whose
-        whitened matrix leaves the double range is whitened again as
-        ``q / 2^b`` at ``p / 2^a``, as in ``dist``: its log eigenvalues are
-        raised by ``ln 2^(b - a)``, and its logarithm is mapped back by
-        the factor of ``p / 2^a`` and multiplied by ``2^a``.  Every other
-        row keeps its bits."""
-        low, _, white = self._whiten(p, rows, finite=False)
-        if _in_range(white):
-            return self._white_dist_log(low, white)
-        far, a, far_low, shift = self._rewhiten(p, rows, white)
-        low = np.array(np.broadcast_to(low, white.shape))
-        low[far] = far_low
-        d, out = self._white_dist_log(low, white, shift)
-        with np.errstate(over="ignore"):
-            out[far] = np.ldexp(out[far], a)
-        if not np.isfinite(out[far]).all():
-            raise DomainError("log mapped back to L f L^T overflowed, with p = L L^T")
-        return d, out
-
-    def _rewhiten(self, p, q, white):
-        """Whiten again, in place, each row of ``white`` (``q`` whitened
-        at ``p``) that leaves the double range, as ``q / 2^b`` at
-        ``p / 2^a``, with ``2^a`` and ``2^b`` the binades of the largest
-        entries.  Returns which rows those are, their ``a`` and the
-        factors of their ``p / 2^a``, and each row's shift of its log
-        eigenvalues, ``ln 2^(b - a)`` (zero for the other rows)."""
-        far = _out_of_range(white)
-        p, q = (np.broadcast_to(x, white.shape)[far] for x in (p, q))
-        a, b = (np.frexp(_size(x))[1][:, np.newaxis, np.newaxis] for x in (p, q))
-        low, _, white[far] = self._whiten(np.ldexp(p, -a), np.ldexp(q, -b))
-        shift = np.zeros(far.shape)
-        shift[far] = (b - a).ravel() * math.log(2.0)
-        return far, a, low, shift
-
-    def _white_dist_log(self, low, white, shift=None):
-        """``_dist_log`` of rows whitened by the factors ``low``, each log
-        eigenvalue raised by its row's ``shift`` when given."""
+        """Distances and logarithms from one ``eigh`` of each whitened row
+        (see :meth:`_whitened`): the logarithm is ``_sym_apply(white,
+        np.log)`` bit for bit, and the distance the root sum of the same
+        squared ``log(w)``, so it may differ from ``dist``, which reads
+        ``eigvalsh``, in its last bits.  A row that is not positive definite
+        raises ``dist``'s error before the logarithm is mapped back.  A
+        rescued row's logarithm is mapped back by the factor of its
+        ``p / 2^a``, then multiplied by ``2^a``."""
+        same, low, _, white, rescue = self._whitened(p, rows)
         w, v = np.linalg.eigh(_sym(white))
-        if not (w > 0.0).all():
-            raise DomainError("matrix is not positive definite")
-        f = np.log(w)
-        if shift is not None:
-            f += shift[..., np.newaxis]
+        f = _log_eigenvalues(w, rescue)
         out = self._map_back(low, (v * f[..., np.newaxis, :]) @ v.mT, "log mapped back to L f L^T")
-        return np.sqrt((f**2).sum(axis=-1)), out
+        if rescue is not None:
+            far, a, _ = rescue
+            with np.errstate(over="ignore"):
+                out[far] = np.ldexp(out[far], a)
+            if not np.isfinite(out[far]).all():
+                raise DomainError("log mapped back to L f L^T overflowed, with p = L L^T")
+        return _zeroed(same, np.sqrt((f**2).sum(axis=-1))), _zeroed(same, out)
 
     def transport(self, p, q, v):
         return self._batched(self.transport, self._stacked_transport, p, q, v)
 
     def _stacked_transport(self, p, q, v):
-        out = v.copy()
-        moving = ~(p == q).all(axis=(-2, -1))
-        if not moving.all():  # unindexed, a broadcast base stays one view
-            p, q, v = p[moving], q[moving], v[moving]
-        if len(p):
-            low, inv_low, white = self._whiten(p, q)
-            # principal square root of q p^-1 = L W L^-1, with W the whitened
-            # q, whose eigenvalues are positive when q is positive definite
-            e = low @ _sym_apply(white, np.sqrt, positive=True) @ inv_low
-            out[moving] = self._map_back(e, v, "transport E v E^T")
+        same, low, inv_low, white, rescue = self._whitened(p, q)
+        # principal square root of q p^-1 = L W L^-1, with W the whitened
+        # q, whose eigenvalues are positive when q is positive definite
+        root = _sym_apply(white, np.sqrt, positive=True)
+        if rescue is not None:  # a q that is positive definite, but past the range
+            raise DomainError(
+                "whitened matrix L^-1 x L^-T overflowed or underflowed, with p = L L^T"
+            )
+        e = low @ root @ inv_low
+        if same is None:
+            return self._map_back(e, v, "transport E v E^T")
+        out, other = v.copy(), ~same  # a row equal to its base carries its vector unchanged
+        out[other] = self._map_back(e[other], v[other], "transport E v E^T")
         return out
 
     def to_tangent(self, p, w):
@@ -1054,29 +1003,63 @@ class SymmetricPositiveDefinite(Manifold):
             return white, white
         return tuple(self._whiten(p, np.array((u, v)))[2])
 
-    def _distances(
-        self, other: np.ndarray, white: np.ndarray | None, shift: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Distances of a stack of rows from their base points, given
-        which rows differ from their base (``other``) and those rows
-        whitened (``None`` when no row differs): the root sum of squared
-        logarithms of the eigenvalues of the whitened rows, which are
-        those of p^-1 q, each raised by its row's ``shift`` when given.
-        Rows equal to their base read eigenvalues of one, so their
-        distance is exactly zero."""
-        if white is None:
-            return np.zeros(other.shape)
-        vals = np.linalg.eigvalsh(white)
-        if not (vals > 0.0).all():
-            raise DomainError("matrix is not positive definite")
-        f = np.log(vals)
-        if shift is not None:
-            f += shift[:, np.newaxis]
-        if len(f) < len(other):  # some rows equal their base: their logarithms are zero
-            g = np.zeros(other.shape + (self.side,))
-            g[other] = f
-            f = g
-        return np.sqrt((f**2).sum(axis=1))
+    def _whitened(self, p, rows, index=None):
+        """The one whitening of (base, row) pairs, which ``dist``, the pair
+        pass, ``log`` with ``_dist_log``, and ``transport`` read.  The bases
+        are ``p``: one matrix, a stack broadcast against ``rows`` (a
+        ``_batched`` stride-0 view, or ``(K, 1, m, m)`` against ``(N, m,
+        m)`` or ``(K, N, m, m)`` rows), each row's own (``p`` shaped as
+        ``rows``), or, with ``index``, ``p[index[k]]`` for row ``k``.
+
+        Returns ``(same, low, inv_low, white, rescue)``: which rows equal
+        their base (``None`` when none does), which the callers zero or
+        carry unchanged; ``L`` (``None`` with ``index``: the pair pass reads
+        no factor) and ``L^-1`` of each base ``L L^T`` and each row
+        whitened to ``L^-1 q L^-T``, in the broadcast shape; and
+        ``rescue``, ``None`` when every whitened row is inside the double
+        range (finite entries, a diagonal in the normal range).  Else each
+        row outside it is whitened again, in place, as ``q / 2^b`` at
+        ``p / 2^a`` (``2^a``, ``2^b`` the binades of their largest
+        entries), its ``L`` becomes the factor of ``p / 2^a`` (its
+        ``L^-1`` is left), and ``rescue`` is ``(far, a, shift)``: those
+        rows, their ``a``, and each row's shift of its log eigenvalues,
+        ``ln 2^(b - a)``.
+
+        A shared base, and ``index``'s slice of bases, is factored once, and
+        the rows equal to it are whitened with the others.  A row equal to
+        its own base (or every row, when all equal their bases) is whitened
+        as ``I`` at ``I``, so that no factor is taken for it.  Every factor
+        comes from ``_whiten``."""
+        bases = p if index is None else p[index]
+        same = (rows == bases).all(axis=(-2, -1))
+        if not same.any():  # none to mask in every descent iterate but the first
+            same = None
+        elif same.all() or (index is None and p.shape == rows.shape and p.strides[0] != 0):
+            # an equal pair's own base may have no factor, and needs none
+            eye, mask = np.eye(self.side), same[..., np.newaxis, np.newaxis]
+            p = bases = np.where(mask, eye, bases)
+            rows, index = np.where(mask, eye, rows), None
+        if index is None:
+            low, inv_low, white = self._whiten(p, rows, finite=False)
+        else:  # the pair pass, which reads no factor
+            low = None
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv_low = np.linalg.inv(self._whiten(p))[index]
+                white = inv_low @ rows @ inv_low.mT
+        finite, diagonal = np.isfinite(white), white.diagonal(0, -2, -1)
+        tiny = sys.float_info.min
+        if _all(finite, None) and _smallest(diagonal, None, initial=math.inf) >= tiny:
+            return same, low, inv_low, white, None
+        far = ~(finite.all(axis=(-2, -1)) & (diagonal.min(axis=-1) >= tiny))
+        bases, rows = (np.broadcast_to(x, white.shape)[far] for x in (bases, rows))
+        a, b = (np.frexp(_size(x))[1][:, np.newaxis, np.newaxis] for x in (bases, rows))
+        far_low, _, white[far] = self._whiten(np.ldexp(bases, -a), np.ldexp(rows, -b))
+        if low is not None:
+            low = np.array(np.broadcast_to(low, white.shape))
+            low[far] = far_low
+        shift = np.zeros(far.shape)
+        shift[far] = (b - a).ravel() * math.log(2.0)
+        return same, low, inv_low, white, (far, a, shift)
 
     def _map_back(self, a: np.ndarray, m: np.ndarray, what: str) -> np.ndarray:
         """``a m a^T``, a result ``m`` mapped back out of the whitened frame

@@ -218,6 +218,22 @@ def test_spd_fused_distances_are_their_single_rows_and_near_dist(batch):
         _assert_near_dist(d, m.dist(base, rows))
 
 
+@pytest.mark.parametrize("side", [2, 3])
+def test_spd_fused_pass_of_k_bases_masks_a_row_equal_to_its_base_in_its_own_block(side):
+    m = SymmetricPositiveDefinite(side)
+    rng = np.random.default_rng(side)
+    bases = m._random_points(rng, 3)[:, np.newaxis]
+    rows = m._random_points(rng, 15).reshape(3, 5, side, side)
+    rows[1, 2] = bases[1, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d, logs = m._dist_log(bases, rows)
+        for k in range(3):
+            d_k, logs_k = m._dist_log(bases[k, 0], rows[k])
+            assert d[k].tobytes() == d_k.tobytes() and logs[k].tobytes() == logs_k.tobytes()
+    assert d[1, 2] == 0.0 and not logs[1, 2].any()
+
+
 @SETTINGS
 @given(batches(), st.floats(-3.0, 3.0), st.integers(2, 4))
 def test_dist_batches_the_base_point_row_by_row(batch, log_lam, k):
@@ -277,6 +293,15 @@ def test_stacked_drift_guard_raises_with_the_first_drifted_rows_drift():
         SymmetricPositiveDefinite._resymmetrize(stack)
 
 
+def _pair_pass(m, p, q):
+    """``_pair_dist`` over the pairs of a base point ``p`` (or a stack of
+    bases, one per row) and the rows ``q``: the bases stacked before the
+    rows, each row paired with its base."""
+    bases = p if p.ndim == q.ndim else p[np.newaxis]
+    i = np.arange(len(q)) if len(bases) > 1 else np.zeros(len(q), dtype=int)
+    return m._pair_dist(np.concatenate([bases, q]), i, len(bases) + np.arange(len(q)))
+
+
 # each body that masks rows equal to their base runs its masked branch
 # only when such a row is there; both branches give every row its bits
 _MASKED_OPS = {
@@ -284,6 +309,7 @@ _MASKED_OPS = {
     "log": lambda m, p, q: m.log(p, q),
     "fused-dist": lambda m, p, q: m._dist_log(p, q)[0],
     "fused-log": lambda m, p, q: m._dist_log(p, q)[1],
+    "pair-dist": _pair_pass,
 }
 
 
@@ -306,6 +332,74 @@ def test_rows_that_all_differ_from_their_base_keep_the_masked_branchs_bits(m, op
             masked = fn(m, masked_base, np.insert(rows, 2, p, axis=0))
             assert plain.tobytes() == masked[keep].tobytes()
             assert not masked[2].any()  # the masked row: distance 0, logarithm zero
+
+
+# a (base, row) pair of each masked operation as a single call
+_MASKED_SINGLES = {
+    "dist": lambda m: m.dist,
+    "log": lambda m: m.log,
+    "fused-dist": lambda m: lambda p, q: m._dist_log(p, q[np.newaxis])[0],
+    "fused-log": lambda m: lambda p, q: m._dist_log(p, q[np.newaxis])[1],
+    "pair-dist": lambda m: m.dist,
+}
+
+
+@pytest.mark.parametrize("side", [1, 2, 3])
+def test_spd_mask_and_range_rescue_compose_in_every_base_arrangement(side):
+    m = SymmetricPositiveDefinite(side)
+    rng = np.random.default_rng(side)
+    eye = np.eye(side)
+    tiny, huge = 1e-300 * eye, 1e300 * eye
+    a, b = (_spd(rng, side, 10.0) for _ in range(2))
+    # row 1 equals its base, and row 2, whitened at it, leaves the double range
+    rows = np.stack([a, tiny, huge, b])
+    tangents = np.stack([_tangent(m, x, rng) for x in rows])
+    arrangements = {
+        "one matrix": tiny,
+        "broadcast": np.broadcast_to(tiny, rows.shape),
+        "own rows": np.stack([b, tiny, tiny, a]),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, base in arrangements.items():
+            columns = (repeat(base) if base.ndim == 2 else base, rows)
+            for op, fn in _MASKED_OPS.items():
+                expected = _single_calls(_MASKED_SINGLES[op](m), *columns)
+                assert expected[0] == "ok", (name, op)
+                assert _outcome(lambda p, q: fn(m, p, q), base, rows) == expected, (name, op)
+            # transport fails on the pair past the range, as alone, and
+            # carries the row equal to its base unchanged
+            expected = _single_calls(m.transport, *columns, tangents)
+            assert expected[0] == "DomainError"
+            assert _outcome(m.transport, base, rows, tangents) == expected, name
+            kept = [0, 1, 3]
+            args = (base if base.ndim == 2 else base[kept], rows[kept], tangents[kept])
+            columns = (repeat(base) if base.ndim == 2 else args[0], *args[1:])
+            expected = _single_calls(m.transport, *columns)
+            assert expected[0] == "ok"
+            assert _outcome(m.transport, *args) == expected, name
+        # K bases broadcast against N rows, and against K blocks of N rows
+        for bases, blocks in (
+            (np.stack([tiny, a]), np.stack([rows, rows])),
+            (np.stack([tiny, huge]), np.stack([rows, rows[::-1]])),
+        ):
+            for stacked in (blocks[0], blocks):
+                d, logs = m._dist_log(bases[:, np.newaxis], stacked)
+                for k, base in enumerate(bases):
+                    for n, q in enumerate(stacked if stacked.ndim == 3 else stacked[k]):
+                        d1, log1 = m._dist_log(base, q[np.newaxis])
+                        assert d[k, n].tobytes() == d1[0].tobytes()
+                        assert logs[k, n].tobytes() == log1[0].tobytes()
+            assert d[0, 1] == 0.0 and not logs[0, 1].any()
+            assert np.isfinite(d[0, 2]) and d[0, 2] > 1000.0
+        # rows that all equal their base need no factor of it, so an
+        # indefinite base reads zero, as alone
+        indefinite = np.diag(np.where(np.arange(side) == 0, -1.0, 1.0))
+        rows = np.stack([indefinite] * 3)
+        for base in (indefinite, rows):
+            for op, fn in _MASKED_OPS.items():
+                assert not fn(m, base, rows).any(), op
+            assert m.transport(base, rows, tangents[:3]).tobytes() == tangents[:3].tobytes()
 
 
 def _drifted(stacked: bool, seed: int, entry: float) -> np.ndarray:

@@ -768,6 +768,12 @@ def test_spd_single_base_against_a_stack_is_factored_once(monkeypatch, side):
     masked = manifold.log(p, with_base)
     assert not masked[3].any()
     assert np.delete(masked, 3, axis=0).tobytes() == manifold.log(p, rows).tobytes()
+    _assert_factored_once(monkeypatch, side, calls)
+
+
+def _assert_factored_once(monkeypatch, side, calls):
+    """Each call, made again on a cold factor memo, gives its bits and
+    factors and inverts one ``(side, side)`` matrix, the broadcast base."""
     for name, call in calls.items():
         expected = call()
         counts, factored = Counter(), []
@@ -783,9 +789,26 @@ def test_spd_single_base_against_a_stack_is_factored_once(monkeypatch, side):
         out = call()
         monkeypatch.undo()
         assert out.tobytes() == expected.tobytes(), name
-        # the broadcast base is one matrix, factored once and inverted once
         assert factored == [(side, side)], name
         assert counts["inv"] == 1, name
+
+
+@pytest.mark.parametrize("side", [2, 8])
+def test_spd_single_base_against_a_stack_holding_it_is_factored_once(monkeypatch, side):
+    manifold = SymmetricPositiveDefinite(side)
+    rng = np.random.default_rng(side)
+    p, *rows = manifold._random_points(rng, 7)
+    rows = np.stack(rows)
+    tangents = np.stack([manifold.random_tangent(q, rng) for q in rows])
+    rows[3] = p  # equal to the base, so measured as zero and carried unchanged
+    calls = {
+        "dist": lambda: manifold.dist(p, rows),
+        "log": lambda: manifold.log(p, rows),
+        "transport": lambda: manifold.transport(p, rows, tangents),
+    }
+    assert calls["dist"]()[3] == 0.0 and not calls["log"]()[3].any()
+    assert calls["transport"]()[3].tobytes() == tangents[3].tobytes()
+    _assert_factored_once(monkeypatch, side, calls)
 
 
 @pytest.mark.parametrize("n", [1, 9, 40])
