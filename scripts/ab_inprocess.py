@@ -5,7 +5,7 @@ tree, in one interpreter, in alternating rounds.
 Usage::
 
     python scripts/ab_inprocess.py REV [--workload suite|descent|pairs] [--rounds N] [--seed N]
-                                       [--checks]
+                                       [--checks] [--tree-first]
 
 Exports ``REV`` with ``git archive`` into a temporary directory, as
 ``compare_outputs.py`` does.  Each tree is loaded in turn: the
@@ -13,8 +13,11 @@ Exports ``REV`` with ``git archive`` into a temporary directory, as
 the tree's ``src`` goes first on ``sys.path``, and the job list is built
 by the working tree's ``perfbench/workloads.py`` from ``--seed`` (default
 1) and warmed up.  A claim measured on one seed can be checked on a seed
-not used while the change was written.  Each
-tree keeps its own modules, which are put back in ``sys.modules`` before
+not used while the change was written.  The revision is loaded first,
+or the working tree with ``--tree-first``: the tree loaded second has
+read slower on SPD ``descent`` jobs whatever its code, so a per-job
+difference should hold in both orders.  The header names the order.
+Each tree keeps its own modules, which are put back in ``sys.modules`` before
 its rounds run.  Round ``i`` runs both trees' job lists, the revision
 first when ``i`` is even; every job's output passes the benchmark's own
 check.  Prints each tree's min and median round time and its median
@@ -146,6 +149,8 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--checks", action="store_true",
                         help="with --workload suite, also print each property check's "
                         "min time per tree")
+    parser.add_argument("--tree-first", action="store_true",
+                        help="load the working tree before the revision")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -158,19 +163,21 @@ def main(argv: list[str]) -> int:
         path = list(sys.path)
         labels = [args.rev, "working tree"]
         check_times = {label: {} if args.checks else None for label in labels}
+        sources = list(zip(labels, (Path(tmp), ROOT)))
         trees = {
             label: load(tree, args.workload, args.seed, path, check_times[label])
-            for label, tree in zip(labels, (Path(tmp), ROOT))
+            for label, tree in (sources[::-1] if args.tree_first else sources)
         }
-        times = {label: [] for label in trees}
-        job_times = {label: [] for label in trees}  # one list per round
+        times = {label: [] for label in labels}
+        job_times = {label: [] for label in labels}  # one list per round
         for i in range(args.rounds):
             for label in labels if i % 2 == 0 else labels[::-1]:
                 elapsed, per_job = run_round(*trees[label])
                 times[label].append(elapsed)
                 job_times[label].append(per_job)
         job_labels = [job.label for job in trees[labels[0]][0]]
-    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds")
+    print(f"{args.workload}, seed {args.seed}, {args.rounds} rounds, "
+          f"loaded {' then '.join(trees)}")
     for label, ts in times.items():
         every_job = [t for per_job in job_times[label] for t in per_job]
         print(f"{label}: min {min(ts) * 1e3:.1f} ms, median {statistics.median(ts) * 1e3:.1f} ms, "

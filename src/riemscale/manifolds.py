@@ -59,7 +59,11 @@ again with the scalars factored out, as ``q / 2^b`` at ``p / 2^a``, and
 its log eigenvalues are raised by ``ln 2^(b - a)``; every other row keeps
 its bits.  ``log`` maps such a row's logarithm back by the factor of
 ``p / 2^a``, then multiplies it by ``2^a``: ``log(1e-300 I, 1e300 I)``
-is about ``1.38e-297 I``.  ``transport`` raises ``DomainError`` on it.
+is about ``1.38e-297 I``.  ``transport`` maps such a row's vector by
+``E' = L' W'^1/2 L'^-1``, with ``L'`` the factor of ``p / 2^a`` and
+``W'`` the whitened row, then multiplies it by ``2^(b - a)``, which is
+exact: ``transport(1e-300 I, 1e300 I, 1e-300 I)`` is about ``1e300 I``.
+A rescued row raises ``DomainError`` only where its result overflows.
 
 A barycenter iterate measures all data points in one pass: the private
 ``_dist_log(p, rows)`` gives ``dist(p, rows)`` and ``log(p, rows)``
@@ -81,13 +85,12 @@ equals its base: all its rows are whitened, and the equal ones zeroed.
 The SPD cone also remembers the Cholesky factor (and, once
 needed, its inverse) of the last base it factored, one matrix or a
 stack, keyed on the exact bytes (and a stack also on the matrix side, so
-that no factor is read back for matrices of another side).  So validating a
-descent iterate, measuring from it, taking its norm and stepping from it
-factor it once; a lockstep iterate's stack of arm points is factored
-once, by the stacked point check of the step that made it, and inverted
-once, by the Fréchet pass, whose ``(K, 1, m, m)`` view shares the
-entry of the ``(K, m, m)`` stack.  The memo is one tuple, replaced
-whole, so concurrent callers stay safe.  A base stack is factored row by
+that no factor is read back for matrices of another side).  So measuring
+from a descent iterate, taking its norm and stepping from it factor it
+once; a lockstep iterate's stack of arm points is factored and inverted
+once, by the Fréchet pass, whose ``(K, 1, m, m)`` view shares the entry
+of the ``(K, m, m)`` stack with the stacked norm and step.  The memo is
+one tuple, replaced whole, so concurrent callers stay safe.  A base stack is factored row by
 row, except a single base point that ``_batched`` broadcasts against a
 stack, which is factored once and not remembered.
 ``pairwise_distances`` hands each block of its pairs to the private
@@ -98,9 +101,9 @@ bits.
 Each family also has two private stacked checks, ``_points_pass(X)`` and
 ``_tangents_pass(P, V)``: one call tells whether every row of a stack
 would pass ``validate_point``, or ``validate_tangent`` at its row of
-``P``.  Lockstep descent checks all its arms' new iterates and gradients
-with them, and builds each arm's point or vector from a read-only row of
-the checked stack (``_points`` and ``_tangents``); when a check fails,
+``P``.  Descent checks its new iterates and gradients with them, each
+lockstep step's or each block's at once, and builds its points from
+read-only rows of the checked stack (``_points``); when a check fails,
 each row is validated on its own, so each meets its own error.  Their
 rule: a stacked check may be stricter than its validator, never looser.
 Each asks for float64 rows of the ambient shape with finite entries,
@@ -238,16 +241,27 @@ def _zeroed(same: np.ndarray | None, out: np.ndarray) -> np.ndarray:
 
 
 def _log_eigenvalues(w: np.ndarray, rescue: tuple | None) -> np.ndarray:
-    """The logarithms of the eigenvalues ``w`` of whitened SPD rows, each
-    raised by its row's shift when some rows were rescued (see
+    """The logarithms of the eigenvalues ``w`` of whitened SPD rows, those
+    of each rescued row raised by ``ln 2^(b - a)`` (see
     ``SymmetricPositiveDefinite._whitened``); ``DomainError`` unless every
     eigenvalue is > 0."""
     if not (w > 0.0).all():
         raise DomainError("matrix is not positive definite")
     f = np.log(w)
     if rescue is not None:
-        f += rescue[2][..., np.newaxis]
+        far, a, b = rescue
+        f[far] += (b - a)[..., 0] * math.log(2.0)
     return f
+
+
+def _ldexp_rows(out: np.ndarray, far: np.ndarray, exponent: np.ndarray, what: str) -> None:
+    """Multiply the rows ``far`` of ``out`` by ``2^exponent`` in place,
+    exactly unless a result leaves the normal range; ``DomainError``
+    naming ``what``, with no warning, if one overflows."""
+    with np.errstate(over="ignore"):
+        out[far] = np.ldexp(out[far], exponent)
+    if not np.isfinite(out[far]).all():
+        raise DomainError(f"{what} overflowed, with p = L L^T")
 
 
 def _as_base(factor: np.ndarray, p: np.ndarray, shared: bool) -> np.ndarray:
@@ -863,13 +877,11 @@ class SymmetricPositiveDefinite(Manifold):
         same, low, _, white, rescue = self._whitened(p, rows)
         w, v = np.linalg.eigh(_sym(white))
         f = _log_eigenvalues(w, rescue)
-        out = self._map_back(low, (v * f[..., np.newaxis, :]) @ v.mT, "log mapped back to L f L^T")
+        what = "log mapped back to L f L^T"
+        out = self._map_back(low, (v * f[..., np.newaxis, :]) @ v.mT, what)
         if rescue is not None:
             far, a, _ = rescue
-            with np.errstate(over="ignore"):
-                out[far] = np.ldexp(out[far], a)
-            if not np.isfinite(out[far]).all():
-                raise DomainError("log mapped back to L f L^T overflowed, with p = L L^T")
+            _ldexp_rows(out, far, a, what)
         return _zeroed(same, np.sqrt((f**2).sum(axis=-1))), _zeroed(same, out)
 
     def transport(self, p, q, v):
@@ -880,15 +892,18 @@ class SymmetricPositiveDefinite(Manifold):
         # principal square root of q p^-1 = L W L^-1, with W the whitened
         # q, whose eigenvalues are positive when q is positive definite
         root = _sym_apply(white, np.sqrt, positive=True)
-        if rescue is not None:  # a q that is positive definite, but past the range
-            raise DomainError(
-                "whitened matrix L^-1 x L^-T overflowed or underflowed, with p = L L^T"
-            )
         e = low @ root @ inv_low
         if same is None:
-            return self._map_back(e, v, "transport E v E^T")
-        out, other = v.copy(), ~same  # a row equal to its base carries its vector unchanged
-        out[other] = self._map_back(e[other], v[other], "transport E v E^T")
+            out = self._map_back(e, v, "transport E v E^T")
+        else:  # a row equal to its base carries its vector unchanged
+            out, other = v.copy(), ~same
+            out[other] = self._map_back(e[other], v[other], "transport E v E^T")
+        if rescue is not None:
+            # a row whitened as q / 2^b at p / 2^a has E = 2^((b - a) / 2) E', with E'
+            # from the factor of p / 2^a, so its result is 2^(b - a) E' v E'^T (a row
+            # equal to its base has b == a)
+            far, a, b = rescue
+            _ldexp_rows(out, far, b - a, "transport E v E^T")
         return out
 
     def to_tangent(self, p, w):
@@ -1020,10 +1035,12 @@ class SymmetricPositiveDefinite(Manifold):
         range (finite entries, a diagonal in the normal range).  Else each
         row outside it is whitened again, in place, as ``q / 2^b`` at
         ``p / 2^a`` (``2^a``, ``2^b`` the binades of their largest
-        entries), its ``L`` becomes the factor of ``p / 2^a`` (its
-        ``L^-1`` is left), and ``rescue`` is ``(far, a, shift)``: those
-        rows, their ``a``, and each row's shift of its log eigenvalues,
-        ``ln 2^(b - a)``.
+        entries), its ``L`` and ``L^-1`` become the factor of ``p / 2^a``
+        and its inverse (with ``index``, ``L^-1`` is left), and ``rescue``
+        is ``(far, a, b)``: those rows and their exponents, as ``(F, 1,
+        1)`` integer arrays.  A rescued row's log eigenvalues are then
+        raised by ``ln 2^(b - a)``, and its transport scaled by
+        ``2^(b - a)``.
 
         A shared base, and ``index``'s slice of bases, is factored once, and
         the rows equal to it are whitened with the others.  A row equal to
@@ -1053,13 +1070,11 @@ class SymmetricPositiveDefinite(Manifold):
         far = ~(finite.all(axis=(-2, -1)) & (diagonal.min(axis=-1) >= tiny))
         bases, rows = (np.broadcast_to(x, white.shape)[far] for x in (bases, rows))
         a, b = (np.frexp(_size(x))[1][:, np.newaxis, np.newaxis] for x in (bases, rows))
-        far_low, _, white[far] = self._whiten(np.ldexp(bases, -a), np.ldexp(rows, -b))
-        if low is not None:
-            low = np.array(np.broadcast_to(low, white.shape))
-            low[far] = far_low
-        shift = np.zeros(far.shape)
-        shift[far] = (b - a).ravel() * math.log(2.0)
-        return same, low, inv_low, white, (far, a, shift)
+        far_low, far_inv, white[far] = self._whiten(np.ldexp(bases, -a), np.ldexp(rows, -b))
+        if low is not None:  # the pair pass reads no factor
+            low, inv_low = (np.array(np.broadcast_to(x, white.shape)) for x in (low, inv_low))
+            low[far], inv_low[far] = far_low, far_inv
+        return same, low, inv_low, white, (far, a, b)
 
     def _map_back(self, a: np.ndarray, m: np.ndarray, what: str) -> np.ndarray:
         """``a m a^T``, a result ``m`` mapped back out of the whitened frame
@@ -1160,43 +1175,21 @@ class TangentVector:
         return f"TangentVector(base={self.base!r}, components={self.components!r})"
 
 
-def _checked_rows(X: np.ndarray) -> list[np.ndarray]:
-    """The rows of a read-only copy of a checked stack."""
-    X = X.copy()
-    X.setflags(write=False)
-    return list(X)
-
-
 def _points(manifold: Manifold, X: np.ndarray) -> list[ManifoldPoint] | None:
     """The rows of ``X`` as points of ``manifold``, each what
-    ``ManifoldPoint(manifold, row)`` gives, from one stacked check; ``None``
-    when that check fails, so that each row is validated on its own."""
+    ``ManifoldPoint(manifold, row)`` gives, from one stacked check: the
+    read-only rows of one copy of ``X``.  ``None`` when that check fails,
+    so that each row is validated on its own."""
     if not manifold._points_pass(X):
         return None
+    X = X.copy()
+    X.setflags(write=False)
     out = []
-    for row in _checked_rows(X):
+    for row in X:
         point = object.__new__(ManifoldPoint)
         object.__setattr__(point, "manifold", manifold)
         object.__setattr__(point, "coordinates", row)
         out.append(point)
-    return out
-
-
-def _tangents(
-    bases: Sequence[ManifoldPoint], P: np.ndarray, V: np.ndarray
-) -> list[TangentVector] | None:
-    """Row ``i`` of ``V`` as a tangent vector at ``bases[i]``, whose
-    coordinates are row ``i`` of ``P``, each what ``TangentVector(bases[i],
-    row)`` gives, from one stacked check of the bases' manifold; ``None``
-    when that check fails, as for :func:`_points`."""
-    if not bases[0].manifold._tangents_pass(P, V):
-        return None
-    out = []
-    for base, row in zip(bases, _checked_rows(V)):
-        vector = object.__new__(TangentVector)
-        object.__setattr__(vector, "base", base)
-        object.__setattr__(vector, "components", row)
-        out.append(vector)
     return out
 
 

@@ -13,15 +13,22 @@ lockstep, each on its own scale of one root manifold with its own step
 size, start and stopping rule.  While several arms are live, each
 iterate measures the objective at all of them in one stacked pass,
 rescales each gradient through its arm's own wrappers, and takes every
-gradient norm and every step in one stacked call on the root.  The new
-gradients and the new iterates are validated as one stack each, by the
-root family's stacked checks, and each arm's vector or point is a
-read-only row of the checked stack; when a stacked check fails, the arms
-are validated one by one, so each meets its own error.  Each arm's trace
-is bit-identical to its own :func:`riemannian_gd` run, which is the
-one-arm case of the same loop and passes single arrays to the manifold.
-The property suite descends the twins of all its scales on a manifold as
-one such run.
+gradient norm and every step in one stacked call on the root.  Each
+arm's trace is bit-identical to its own :func:`riemannian_gd` run, which
+is the one-arm case of the same loop and passes single arrays to the
+manifold.  The property suite descends the twins of all its scales on a
+manifold as one such run.
+
+A Fréchet objective (one with the private stacked pass) is descended in
+blocks of ``_BLOCK_STEPS`` iterates on raw arrays, as the chart RK4
+engine runs its steps: within a block only the checks that decide the
+run's course are made, and every gradient and every new iterate of the
+block is checked at its end, by one stacked check of the root family
+each; the trace's points are read-only rows of the checked stack.  A
+block that fails a check or raises is redone by the checked path, which
+validates each gradient and each iterate as it is made (several arms as
+one stack, arm by arm if that fails), so that each arm meets its own
+error, warning or result.  Any other objective takes the checked path.
 
 :func:`calibrate_scale` treats the scale as a learnable quantity: given
 target distances, the best constant factor has a closed least-squares
@@ -61,7 +68,7 @@ from .errors import (
 )
 from .manifolds import (
     Manifold, ManifoldPoint, TangentVector, _floats, _points, _require, _require_count,
-    _require_real, _tangents,
+    _require_real,
 )
 from .scaling import ScaledManifold, ScaleFactor, _unwrap
 
@@ -69,6 +76,11 @@ STOP_CONVERGED = "converged"
 STOP_MAX_ITERS = "max_iters"
 STOP_ERROR = "error"
 STOP_DIVERGED = "diverged"
+
+# Iterates of a descent with a stacked objective pass that run unchecked
+# between two stacked checks (riemannian_gd_many), as charts._BLOCK_STEPS
+# RK4 steps do.
+_BLOCK_STEPS = 64
 
 # Bytes of coordinates on each side of one batched pair pass (``_pair_dist``) in
 # pairwise_distances: 128 pairs on spd:8, 2048 on spd:2, 2730 on sphere:2.
@@ -88,16 +100,20 @@ class Objective:
     gradient in the unscaled base metric as a tangent vector at the
     query point.
 
-    ``_measure_many`` is private to the library: when set, it takes a
-    list of points and gives each point's ``(gradient, value)`` from one
-    stacked pass, bit for bit what ``gradient_fn`` and then ``value_fn``
-    give, or raises a ``GeometryError``.  :func:`riemannian_gd_many`
-    measures its live arms with it.
+    ``_measure_many`` is private to the library: when set, it takes the
+    coordinates of one point, or a ``(K, *ambient_shape)`` stack of K
+    points, and gives the gradient components in the same shape and a
+    list of the K values, bit for bit what ``gradient_fn`` and then
+    ``value_fn`` give, or raises a ``GeometryError``.  It checks nothing:
+    the components are not validated as tangent vectors.  One point takes
+    ``gradient_fn``'s single-input arithmetic, a stack one stacked pass.
+    :func:`riemannian_gd_many` measures its live arms with it, and runs
+    its checked-once-per-block path only for an objective that has it.
     """
 
     value_fn: Callable[[ManifoldPoint], float]
     gradient_fn: Callable[[ManifoldPoint], TangentVector]
-    _measure_many: Callable[[list[ManifoldPoint]], list[tuple[TangentVector, float]]] | None = (
+    _measure_many: Callable[[np.ndarray], tuple[np.ndarray, list[float]]] | None = (
         field(default=None, repr=False)
     )
 
@@ -176,7 +192,10 @@ def riemannian_gd(
     iterate whose value or gradient norm is not finite (the rescaled
     gradient or the norm raises ``DomainError`` when it overflows) ends
     the run with ``stop_reason == "diverged"``; the trace keeps the
-    finite iterates before it.  This is the one-arm case of :func:`riemannian_gd_many`.
+    finite iterates before it.  This is the one-arm case of
+    :func:`riemannian_gd_many`: a Fréchet objective's gradients and
+    iterates are checked once per block of iterates, and the trace is
+    that of a run that checks each one as it is made.
     """
     return riemannian_gd_many((manifold,), objective, (x0,), (config,))[0]
 
@@ -201,16 +220,33 @@ def riemannian_gd_many(
     Each arm rescales its gradient through its own manifold; every norm
     is one stacked inner product on the root, scaled by each arm's
     factors as its wrappers scale it, and every step one stacked
-    exponential map on the root.  Each gradient is still a validated
-    :class:`TangentVector` and each iterate a validated
-    :class:`ManifoldPoint`, but the arms are validated as one stack: one
-    stacked check of the root family tests every arm's gradient, or every
-    arm's new iterate, and each arm's vector or point is a read-only row
-    of the checked stack.  A stage whose stacked pass raises a
-    ``GeometryError``, or whose stacked check fails, is redone or
-    validated arm by arm, so each arm meets its own error or its own
-    result.  With one live arm, every stage takes that arm's single
-    inputs and its own validators.
+    exponential map on the root.  With one live arm, every stage takes
+    that arm's single inputs and the single-input bodies.
+
+    An objective with the stacked pass runs in blocks of
+    ``_BLOCK_STEPS`` iterates on raw coordinate arrays.  Within a block
+    no point or vector is built, and only the checks that decide control
+    flow run per iterate: a finite value and norm, ``grad_tol``,
+    ``max_iters``, and the overflow of a rescaled gradient or its norm.
+    At the block's end one stacked check of the root family tests every
+    gradient the block measured (``_tangents_pass``), and one every point
+    it stepped to (``_points_pass``); the trace's iterates are read-only
+    rows of the checked stack.  The block runs under an ``np.errstate``
+    that raises every floating-point condition the caller's settings do
+    not ignore.  If a check fails or anything raises, the block is redone
+    from its start by the checked path, so that the errors, messages,
+    warnings, stop reasons and traces are those of a run that checks
+    each iterate as it is made.
+
+    The checked path builds each gradient as a validated
+    :class:`TangentVector` and each iterate as a validated
+    :class:`ManifoldPoint`; any other objective takes it throughout, so
+    its callbacks only ever see validated points.  Several arms are
+    validated as one stack there: one stacked check tests every arm's
+    gradient, or every arm's new iterate.  A stage whose stacked pass
+    raises a ``GeometryError``, or whose stacked check fails, is redone
+    or validated arm by arm, so each arm meets its own error or its own
+    result.
     """
     manifolds, starts, configs = tuple(manifolds), tuple(starts), tuple(configs)
     if not manifolds:
@@ -226,22 +262,13 @@ def riemannian_gd_many(
 
     live, k = arms, 0
     while live:
-        live = _evaluate(objective, live)
-        _measure_gradients(live)
-        stepping = []
-        for arm in live:
-            if not (math.isfinite(arm.value) and math.isfinite(arm.grad_norm)):
-                arm.stop_reason = STOP_DIVERGED
-                continue
-            arm.iterates.append(arm.x)
-            arm.values.append(arm.value)
-            arm.grad_norms.append(arm.grad_norm)
-            if arm.grad_norm <= arm.config.grad_tol:
-                arm.stop_reason = STOP_CONVERGED
-            elif k < arm.config.max_iters:
-                stepping.append(arm)
-        live = _step(stepping)
-        k += 1
+        stop = k + _BLOCK_STEPS
+        kept = None if objective._measure_many is None else _block(objective, live, k, stop)
+        if kept is not None:
+            live, k = kept, stop
+        while live and k < stop:  # the checked path: a plain objective, or a block's redo
+            live = _iterate(objective, live, k)
+            k += 1
     return tuple(
         OptimizerTrace(tuple(arm.iterates), tuple(arm.values), tuple(arm.grad_norms),
                        arm.stop_reason)
@@ -252,10 +279,13 @@ def riemannian_gd_many(
 class _Arm:
     """One descent of :func:`riemannian_gd_many`: its metric, its
     settings, what it recorded, and the quantities of its current
-    iterate."""
+    iterate: ``point``, its last checked point, and ``x``, the
+    coordinates of the current iterate (``point``'s, or in a block an
+    unchecked step's end, which ``ends`` keeps)."""
 
-    __slots__ = ("manifold", "root", "factors", "config", "x", "iterates", "values",
-                 "grad_norms", "stop_reason", "gradient", "value", "used", "grad_norm")
+    __slots__ = ("manifold", "root", "factors", "config", "point", "x", "ends", "iterates",
+                 "values", "grad_norms", "stop_reason", "gradient", "value", "used",
+                 "grad_norm")
 
     def __init__(self, manifold: Manifold, x0: ManifoldPoint, config: OptimizerConfig):
         _require(Manifold, manifold)
@@ -264,28 +294,140 @@ class _Arm:
         root, self.factors = _unwrap(manifold)
         if x0.manifold is not root and x0.manifold != root:
             raise ContractViolationError(f"x0 lives on {x0.manifold}, expected {root}")
-        self.manifold, self.root, self.config, self.x = manifold, root, config, x0
+        self.manifold, self.root, self.config = manifold, root, config
+        self.point, self.x = x0, x0.coordinates
         self.iterates, self.values, self.grad_norms = [], [], []
         self.stop_reason = STOP_MAX_ITERS
 
 
-def _evaluate(objective: Objective, arms: list[_Arm]) -> list[_Arm]:
-    """Set the gradient and the value at each arm's iterate; the arms
-    whose objective met a domain error stop, and the others are returned."""
-    if len(arms) > 1 and objective._measure_many is not None:
-        try:
-            results = objective._measure_many([arm.x for arm in arms])
-        except GeometryError:
-            pass
+def _iterate(
+    objective: Objective, arms: list[_Arm], k: int, block: _Block | None = None
+) -> list[_Arm]:
+    """Iterate ``k`` of the live arms: measure, record, step; the arms
+    still live are returned.  In a ``block`` nothing is checked and the
+    block keeps what it needs for its check."""
+    arms = _evaluate(objective, arms, block)
+    _measure_gradients(arms)
+    stepping = []
+    for arm in arms:
+        if not (math.isfinite(arm.value) and math.isfinite(arm.grad_norm)):
+            arm.stop_reason = STOP_DIVERGED
+            continue
+        arm.iterates.append(arm.point if block is None else arm.x)
+        arm.values.append(arm.value)
+        arm.grad_norms.append(arm.grad_norm)
+        if arm.grad_norm <= arm.config.grad_tol:
+            arm.stop_reason = STOP_CONVERGED
+        elif k < arm.config.max_iters:
+            stepping.append(arm)
+    return _step(stepping) if block is None else block.step(stepping)
+
+
+def _block(objective: Objective, arms: list[_Arm], k: int, stop: int) -> list[_Arm] | None:
+    """Run iterates ``k`` to ``stop - 1`` of the live arms unchecked, then
+    check them as one stack (see :func:`riemannian_gd_many`).  The arms
+    still live; or ``None`` when a check fails or anything raises, with
+    every arm put back as it was at the block's start, for the checked
+    path to redo."""
+    block = _Block(arms)
+    raising = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    try:
+        with np.errstate(**raising):
+            while arms and k < stop:
+                arms = _iterate(objective, arms, k, block)
+                k += 1
+            passed = block.close()
+    except Exception:  # the redo raises it where a checked run does
+        passed = False
+    if not passed:
+        block.undo()
+        return None
+    return arms
+
+
+class _Block:
+    """The unchecked iterates of a block: every gradient it measured with
+    the coordinates it was measured at, and each arm's step ends, for one
+    stacked check each at the block's end."""
+
+    def __init__(self, arms: list[_Arm]):
+        self.started = [(arm, len(arm.iterates)) for arm in arms]
+        self.at, self.gradients = [], []
+        for arm in arms:
+            arm.ends = []
+
+    def step(self, arms: list[_Arm]) -> list[_Arm]:
+        """Move each arm along the exponential map by its step, unchecked;
+        an error raises."""
+        if len(arms) > 1:
+            ends = _stacked_ends(arms)
         else:
-            for arm, (gradient, value) in zip(arms, results):
-                arm.gradient, arm.value = gradient, value
-            return arms
+            ends = [arm.manifold.exp(arm.x, -arm.config.step_size * arm.used) for arm in arms]
+        for arm, end in zip(arms, ends):
+            arm.x = end
+            arm.ends.append(end)
+        return arms
+
+    def close(self) -> bool:
+        """Whether every gradient and every step end passes the root's
+        stacked check.  If they do, each arm's iterates in the block, and
+        its point, become rows of the checked stack of its ends."""
+        root = self.started[0][0].root
+        if not root._tangents_pass(np.array(self.at), np.array(self.gradients)):
+            return False
+        ends = [end for arm, _ in self.started for end in arm.ends]
+        points = _points(root, np.array(ends)) if ends else []
+        if points is None:
+            return False
+        rows = iter(points)
+        for arm, n in self.started:
+            # the iterates recorded in the block are its start point, then its ends in order
+            trail = [arm.point, *(next(rows) for _ in arm.ends)]
+            arm.iterates[n:] = trail[: len(arm.iterates) - n]
+            arm.point = trail[-1]
+            arm.x = arm.point.coordinates
+        return True
+
+    def undo(self) -> None:
+        """Put every arm back as it was at the block's start."""
+        for arm, n in self.started:
+            del arm.iterates[n:], arm.values[n:], arm.grad_norms[n:]
+            arm.x, arm.stop_reason = arm.point.coordinates, STOP_MAX_ITERS
+
+
+def _evaluate(
+    objective: Objective, arms: list[_Arm], block: _Block | None = None
+) -> list[_Arm]:
+    """Set the gradient components and the value at each arm's iterate;
+    the arms whose objective met a domain error stop, and the others are
+    returned.  Several arms, or the arms of a ``block``, are measured by
+    the objective's stacked pass when it has one; in a block its error
+    raises, and its gradients are kept for the block's check."""
+    measure = objective._measure_many
+    if measure is not None and (len(arms) > 1 or block is not None):
+        stacked = len(arms) > 1
+        at = np.array([arm.x for arm in arms]) if stacked else arms[0].x
+        try:
+            components, values = measure(at)
+        except GeometryError:
+            if block is not None:
+                raise
+        else:
+            gradients = components if stacked else (components,)
+            if block is not None:
+                block.at.extend(at if stacked else (at,))
+                block.gradients.extend(gradients)
+            elif not arms[0].root._tangents_pass(at, components):
+                gradients = None  # each arm is measured on its own, and meets its own error
+            if gradients is not None:
+                for arm, gradient, value in zip(arms, gradients, values):
+                    arm.gradient, arm.value = gradient, value
+                return arms
     kept = []
     for arm in arms:
         try:
-            arm.gradient = objective.gradient_fn(arm.x)
-            arm.value = float(objective.value_fn(arm.x))
+            arm.gradient = objective.gradient_fn(arm.point).components
+            arm.value = float(objective.value_fn(arm.point))
         except DomainError:
             arm.stop_reason = STOP_ERROR
             continue
@@ -300,7 +442,7 @@ def _measure_gradients(arms: list[_Arm]) -> None:
     rescaled = []
     for arm in arms:
         try:
-            arm.used = arm.manifold.rescale_gradient(arm.gradient.components)
+            arm.used = arm.manifold.rescale_gradient(arm.gradient)
         except DomainError:  # the gradient over the scale left the double range
             arm.grad_norm = math.inf
             continue
@@ -309,7 +451,7 @@ def _measure_gradients(arms: list[_Arm]) -> None:
     if len(arms) > 1:
         used = np.array([arm.used for arm in arms])
         try:
-            ips = arms[0].root.inner(np.array([arm.x.coordinates for arm in arms]), used, used)
+            ips = arms[0].root.inner(np.array([arm.x for arm in arms]), used, used)
         except GeometryError:
             pass
         else:
@@ -322,9 +464,18 @@ def _measure_gradients(arms: list[_Arm]) -> None:
             return
     for arm in arms:
         try:
-            arm.grad_norm = arm.manifold.norm(arm.x.coordinates, arm.used)
+            arm.grad_norm = arm.manifold.norm(arm.x, arm.used)
         except DomainError:  # the inner product of the gradient overflowed
             arm.grad_norm = math.inf
+
+
+def _stacked_ends(arms: list[_Arm]) -> np.ndarray:
+    """The end of each arm's step, from one stacked exponential map on the root."""
+    used = np.array([arm.used for arm in arms])
+    steps = np.array([-arm.config.step_size for arm in arms])
+    return arms[0].root.exp(
+        np.array([arm.x for arm in arms]), steps.reshape(-1, *(1,) * (used.ndim - 1)) * used
+    )
 
 
 def _step(arms: list[_Arm]) -> list[_Arm]:
@@ -334,30 +485,25 @@ def _step(arms: list[_Arm]) -> list[_Arm]:
     validated by one stacked check, or row by row if it fails."""
     ends = None
     if len(arms) > 1:
-        root = arms[0].root
-        used = np.array([arm.used for arm in arms])
-        steps = np.array([-arm.config.step_size for arm in arms])
         with contextlib.suppress(GeometryError):
-            ends = root.exp(
-                np.array([arm.x.coordinates for arm in arms]),
-                steps.reshape(-1, *(1,) * (used.ndim - 1)) * used,
-            )
-        points = None if ends is None else _points(root, ends)
+            ends = _stacked_ends(arms)
+        points = None if ends is None else _points(arms[0].root, ends)
         if points is not None:
             for arm, x in zip(arms, points):
-                arm.x = x
+                arm.point, arm.x = x, x.coordinates
             return arms
     moved = []
     for i, arm in enumerate(arms):
         try:
             if ends is None:
-                end = arm.manifold.exp(arm.x.coordinates, -arm.config.step_size * arm.used)
+                end = arm.manifold.exp(arm.x, -arm.config.step_size * arm.used)
             else:
                 end = ends[i]
-            arm.x = ManifoldPoint(arm.root, end)
+            arm.point = ManifoldPoint(arm.root, end)
         except DomainError:
             arm.stop_reason = STOP_ERROR
             continue
+        arm.x = arm.point.coordinates
         moved.append(arm)
     return moved
 
@@ -387,13 +533,13 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
     On the SPD cone that pass reads the distances from the logarithms'
     ``eigh`` where ``dist`` reads ``eigvalsh``, so the value after the
     gradient may differ from the value alone in its last bits.
-    The objective's stacked pass measures K points in one batched pass:
-    the K points, as a ``(K, 1, ...)`` base stack, are broadcast against
-    the N data rows, so the K·N (point, data point) pairs need no copy of
-    either and the SPD cone factors K bases, not K·N.  It then sums each
-    point's logarithms and squared distances as a single point's are
-    summed, and validates the K gradients with one stacked check (one by
-    one if it fails).
+    The objective's stacked pass takes one point's coordinates through
+    ``gradient_fn``'s arithmetic, or measures a stack of K points in one
+    batched pass: the K points, as a ``(K, 1, ...)`` base stack, are
+    broadcast against the N data rows, so the K·N (point, data point)
+    pairs need no copy of either and the SPD cone factors K bases, not
+    K·N.  It then sums each point's logarithms and squared distances as a
+    single point's are summed.  It checks nothing (see :class:`Objective`).
     """
     points = tuple(points)
     if not points:
@@ -408,14 +554,13 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
         # square and pairwise sum would round differently
         return sum(map(pow, d, repeat(2))) / (2.0 * n)
 
-    def gradient_from(x: ManifoldPoint, components: np.ndarray) -> TangentVector:
-        try:
-            return TangentVector(x, components)
-        except ContractViolationError:
-            if np.isfinite(components).all():
-                raise
-            # a sum past the double range is the objective's domain, not a misuse
-            raise DomainError("the sum of the logarithms overflowed") from None
+    def measured_at(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient components at one point, and its distances."""
+        d, logs = manifold._dist_log(x, coords)
+        # a running sum adds the rows strictly left to right (np.sum may
+        # pair them up); + 0.0 gives the +0.0 a sum started at zero gives
+        total = np.add.accumulate(logs)[-1] + 0.0
+        return -total / n, d
 
     def value_fn(x: ManifoldPoint) -> float:
         point, d = measured
@@ -425,23 +570,24 @@ def frechet_objective(points: Sequence[ManifoldPoint]) -> Objective:
 
     def gradient_fn(x: ManifoldPoint) -> TangentVector:
         nonlocal measured
-        d, logs = manifold._dist_log(x.coordinates, coords)
+        components, d = measured_at(x.coordinates)
         measured = (x, d)
-        # a running sum adds the rows strictly left to right (np.sum may
-        # pair them up); + 0.0 gives the +0.0 a sum started at zero gives
-        total = np.add.accumulate(logs)[-1] + 0.0
-        return gradient_from(x, -total / n)
+        try:
+            return TangentVector(x, components)
+        except ContractViolationError:
+            if np.isfinite(components).all():
+                raise
+            # a sum past the double range is the objective's domain, not a misuse
+            raise DomainError("the sum of the logarithms overflowed") from None
 
-    def measure_many(xs: list[ManifoldPoint]) -> list[tuple[TangentVector, float]]:
-        at = np.array([x.coordinates for x in xs])
+    def measure_many(at: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        if at.ndim < coords.ndim:  # one point
+            components, d = measured_at(at)
+            return components, [halved_mean_square(d.tolist())]
         # a (K, 1, ...) base stack against the n data rows: (K, n) pairs, no copies
         d, logs = manifold._dist_log(at[:, np.newaxis], coords)
         totals = np.add.accumulate(logs, axis=1)[:, -1] + 0.0
-        components = -totals / n
-        gradients = _tangents(xs, at, components)
-        if gradients is None:  # the stacked check failed: each row meets its own error
-            gradients = [gradient_from(x, g) for x, g in zip(xs, components)]
-        return [(g, halved_mean_square(row)) for g, row in zip(gradients, d.tolist())]
+        return -totals / n, [halved_mean_square(row) for row in d.tolist()]
 
     return Objective(value_fn, gradient_fn, measure_many)
 
@@ -503,10 +649,11 @@ def equivalence_check(
     or diverges, :class:`PartialEquivalenceError` carries the deviation
     over the common prefix.  The two arms are two one-arm runs.  As one
     lockstep run of :func:`riemannian_gd_many` the pair would cost about
-    0.9-1.1 times two one-arm runs on euclidean:3 and 1.1 times on
-    sphere:2, but 0.7-0.8 times on spd:2 and on spd:8 at 4 data points,
-    and 0.8-0.9 times on spd:8 at 32 (40 iterations, 2-vCPU Xeon).  They
-    stay two runs because the benchmark's tracing counts descent
+    1.25 times two one-arm runs on euclidean:3 and 1.1 times on sphere:2
+    (8 data points), but 0.65-0.7 times on spd:2 and 0.8 times on spd:8
+    at 4 data points, and 0.85-0.95 times on spd:8 at 32 (40 iterations,
+    both checked once per block, best of 15, one core of a 2-vCPU Xeon).
+    They stay two runs because the benchmark's tracing counts descent
     iterations in :func:`riemannian_gd` only, so a traced lockstep pair
     would read none (ROADMAP item 1).
     """

@@ -416,10 +416,9 @@ def _run_iterate_gradient_direction(rng):
         trace = riemannian_gd(sm, objective, x0, config)
         points = np.array([point.coordinates for point in trace.iterates])
         if objective._measure_many is None:  # no stacked pass: one call per iterate
-            gradients = [objective.gradient_fn(point) for point in trace.iterates]
+            grad = np.array([objective.gradient_fn(point).components for point in trace.iterates])
         else:
-            gradients = [g for g, _ in objective._measure_many(list(trace.iterates))]
-        grad = np.array([g.components for g in gradients])
+            grad = objective._measure_many(points)[0]
         kept = ~(m.norm(points, grad) < 1e-12)
         points, grad = points[kept], grad[kept]
         yield from _angles_between(m, points, sm.rescale_gradient(grad), grad)

@@ -306,6 +306,35 @@ def test_spd_log_past_the_double_range_is_the_scalar_law_without_a_warning(side,
     assert scaled.tobytes() == typed.tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("side", [1, 2, 3, 8])
+@pytest.mark.parametrize("a, b", [
+    (1e-300, 1e300), (1e300, 1e-300), (1.0, 1e-310), (1e-310, 1.0), (2.0**-1000, 2.0**1000),
+])
+def test_spd_transport_past_the_double_range_is_the_scalar_law_without_a_warning(side, a, b):
+    # from a I to b I the transport map is E = (q p^-1)^1/2 = sqrt(b / a) I,
+    # so it takes a I to b I, though b I whitened at a I overflows or underflows
+    m = SymmetricPositiveDefinite(side)
+    eye = np.eye(side)
+    p, q = a * eye, b * eye
+    near = np.stack([eye, 3.0 * eye])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = m.transport(p, q, p)
+        # in a batch beside in-range pairs, which keep their own bits
+        batch = m.transport(np.stack([near[0], p, p]), np.stack([near[1], q, p]),
+                            np.stack([eye, p, eye]))
+        scaled = ScaledManifold(m, 4.0).transport(p, q, p)
+        typed = parallel_transport(_vector(_point(m, p), p), _point(m, q)).components
+        if b > a:  # where the result itself overflows, the error names the map back
+            with pytest.raises(DomainError, match=r"^transport E v E\^T overflowed"):
+                m.transport(p, q, 1e300 * eye)
+    np.testing.assert_allclose(single, q, rtol=1e-13, atol=0.0)
+    assert batch[1].tobytes() == single.tobytes()
+    assert batch[0].tobytes() == m.transport(near[0], near[1], eye).tobytes()
+    assert batch[2].tobytes() == eye.tobytes()  # a row equal to its base carries its vector
+    assert scaled.tobytes() == typed.tobytes() == single.tobytes()
+
+
 def test_spd_inner_product_overflow_is_a_domain_error_without_a_warning():
     # the whitened tangent is finite, its Frobenius product is not
     v = _vector(_point(SPD2, np.eye(2)), 1e200 * np.eye(2))
@@ -769,13 +798,11 @@ def test_stacked_checks_pass_valid_stacks_as_read_only_rows_of_the_same_bits(man
     V = np.stack([manifold.random_tangent(x, rng) for x in X])
     assert manifold._points_pass(X) and manifold._tangents_pass(X, V)
     points = manifolds._points(manifold, X)
-    vectors = manifolds._tangents(points, X, V)
-    for x, v, point, vector in zip(X, V, points, vectors):
-        assert point.manifold is manifold and vector.base is point
+    for x, v, point in zip(X, V, points):
+        assert point.manifold is manifold
         assert point.coordinates.tobytes() == manifold.validate_point(x).tobytes()
-        assert vector.components.tobytes() == manifold.validate_tangent(x, v).tobytes()
-        for row in (point.coordinates, vector.components):
-            assert row.dtype == np.float64 and not row.flags.writeable
+        assert v.tobytes() == manifold.validate_tangent(x, v).tobytes()
+        assert point.coordinates.dtype == np.float64 and not point.coordinates.flags.writeable
     X[0] = V[0] = 7.0  # the rows are copies, not views of the caller's stacks
     assert points[0].coordinates.tobytes() == manifold.validate_point(
         points[0].coordinates
@@ -788,7 +815,7 @@ def test_stacked_checks_reject_non_finite_rows_off_shape_and_non_float64_stacks(
     assert not any(_assert_sound(manifold, rows))
     assert not any(_assert_sound(manifold, rows, bases=X[:3]))
     assert manifolds._points(manifold, np.stack([X[0], rows[0]])) is None
-    assert manifolds._tangents([ManifoldPoint(manifold, X[0])], X[:1], rows[0][None]) is None
+    assert not manifold._tangents_pass(X[:1], rows[0][None])
     # a single row, a stack of rows of another shape, and other dtypes
     wider = np.concatenate([X, X], axis=-1)
     for stack in (X[0], wider, X.astype(np.float32), X.astype(np.float16)):

@@ -5,6 +5,7 @@ import math
 import threading
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -354,19 +355,28 @@ def test_equivalence_failing_arm_raises_typed_error_with_prefix_deviation():
 
 def _assert_lockstep_matches_single_runs(manifolds_, objective, starts, configs):
     """Run the arms in lockstep and each on its own, on this host, and
-    compare iterate bytes, values, gradient norms and stop reasons."""
-    traces = riemannian_gd_many(manifolds_, objective, starts, configs)
-    assert len(traces) == len(manifolds_)
-    for m, x0, config, trace in zip(manifolds_, starts, configs, traces):
+    compare iterate bytes, values, gradient norms and stop reasons.  An
+    objective with a stacked pass, whose runs check their iterates once
+    per block, is also run both ways without it, on the path that checks
+    each iterate as it is made, and must give the same traces."""
+    objectives = [objective]
+    if objective._measure_many is not None:
+        objectives.append(replace(objective, _measure_many=None))
+    runs = [riemannian_gd_many(manifolds_, o, starts, configs) for o in objectives]
+    for a, (m, x0, config) in enumerate(zip(manifolds_, starts, configs, strict=True)):
         single = riemannian_gd(m, objective, x0, config)
-        assert trace.stop_reason == single.stop_reason
-        assert len(trace) == len(single)
-        assert [x.coordinates.tobytes() for x in trace.iterates] == [
-            x.coordinates.tobytes() for x in single.iterates
-        ]
-        assert np.array(trace.values).tobytes() == np.array(single.values).tobytes()
-        assert np.array(trace.grad_norms).tobytes() == np.array(single.grad_norms).tobytes()
-    return [trace.stop_reason for trace in traces]
+        others = [traces[a] for traces in runs]
+        others += [riemannian_gd(m, o, x0, config) for o in objectives[1:]]
+        for trace in others:
+            assert trace.stop_reason == single.stop_reason
+            assert len(trace) == len(single)
+            assert [x.coordinates.tobytes() for x in trace.iterates] == [
+                x.coordinates.tobytes() for x in single.iterates
+            ]
+            assert np.array(trace.values).tobytes() == np.array(single.values).tobytes()
+            assert np.array(trace.grad_norms).tobytes() == np.array(single.grad_norms).tobytes()
+        assert single.iterates[:1] == (x0,)[: len(single)]  # the start point itself
+    return [trace.stop_reason for trace in runs[0]]
 
 
 @pytest.mark.parametrize("spec", ["euclidean:3", "sphere:2", "spd:2", "spd:8"])
@@ -399,15 +409,20 @@ def test_the_stacked_frechet_pass_is_each_points_gradient_then_value(spec, scale
     objective = frechet_objective(points)
     # the first query point is a data point, so its pairs take the masked path
     xs = [points[0]] + [ManifoldPoint(m, x) for x in root._random_points(rng, 3)]
+    at = np.array([x.coordinates for x in xs])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = objective._measure_many(xs)
-        for x, (gradient, value) in zip(xs, stacked, strict=True):
+        components, values = objective._measure_many(at)
+        assert components.shape == at.shape
+        for x, gradient, value in zip(xs, components, values, strict=True):
+            # one point's coordinates take gradient_fn's own arithmetic
+            one, (one_value,) = objective._measure_many(x.coordinates)
             alone = objective.gradient_fn(x)
-            assert gradient.base is x
-            assert gradient.components.tobytes() == alone.components.tobytes()
+            assert gradient.tobytes() == one.tobytes() == alone.components.tobytes()
             # value_fn after gradient_fn, as a one-arm descent calls them
-            assert np.array(value).tobytes() == np.array(objective.value_fn(x)).tobytes()
+            assert np.array([value, one_value]).tobytes() == np.array(
+                [objective.value_fn(x)] * 2
+            ).tobytes()
 
 
 def test_lockstep_arms_stop_on_their_own_errors_while_the_others_run_on():
@@ -550,6 +565,111 @@ def test_one_lockstep_arm_is_a_single_run():
     assert trace.values == single.values and trace.stop_reason == single.stop_reason
 
 
+_VECDOT = (RuntimeWarning, "overflow encountered in vecdot")
+
+# Fréchet descents that fail, keyed on how they stop and at which iterate:
+# (manifold, objective, start, step size, iterations, the warnings of the
+# run).  With blocks of 64 iterates, iterate 0 is the first of the first
+# block, 1 inside it and 63 its last, 119 is inside the second block, 256
+# the first of the fifth and 482 inside the eighth.
+_FAILING_DESCENTS = {
+    # the start is antipodal to a data point, whose logarithm is undefined
+    ("error", 0): lambda: (
+        S2, frechet_objective([_e(0), _e(1)]), ManifoldPoint(S2, -_e(0).coordinates), 0.3, 30,
+        [],
+    ),
+    # `frechet --manifold euclidean:3 --eta 1e308`: at the first step's end the
+    # squared distances overflow, and so does the sum of the logarithms
+    ("error", 1): lambda: (
+        Euclidean(3), *random_frechet_problem(Euclidean(3), 4, np.random.default_rng(0))[1:],
+        1e308, 200, [_VECDOT, (RuntimeWarning, "overflow encountered in accumulate")],
+    ),
+    # a step leaves the cone: validate_point rejects the point it lands on
+    ("error", 63): lambda: (
+        SymmetricPositiveDefinite(2),
+        *random_frechet_problem(SymmetricPositiveDefinite(2), 4, np.random.default_rng(0))[1:],
+        2.0, 200, [],
+    ),
+    ("error", 119): lambda: (
+        SymmetricPositiveDefinite(2),
+        *random_frechet_problem(SymmetricPositiveDefinite(2), 4, np.random.default_rng(3))[1:],
+        2.0, 200, [],
+    ),
+    # `frechet --manifold euclidean:3 --eta 5 --iters 400`: the value overflows
+    ("diverged", 256): lambda: (
+        Euclidean(3), *random_frechet_problem(Euclidean(3), 4, np.random.default_rng(0))[1:],
+        5.0, 400, [],
+    ),
+    # each step doubles the distance to the one data point, from 2^30, until
+    # its square overflows in vecdot
+    ("diverged", 482): lambda: (
+        Euclidean(3), frechet_objective([ManifoldPoint(Euclidean(3), [0.0, 0.0, 0.0])]),
+        ManifoldPoint(Euclidean(3), [2.0**30, 0.0, 0.0]), 3.0, 1000, [_VECDOT],
+    ),
+}
+
+
+@pytest.mark.parametrize("how, at", list(_FAILING_DESCENTS))
+def test_a_block_that_fails_is_redone_with_the_trace_of_a_checked_run(how, at):
+    manifold, objective, x0, eta, iters, warned = _FAILING_DESCENTS[how, at]()
+    # a power-of-four scale walks the same path with a quarter of the step
+    arms = [manifold, ScaledManifold(manifold, 0.25)]
+    configs = [OptimizerConfig(step_size=s, max_iters=iters, grad_tol=0.0) for s in (eta, eta / 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        stops = _assert_lockstep_matches_single_runs(arms, objective, [x0] * 2, configs)
+    assert stops == [how] * 2
+    # the warnings of a checked run, none twice, or its first warning raised as
+    # an error; where numpy ignores every condition, the block's checks alone
+    # send it back
+    expected = {
+        ("always", "warn"): ((how, at), warned),
+        ("error", "warn"): (repr(RuntimeWarning(warned[0][1])), []) if warned else ((how, at), []),
+        ("error", "ignore"): ((how, at), []),
+    }
+    for (action, numpy_errors), outcome in expected.items():
+        for o in (objective, replace(objective, _measure_many=None)):
+            with warnings.catch_warnings(record=True) as caught, np.errstate(
+                over=numpy_errors, invalid=numpy_errors, divide=numpy_errors
+            ):
+                warnings.simplefilter(action)
+                try:
+                    run = riemannian_gd(manifold, o, x0, configs[0])
+                except RuntimeWarning as exc:
+                    got = repr(exc)
+                else:
+                    got = (run.stop_reason, len(run))
+            assert (got, [(w.category, str(w.message)) for w in caught]) == outcome
+
+
+@pytest.mark.parametrize("spec", ["euclidean:3", "sphere:2", "spd:2", "spd:8"])
+def test_a_frechet_descent_builds_no_point_or_vector_on_its_way(monkeypatch, spec):
+    m = manifolds.manifold_from_string(spec)
+    _, objective, x0 = random_frechet_problem(m, 6, np.random.default_rng(3))
+    config = OptimizerConfig(step_size=0.1, max_iters=40, grad_tol=0.0)
+    calls = Counter()
+    check = manifolds.Manifold._check_shape
+
+    def counted(self, arr, what):
+        calls[what] += 1
+        return check(self, arr, what)
+
+    monkeypatch.setattr(manifolds.Manifold, "_check_shape", counted)
+    for arm in (m, ScaledManifold(m, 3.3)):
+        # its gradients and iterates are checked as stacks, once per block
+        calls.clear()
+        assert len(riemannian_gd(arm, objective, x0, config)) == 41
+        (a, b) = riemannian_gd_many([arm, m], objective, [x0] * 2, [config] * 2)
+        assert len(a) == len(b) == 41 and calls == {}
+        # without its stacked pass, each gradient and each step is validated
+        riemannian_gd(arm, replace(objective, _measure_many=None), x0, config)
+        assert calls == {"tangent vector": 41, "point": 40}
+    if m.family == "euclidean":  # a plain objective keeps two checks an iterate
+        calls.clear()
+        riemannian_gd(m, _quadratic_objective(m), x0, config)
+        assert calls == {"tangent vector": 41, "point": 40}
+
+
 def test_lockstep_argument_validation():
     objective = _quadratic_objective(E2)
     x0 = ManifoldPoint(E2, [1.0, 2.0])
@@ -612,10 +732,13 @@ def test_spd_descent_factors_each_iterate_once(monkeypatch, side):
         monkeypatch.undo()
         assert trace.stop_reason == "max_iters"
         # per iterate one factor and one eigh, for the logarithms and the
-        # distances both; per step one more eigh (exp); no eigvalsh
+        # distances both; per step one more eigh (exp); no eigvalsh.  Each
+        # block's stacked point check factors the block's steps in one more
+        # cholesky call: the factors of the single iterates are not kept
         iterates, steps = len(trace), len(trace) - 1
+        blocks = -(-steps // optimize._BLOCK_STEPS)
         assert dict(counts) == {
-            "cholesky": iterates, "inv": iterates, "eigh": iterates + steps,
+            "cholesky": iterates + blocks, "inv": iterates, "eigh": iterates + steps,
         }
 
 
@@ -632,13 +755,16 @@ def test_spd_lockstep_descent_makes_one_eigh_per_round_and_step(monkeypatch, sid
     traces = riemannian_gd_many(arms, objective, [x0] * 3, [config] * 3)
     monkeypatch.undo()
     assert [t.stop_reason for t in traces] == ["max_iters"] * 3
-    # per round one factor and one inverse of the stack of the arms' points:
-    # the step that made the round's iterates factors them in its stacked
-    # point check (round 0's stacked pass factors the starts), the stacked
-    # pass inverts that factor, and the stacked norm and step reuse both.
-    # One eigh per round and one per step (exp); no eigvalsh
+    # per round one factor and one inverse of the stack of the arms' points,
+    # taken by the stacked pass, which the stacked norm and step reuse; one
+    # more cholesky call per block, whose stacked point check factors every
+    # step the block made at once.  One eigh per round and one per step
+    # (exp); no eigvalsh
     iterates, steps = len(traces[0]), len(traces[0]) - 1
-    assert dict(counts) == {"cholesky": iterates, "inv": iterates, "eigh": iterates + steps}
+    blocks = -(-steps // optimize._BLOCK_STEPS)
+    assert dict(counts) == {
+        "cholesky": iterates + blocks, "inv": iterates, "eigh": iterates + steps,
+    }
 
 
 @pytest.mark.parametrize("side", [2, 8])
@@ -671,7 +797,7 @@ def test_spd_descent_bits_do_not_depend_on_the_factor_memo(monkeypatch, side):
         misses.clear()
         same_bits(trace, fresh)
     # a lockstep run remembers each stack of its arms' iterates; cold, every
-    # stacked pass, norm, step and point check factors it afresh
+    # stacked pass, norm and step factors it afresh (no step follows the last)
     arms = (manifold, ScaledManifold(manifold, 4.0), ScaledManifold(manifold, 0.25))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -680,7 +806,7 @@ def test_spd_descent_bits_do_not_depend_on_the_factor_memo(monkeypatch, side):
             patch.setattr(SymmetricPositiveDefinite, "_whiten", staticmethod(cold))
             fresh = riemannian_gd_many(arms, objective, [x0] * 3, [config] * 3)
     stacks = misses.count((3, 1, side, side)) + misses.count((3, side, side))
-    assert stacks > 3 * len(traces[0])  # the memo was bypassed
+    assert stacks == 3 * len(traces[0]) - 1  # the memo was bypassed
     for trace, again in zip(traces, fresh, strict=True):
         same_bits(trace, again)
     for arm, trace in zip(arms, traces):  # and each arm is its one-arm run
